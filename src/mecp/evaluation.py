@@ -42,6 +42,7 @@ from mecp.data import (
 )
 from mecp.nested_sets import contains, float_to_json, measure, sets_at
 from mecp.predictors import FitError
+from mecp.quantiles import check_prob, rank_plus
 from mecp.weighted import (
     dual_eta,
     env_score,
@@ -53,13 +54,6 @@ from mecp.weighted import (
 RULES = ("count", "fraction")
 
 
-def _check_prob(value: float, name: str) -> float:
-    value = float(value)
-    if math.isnan(value) or not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-    return value
-
-
 def covered_env_threshold(n: int, alpha: float) -> int:
     """Smallest in-set count at which a size-n environment counts as covered.
 
@@ -68,8 +62,7 @@ def covered_env_threshold(n: int, alpha: float) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    alpha = _check_prob(alpha, "alpha")
-    return math.ceil((1 - Fraction(alpha)) * (n + 1))
+    return rank_plus(n, check_prob(alpha, "alpha"))
 
 
 def _env_covered(covered_count: int, n: int, alpha: float, rule: str) -> bool:
@@ -173,7 +166,7 @@ def evaluate_mapping(
     requires the in-set count to reach ceil((1-alpha)(n+1)), "fraction"
     requires the in-set fraction to reach 1-alpha.
     """
-    alpha = _check_prob(alpha, "alpha")
+    alpha = check_prob(alpha, "alpha")
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
     envs = list(test_envs)
@@ -239,10 +232,10 @@ class TrialPlan:
             raise ValueError("need at least two training environments")
         if self.test_envs < 1:
             raise ValueError("need at least one test environment")
-        _check_prob(self.alpha, "alpha")
-        _check_prob(self.delta, "delta")
-        _check_prob(self.gamma, "gamma")
-        _check_prob(self.alpha0, "alpha0")
+        check_prob(self.alpha, "alpha")
+        check_prob(self.delta, "delta")
+        check_prob(self.gamma, "gamma")
+        check_prob(self.alpha0, "alpha0")
         if self.label_count < 1:
             raise ValueError("label_count must be at least 1")
         if self.ridge_grid is not None:
@@ -580,12 +573,12 @@ def match_delta(
     comparison is paired. When no grid value qualifies, the smallest is
     returned with ``found=False``.
     """
-    grid = [_check_prob(d, "delta") for d in delta_grid]
+    grid = [check_prob(d, "delta") for d in delta_grid]
     if not grid:
         raise ValueError("delta_grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("delta_grid must be sorted ascending without repeats")
-    base = replace(plan, alpha=_check_prob(alpha, "alpha"))
+    base = replace(plan, alpha=check_prob(alpha, "alpha"))
     baseline = run_trials(replace(base, algorithm=method_b), workers=workers)
     baseline_fraction = baseline.covered_sample_fraction()
     fractions = []

@@ -42,12 +42,17 @@ class FitError(RuntimeError):
         self.details = details
 
 
-def _design(x: np.ndarray) -> np.ndarray:
+def _features(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("x must be a nonempty (n, p) array")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
+    return x
+
+
+def _design(x) -> np.ndarray:
+    x = _features(x)
     return np.column_stack([np.ones(x.shape[0]), x])
 
 
@@ -83,30 +88,19 @@ class RidgeModel:
         return x @ self.coef + self.intercept
 
 
-def _ridge_solve(xt: np.ndarray, y: np.ndarray, lam: float):
-    """Coefficients and LOOCV residuals for one penalty, or None if singular.
-
-    Uses the hat-matrix identity: the leave-one-out residual equals
-    r_i / (1 - h_ii) for penalized least squares, including the intercept
-    column in the hat matrix.
-    """
-    n, d = xt.shape
-    a = xt.T @ xt + np.diag([0.0] + [lam] * (d - 1))
-    eigs = np.linalg.eigvalsh(a)
-    if eigs[0] <= _SINGULAR_RTOL * max(eigs[-1], 1.0):
-        return None
-    k = np.linalg.solve(a, xt.T)
-    coef = k @ y
-    h = np.einsum("ij,ji->i", xt, k)
-    denom = 1.0 - h
-    if np.any(denom <= 1e-10):
-        return coef, None
-    loo = (y - xt @ coef) / denom
-    return coef, loo
-
-
 def fit_ridge(x, y, lambda_grid=DEFAULT_LAMBDA_GRID) -> RidgeModel:
     """Ridge regression choosing the penalty by exact leave-one-out error.
+
+    Centring ``x`` and ``y`` absorbs the unpenalized intercept, so one
+    eigendecomposition ``V diag(s) V^T`` of the p x p centred Gram matrix
+    serves the whole grid. With ``Z = x_c V``, the hat diagonal at penalty
+    lambda is ``1/n + sum_k Z_ik^2 / (s_k + lambda)`` and the leave-one-out
+    residual is ``r_i / (1 - h_ii)`` (Golub, Heath & Wahba 1979). A penalty
+    is singular when ``s_min + lambda`` is at most ``_SINGULAR_RTOL`` times
+    ``max(s_max + lambda, 1)``; the penalized centred Gram matrix is the
+    intercept's Schur complement in the augmented normal equations, so both
+    are singular together. A penalty is unusable, with ``inf`` error, when
+    some ``1 - h_ii`` falls to 1e-10 or below.
 
     Parameters
     ----------
@@ -117,8 +111,8 @@ def fit_ridge(x, y, lambda_grid=DEFAULT_LAMBDA_GRID) -> RidgeModel:
         the grid then has no usable entry, the smallest positive value of
         the default grid is used as a last resort.
     """
-    xt = _design(x)
-    n = xt.shape[0]
+    x = _features(x)
+    n = x.shape[0]
     y = _check_outcomes(y, n)
     if n < 2:
         raise ValueError("ridge LOOCV needs n >= 2")
@@ -128,43 +122,46 @@ def fit_ridge(x, y, lambda_grid=DEFAULT_LAMBDA_GRID) -> RidgeModel:
     if grid[0] < 0:
         raise ValueError("penalties must be nonnegative")
 
-    results: dict[float, tuple[np.ndarray, float]] = {}
-    table: list[tuple[float, float]] = []
-    singular_zero = False
-    for lam in grid:
-        solved = _ridge_solve(xt, y, lam)
-        if solved is None:
-            singular_zero = singular_zero or lam == 0.0
-            table.append((lam, math.inf))
-            continue
-        coef, loo = solved
-        mse = math.inf if loo is None else float(np.mean(loo**2))
-        results[lam] = (coef, mse)
-        table.append((lam, mse))
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = x - x_mean
+    yc = y - y_mean
+    s, v = np.linalg.eigh(xc.T @ xc)
+    z = xc @ v
+    zy = z.T @ yc
 
-    usable = {lam: cm for lam, cm in results.items() if math.isfinite(cm[1])}
-    fallback = False
-    if not usable:
-        if singular_zero:
-            lam_fb = min(
-                (l for l in grid if l > 0),
-                default=min(l for l in DEFAULT_LAMBDA_GRID),
-            )
-            solved = _ridge_solve(xt, y, lam_fb)
-            if solved is None or solved[1] is None:
-                raise FitError("ridge fallback penalty also unusable", lam=lam_fb)
-            coef, loo = solved
-            usable = {lam_fb: (coef, float(np.mean(loo**2)))}
-            table.append((lam_fb, usable[lam_fb][1]))
-            fallback = True
-        else:
-            raise FitError("no usable penalty in grid", grid=tuple(grid))
+    def grid_mse(lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        shifted = s[:, None] + np.asarray(lams)
+        top = shifted.max(axis=0, initial=1.0)
+        singular = shifted.min(axis=0, initial=np.inf) <= _SINGULAR_RTOL * top
+        inv = 1.0 / np.where(singular, 1.0, shifted)
+        denom = 1.0 - (1.0 / n + (z * z) @ inv)
+        loo = (yc[:, None] - z @ (zy[:, None] * inv)) / np.maximum(denom, 1e-10)
+        mse = np.einsum("ij,ij->j", loo, loo) / n
+        mse[singular | (denom.min(axis=0) <= 1e-10)] = math.inf
+        return mse, singular
 
-    best_lam = min(usable, key=lambda l: (usable[l][1], l))
-    coef = usable[best_lam][0]
+    mse, singular = grid_mse(grid)
+    singular_zero = bool(singular[np.asarray(grid) == 0.0].any())
+    table = list(zip(grid, mse.tolist()))
+    if np.isfinite(mse).any():
+        best_lam = grid[int(np.argmin(mse))]
+    elif singular_zero:
+        best_lam = min(
+            (l for l in grid if l > 0),
+            default=min(l for l in DEFAULT_LAMBDA_GRID),
+        )
+        mse_fb, _ = grid_mse([best_lam])
+        if not math.isfinite(mse_fb[0]):
+            raise FitError("ridge fallback penalty also unusable", lam=best_lam)
+        table.append((best_lam, float(mse_fb[0])))
+    else:
+        raise FitError("no usable penalty in grid", grid=tuple(grid))
+
+    coef = v @ (zy / (s + best_lam))
     return RidgeModel(
-        coef=coef[1:],
-        intercept=float(coef[0]),
+        coef=coef,
+        intercept=y_mean - float(x_mean @ coef),
         lam=best_lam,
         loocv_mse=tuple(table),
         singular_fallback=singular_zero,

@@ -26,10 +26,14 @@ import numpy as np
 
 __all__ = [
     "DiscreteDistribution",
+    "check_prob",
+    "column_quant_bounds",
     "left_quantile",
     "mixture_quantile_rows",
     "quant_minus",
     "quant_plus",
+    "rank_minus",
+    "rank_plus",
     "right_quantile",
 ]
 
@@ -37,9 +41,23 @@ __all__ = [
 _WEIGHT_TOL = 1e-9
 
 
-def _check_level(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"level must lie strictly in (0, 1), got {alpha!r}")
+def check_prob(value: float, name: str) -> float:
+    """``value`` as a float, after checking that it lies strictly in (0, 1)."""
+    value = float(value)
+    if math.isnan(value) or not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+    return value
+
+
+def rank_plus(n: int, alpha: float) -> int:
+    """1-based rank ``ceil((1 - alpha)(n + 1))`` read by :func:`quant_plus`."""
+    # exact rational index: a float product can round across an integer
+    return math.ceil((1 - Fraction(alpha)) * (n + 1))
+
+
+def rank_minus(n: int, alpha: float) -> int:
+    """1-based rank ``floor(alpha (n + 1))`` read by :func:`quant_minus`."""
+    return math.floor(Fraction(alpha) * (n + 1))
 
 
 def _as_sample(values) -> np.ndarray:
@@ -65,9 +83,8 @@ def quant_plus(values, alpha: float) -> float:
         Tail mass; smaller ``alpha`` moves the quantile up.
     """
     v = _as_sample(values)
-    _check_level(alpha)
-    # exact rational index: a float product can round across an integer
-    k = math.ceil((1 - Fraction(alpha)) * (v.size + 1))
+    check_prob(alpha, "level")
+    k = rank_plus(v.size, alpha)
     if k > v.size:
         return math.inf
     return float(np.sort(v)[k - 1])
@@ -81,11 +98,33 @@ def quant_minus(values, alpha: float) -> float:
     ``quant_minus(v, a) == -quant_plus(-v, a)`` exactly.
     """
     v = _as_sample(values)
-    _check_level(alpha)
-    k = math.floor(Fraction(alpha) * (v.size + 1))
+    check_prob(alpha, "level")
+    k = rank_minus(v.size, alpha)
     if k < 1:
         return -math.inf
     return float(np.sort(v)[k - 1])
+
+
+def column_quant_bounds(lows, highs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise :func:`quant_minus` of ``lows`` and :func:`quant_plus` of ``highs``.
+
+    Both arrays have shape (n, t); column j of the result pair equals
+    ``(quant_minus(lows[:, j], alpha), quant_plus(highs[:, j], alpha))``
+    exactly, from one sort of each array along its first axis.
+    """
+    check_prob(alpha, "level")
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
+    if lows.ndim != 2 or lows.shape[0] == 0 or highs.shape != lows.shape:
+        raise ValueError("lows and highs must be matching nonempty (n, t) arrays")
+    if np.isnan(lows).any() or np.isnan(highs).any():
+        raise ValueError("sample values must not be NaN")
+    n, t = lows.shape
+    k_lo = rank_minus(n, alpha)
+    k_hi = rank_plus(n, alpha)
+    lo = np.sort(lows, axis=0)[k_lo - 1] if k_lo >= 1 else np.full(t, -math.inf)
+    hi = np.sort(highs, axis=0)[k_hi - 1] if k_hi <= n else np.full(t, math.inf)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -137,7 +176,7 @@ def _cdf_scan(locations: np.ndarray, weights: np.ndarray, level: float) -> float
 
 def left_quantile(dist: DiscreteDistribution, alpha: float) -> float:
     """Smallest location t with ``P(Z <= t) >= alpha``."""
-    _check_level(alpha)
+    check_prob(alpha, "level")
     return _cdf_scan(dist.locations, dist.weights, alpha)
 
 
@@ -149,7 +188,7 @@ def right_quantile(dist: DiscreteDistribution, alpha: float) -> float:
     shared with :func:`left_quantile`; the two names document which side of
     a boundary a construction is meant to favor.
     """
-    _check_level(alpha)
+    check_prob(alpha, "level")
     return _cdf_scan(dist.locations, dist.weights, alpha)
 
 
@@ -161,13 +200,21 @@ def mixture_quantile_rows(loc_rows: np.ndarray, weights: np.ndarray, level: floa
     ``left_quantile(DiscreteDistribution(row, weights), level)`` per row,
     vectorized for the hot evaluation paths.
     """
-    _check_level(level)
+    check_prob(level, "level")
     loc_rows = np.asarray(loc_rows, dtype=float)
     if loc_rows.ndim != 2:
         raise ValueError("loc_rows must be two-dimensional")
-    order = np.argsort(loc_rows, axis=1, kind="stable")
+    order = np.argsort(loc_rows, axis=1)
     locs = np.take_along_axis(loc_rows, order, axis=1)
-    w = np.broadcast_to(np.asarray(weights, dtype=float), loc_rows.shape)
-    cum = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
+    # Without ties the sorted order is unique; rows with tied locations are
+    # re-sorted stably so their cumulative sums add up in the same order.
+    tied = np.flatnonzero((locs[:, 1:] == locs[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(loc_rows[tied], axis=1, kind="stable")
+        locs[tied] = np.take_along_axis(loc_rows[tied], order[tied], axis=1)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != loc_rows.shape[1:]:
+        raise ValueError("weights must hold one entry per column of loc_rows")
+    cum = np.cumsum(w[order], axis=1)
     idx = np.minimum((cum < level).sum(axis=1), loc_rows.shape[1] - 1)
     return locs[np.arange(loc_rows.shape[0]), idx]

@@ -21,6 +21,7 @@ from scipy.optimize import linprog
 from .data import EnvironmentSample
 from .nested_sets import NestedFamily, thresholds
 from .predictors import FitError
+from .quantiles import check_prob
 
 __all__ = [
     "constant_feature_map",
@@ -58,19 +59,13 @@ def feature_matrix(envs: Sequence[EnvironmentSample], phi=constant_feature_map) 
     return out
 
 
-def _check_prob(value: float, name: str) -> float:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
-    return float(value)
-
-
 def score_from_thresholds(values, alpha: float) -> float:
     """Smallest value covering strictly more than a 1-alpha fraction.
 
     The index is the least k with k/n > 1-alpha, computed in exact rational
     arithmetic; k is always within bounds for alpha in (0, 1).
     """
-    alpha = _check_prob(alpha, "alpha")
+    alpha = check_prob(alpha, "alpha")
     v = np.sort(np.asarray(values, dtype=float))
     if v.ndim != 1 or v.size == 0:
         raise ValueError("need a one-dimensional, nonempty threshold sample")
@@ -134,7 +129,7 @@ def fit_pinball_env(
     positive regularization maximizes the smooth box dual and recovers theta
     from the dual optimum, certifying the result through the primal-dual gap.
     """
-    delta = _check_prob(delta, "delta")
+    delta = check_prob(delta, "delta")
     if ridge_weight < 0.0:
         raise ValueError("ridge_weight must be nonnegative")
     phi, s = _split_score_pairs(scores)
@@ -361,7 +356,7 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
     the test environment. The returned eta's last entry is the test
     multiplier; it is non-decreasing in s.
     """
-    delta = _check_prob(delta, "delta")
+    delta = check_prob(delta, "delta")
     if ridge_weight < 0.0:
         raise ValueError("ridge_weight must be nonnegative")
     full_scores, phi = _stacked(scores, features, s)
@@ -456,8 +451,8 @@ def weighted_threshold(scores, features, alpha: float, delta: float,
     criterion that never fails within the bracket expansion yields +inf
     (the full-space convention), mirroring the plain quantile's overflow.
     """
-    _check_prob(alpha, "alpha")
-    delta = _check_prob(delta, "delta")
+    check_prob(alpha, "alpha")
+    delta = check_prob(delta, "delta")
     return _search_threshold(scores, features, delta, ridge_weight,
                              level=1.0 - delta, strict=True, tolerance=tolerance)
 
@@ -470,8 +465,8 @@ def randomized_threshold(scores, features, alpha: float, delta: float,
     Exhausting the upward bracket (e.g. U near 1) returns +inf; a criterion
     that fails everywhere returns -inf (the empty-set convention).
     """
-    _check_prob(alpha, "alpha")
-    delta = _check_prob(delta, "delta")
+    check_prob(alpha, "alpha")
+    delta = check_prob(delta, "delta")
     u = float(rng.uniform())
     return _search_threshold(scores, features, delta, ridge_weight,
                              level=u - delta, strict=False, tolerance=tolerance)

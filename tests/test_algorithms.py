@@ -34,7 +34,7 @@ from mecp.nested_sets import (
     contains,
     thresholds,
 )
-from mecp.quantiles import quant_plus
+from mecp.quantiles import quant_minus, quant_plus
 
 from oracles import oracle_jackknife_plus_interval
 
@@ -541,6 +541,35 @@ class TestJackknifePlusQuantile:
                     if inner == EMPTY_SET:
                         continue
                     assert outer.lo <= inner.lo and inner.hi <= outer.hi
+
+    def test_vectorized_sets_match_per_point_quantiles(self):
+        # small m puts the lower rank at 0 (-inf) or the upper past m (+inf);
+        # large delta inverts the endpoints into empty sets
+        rng = np.random.default_rng(9)
+        for m in (2, 3, 4, 9, 20):
+            offsets = rng.normal(size=m)
+            slopes = rng.normal(size=m)
+            predictors = tuple(
+                (lambda xs, a=a, b=b: a + b * np.asarray(xs)[:, 0])
+                for a, b in zip(offsets, slopes)
+            )
+            scores = rng.exponential(size=m)
+            scores[rng.random(m) < 0.2] = math.inf
+            x = rng.normal(size=(25, 1))
+            for delta in (0.05, 0.1, 0.3, 0.5, 0.7, 0.95):
+                mapping = JackknifePlusQuantile(
+                    predictors=predictors,
+                    env_scores=tuple(scores),
+                    alpha=0.1,
+                    delta=delta,
+                )
+                preds = np.stack([f(x) for f in predictors])
+                want = []
+                for t in range(x.shape[0]):
+                    lo = quant_minus(preds[:, t] - scores, delta)
+                    hi = quant_plus(preds[:, t] + scores, delta)
+                    want.append(EMPTY_SET if lo > hi else Interval(lo, hi))
+                assert mapping.predict_sets(x) == want
 
 
 class TestTauMonotonicity:

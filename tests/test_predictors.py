@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,95 @@ class TestRidge:
         assert model.lam == min(l for l in DEFAULT_LAMBDA_GRID)
         both = fit_ridge(x, y, lambda_grid=(0.0, 0.7))
         assert both.singular_fallback and both.lam == 0.7
+
+    @staticmethod
+    def shifted_design(seed: int, n: int = 40, mean: float = 1e3):
+        # a large feature mean: the centred route must not lose the intercept
+        rng = np.random.default_rng(seed)
+        x = mean + rng.normal(size=(n, 3)) * [1.0, 2.0, 0.5]
+        y = 7.0 + (x - mean) @ [1.0, -2.0, 0.5] + rng.normal(size=n)
+        return x, y
+
+    @staticmethod
+    def direct_coefficients(x, y, lam):
+        # least squares on the stacked ridge system, intercept unpenalized
+        n, p = x.shape
+        a = np.vstack([
+            np.column_stack([np.ones(n), x]),
+            np.column_stack([np.zeros(p), np.sqrt(lam) * np.eye(p)]),
+        ])
+        return np.linalg.lstsq(a, np.concatenate([y, np.zeros(p)]), rcond=None)[0]
+
+    def test_default_grid_matches_literal_refits_at_large_feature_mean(self):
+        for seed in range(3):
+            x, y = self.shifted_design(seed)
+            model = fit_ridge(x, y)
+            assert [lam for lam, _ in model.loocv_mse] == list(DEFAULT_LAMBDA_GRID)
+            for lam, mse in model.loocv_mse:
+                brute = float(np.mean(oracle_ridge_loo_errors(x, y, lam) ** 2))
+                assert mse == pytest.approx(brute, rel=1e-8)
+            best = min(model.loocv_mse, key=lambda row: (row[1], row[0]))
+            assert model.lam == best[0]
+
+    def test_coefficients_match_direct_solve_at_large_feature_mean(self):
+        x, y = self.shifted_design(7)
+        for lam in DEFAULT_LAMBDA_GRID:
+            model = fit_ridge(x, y, lambda_grid=(lam,))
+            direct = self.direct_coefficients(x, y, lam)
+            got = np.append(model.intercept, model.coef)
+            np.testing.assert_allclose(got, direct, rtol=1e-9, atol=0)
+
+    def test_nonsingular_zero_penalty_is_ols(self):
+        x, y = self.shifted_design(8, mean=5.0)
+        model = fit_ridge(x, y, lambda_grid=(0.0,))
+        assert model.lam == 0.0 and not model.singular_fallback
+        ols = np.linalg.lstsq(np.column_stack([np.ones(len(y)), x]), y, rcond=None)[0]
+        np.testing.assert_allclose(np.append(model.intercept, model.coef), ols, rtol=1e-10)
+        brute = float(np.mean(oracle_ridge_loo_errors(x, y, 0.0) ** 2))
+        assert model.loocv_mse[0][1] == pytest.approx(brute, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["constant", "duplicate"])
+    def test_rank_deficient_zero_penalty_falls_back(self, kind):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(15, 2))
+        if kind == "constant":
+            x = np.column_stack([x, np.full(15, 3.0)])
+        else:
+            x = np.column_stack([x, x[:, 1]])
+        y = rng.normal(size=15)
+        model = fit_ridge(x, y, lambda_grid=(0.0,))
+        fallback = min(DEFAULT_LAMBDA_GRID)
+        assert model.singular_fallback and model.lam == fallback
+        assert model.loocv_mse[0] == (0.0, math.inf)
+        assert model.loocv_mse[1][0] == fallback
+        brute = float(np.mean(oracle_ridge_loo_errors(x, y, fallback) ** 2))
+        assert model.loocv_mse[1][1] == pytest.approx(brute, rel=1e-8)
+        both = fit_ridge(x, y, lambda_grid=(0.0, 0.7))
+        assert both.singular_fallback and both.lam == 0.7
+        assert len(both.loocv_mse) == 2
+
+    def test_interpolating_zero_penalty_hits_hat_cut(self):
+        # n = p + 1 at lambda=0 interpolates: every 1 - h_ii is zero
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(4, 3))
+        y = rng.normal(size=4)
+        model = fit_ridge(x, y, lambda_grid=(0.0, 1.0))
+        assert not model.singular_fallback
+        assert model.loocv_mse[0] == (0.0, math.inf)
+        assert model.lam == 1.0
+        with pytest.raises(FitError, match="no usable penalty"):
+            fit_ridge(x, y, lambda_grid=(0.0,))
+
+    def test_duplicate_grid_entries_keep_one_row_each(self):
+        x, y = self.shifted_design(14, mean=0.0)
+        grid = (10.0, 0.1, 1.0, 0.1, 1.0)
+        model = fit_ridge(x, y, lambda_grid=grid)
+        assert [lam for lam, _ in model.loocv_mse] == sorted(grid)
+        single = dict(fit_ridge(x, y, lambda_grid=(0.1, 1.0, 10.0)).loocv_mse)
+        for lam, mse in model.loocv_mse:
+            assert mse == pytest.approx(single[lam], rel=1e-12)
+        best = min(model.loocv_mse, key=lambda row: (row[1], row[0]))
+        assert model.lam == best[0]
 
     def test_predict_shapes(self):
         rng = np.random.default_rng(5)

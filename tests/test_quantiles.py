@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from mecp.quantiles import (
     DiscreteDistribution,
+    column_quant_bounds,
     left_quantile,
     mixture_quantile_rows,
     quant_minus,
@@ -169,3 +171,61 @@ class TestDiscreteQuantiles:
             got = mixture_quantile_rows(rows, weights, level)
             want = [left_quantile(_dist(r, weights), level) for r in rows]
             assert np.array_equal(got, np.asarray(want))
+
+    def test_row_mixture_matches_scalar_path_bitwise_on_ties(self):
+        # ties between atoms of unequal weight, repeated +-inf atoms and
+        # -0.0/0.0 pairs: the summation order and the sign of zero must match
+        rng = np.random.default_rng(11)
+        pool = np.array([-math.inf, -1.5, -0.0, 0.0, 0.1, 0.7, 2.0, math.inf])
+        for width in (2, 3, 7, 12):
+            weights = rng.uniform(0.01, 1.0, size=width)
+            weights /= weights.sum()
+            rows = rng.choice(pool, size=(300, width))
+            rows[:10] = rng.normal(size=(10, width))  # untied rows mixed in
+            cum = np.cumsum(weights)
+            levels = [0.05, 0.3, 0.5, 0.95, *cum[:-1]]
+            for level in levels:
+                got = mixture_quantile_rows(rows, weights, level)
+                want = np.array([left_quantile(_dist(r, weights), level) for r in rows])
+                assert (got == want).all()
+                assert (np.signbit(got) == np.signbit(want)).all()
+
+    def test_row_mixture_permuted_ties_match_scalar_path(self):
+        # the same multiset of atoms in every order, each with its own weight
+        weights = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+        base = np.array([0.0, -0.0, 1.0, 1.0, math.inf])
+        rows = np.array([base[list(perm)] for perm in itertools.permutations(range(5))])
+        for level in (0.1, 0.3, 0.45, 0.6, 0.75, 0.9):
+            got = mixture_quantile_rows(rows, weights, level)
+            want = np.array([left_quantile(_dist(r, weights), level) for r in rows])
+            assert (got == want).all()
+            assert (np.signbit(got) == np.signbit(want)).all()
+
+
+class TestColumnQuantBounds:
+    def test_matches_per_column_sample_quantiles(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 5, 20):
+            lows = rng.normal(size=(n, 15))
+            highs = lows + rng.uniform(0.0, 2.0, size=(n, 15))
+            lows[rng.random((n, 15)) < 0.1] = -math.inf
+            highs[rng.random((n, 15)) < 0.1] = math.inf
+            for alpha in (0.01, 0.1, 0.25, 0.5, 0.7, 0.99):
+                lo, hi = column_quant_bounds(lows, highs, alpha)
+                for j in range(15):
+                    assert lo[j] == quant_minus(lows[:, j], alpha)
+                    assert hi[j] == quant_plus(highs[:, j], alpha)
+
+    def test_overflow_to_infinities(self):
+        lo, hi = column_quant_bounds(np.zeros((2, 3)), np.ones((2, 3)), 0.1)
+        assert (lo == -math.inf).all() and (hi == math.inf).all()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            column_quant_bounds(np.zeros((0, 2)), np.zeros((0, 2)), 0.1)
+        with pytest.raises(ValueError):
+            column_quant_bounds(np.zeros((2, 2)), np.zeros((3, 2)), 0.1)
+        with pytest.raises(ValueError):
+            column_quant_bounds(np.full((2, 2), np.nan), np.zeros((2, 2)), 0.1)
+        with pytest.raises(ValueError):
+            column_quant_bounds(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
