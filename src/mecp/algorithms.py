@@ -40,6 +40,7 @@ from .quantiles import (
     quant_minus,  # noqa: F401  (bench/tracer.py wraps it under this module)
     quant_plus,
 )
+from .weighted import dual_eta, env_score, randomized_threshold, weighted_threshold
 
 __all__ = [
     "ridge_point_builder",
@@ -61,6 +62,8 @@ __all__ = [
     "resize_for",
     "fit_resized_split_conformal",
     "fit_jackknife_plus_quantile",
+    "WeightedSplitMapping",
+    "fit_weighted_split_conformal",
 ]
 
 
@@ -144,6 +147,18 @@ def _interval_or_empty(lo: float, hi: float) -> PredictionSet:
     return Interval(lo, hi)
 
 
+def _point_residuals(predict: Callable, env: EnvironmentSample) -> np.ndarray:
+    return np.abs(env.y - np.asarray(predict(env.x), dtype=float))
+
+
+def _leave_one_env_out(dataset: MultiEnvDataset, builder: Callable) -> list[tuple]:
+    """(fit without environment i, environment i) for every environment i."""
+    envs = dataset.environments
+    if dataset.m < 2:
+        raise ValueError("leave-one-environment-out needs at least two environments")
+    return [(builder(list(envs[:i] + envs[i + 1 :])), env) for i, env in enumerate(envs)]
+
+
 @dataclass(frozen=True)
 class JackknifeMinmax:
     """Leave-one-environment-out families sharing one calibrated threshold.
@@ -210,20 +225,11 @@ def fit_jackknife_minmax(
     delta = check_prob(delta, "delta")
     if mode not in ("hull", "union"):
         raise ValueError(f"mode must be 'hull' or 'union', got {mode!r}")
-    envs = dataset.environments
-    m = dataset.m
-    if m < 2:
-        raise ValueError("jackknife-minmax needs at least two environments")
-    families = []
-    scores = []
-    for i in range(m):
-        fam = family_builder([envs[j] for j in range(m) if j != i])
-        resid = thresholds(fam, envs[i].x, envs[i].y)
-        families.append(fam)
-        scores.append(quant_plus(resid, alpha))
+    fits = _leave_one_env_out(dataset, family_builder)
+    scores = [quant_plus(thresholds(fam, env.x, env.y), alpha) for fam, env in fits]
     tau_hat = quant_plus(scores, delta)
     return JackknifeMinmax(
-        families=tuple(families),
+        families=tuple(fam for fam, _ in fits),
         env_scores=tuple(scores),
         tau_hat=tau_hat,
         alpha=alpha,
@@ -346,18 +352,11 @@ def fit_hier_jackknife_plus(
     alpha = check_prob(alpha, "alpha")
     if dataset.outcome != "regression":
         raise ValueError("hierarchical jackknife+ requires a regression outcome")
-    envs = dataset.environments
-    m = dataset.m
-    if m < 2:
-        raise ValueError("hierarchical jackknife+ needs at least two environments")
-    predictors = []
-    residuals = []
-    for i in range(m):
-        predict = predictor_builder([envs[j] for j in range(m) if j != i])
-        predictors.append(predict)
-        residuals.append(np.abs(envs[i].y - np.asarray(predict(envs[i].x), dtype=float)))
+    fits = _leave_one_env_out(dataset, predictor_builder)
     return HierJackknifePlus(
-        predictors=tuple(predictors), residuals=tuple(residuals), alpha=float(alpha)
+        predictors=tuple(f for f, _ in fits),
+        residuals=tuple(_point_residuals(f, env) for f, env in fits),
+        alpha=float(alpha),
     )
 
 
@@ -616,20 +615,85 @@ def fit_jackknife_plus_quantile(
     delta = check_prob(delta, "delta")
     if dataset.outcome != "regression":
         raise ValueError("this construction requires a regression outcome")
-    envs = dataset.environments
-    m = dataset.m
-    if m < 2:
-        raise ValueError("need at least two environments")
-    predictors = []
-    scores = []
-    for i in range(m):
-        predict = predictor_builder([envs[j] for j in range(m) if j != i])
-        resid = np.abs(envs[i].y - np.asarray(predict(envs[i].x), dtype=float))
-        predictors.append(predict)
-        scores.append(quant_plus(resid, alpha))
+    fits = _leave_one_env_out(dataset, predictor_builder)
     return JackknifePlusQuantile(
-        predictors=tuple(predictors),
-        env_scores=tuple(scores),
+        predictors=tuple(f for f, _ in fits),
+        env_scores=tuple(quant_plus(_point_residuals(f, env), alpha) for f, env in fits),
         alpha=alpha,
         delta=delta,
+    )
+
+
+@dataclass(frozen=True)
+class WeightedSplitMapping:
+    """Split-style symmetric family thresholded by the score-regression dual."""
+
+    family: NestedFamily
+    cal_scores: tuple[float, ...]
+    tau_hat: float
+    alpha: float
+    delta: float
+    ridge_weight: float
+    randomized: bool
+
+    def predict_sets(self, x) -> list[PredictionSet]:
+        return sets_at(self.family, x, self.tau_hat)
+
+    def metadata(self) -> dict:
+        eta = None
+        if math.isfinite(self.tau_hat):
+            solution = dual_eta(
+                np.asarray(self.cal_scores),
+                np.ones((len(self.cal_scores) + 1, 1)),
+                self.delta,
+                self.ridge_weight,
+                self.tau_hat,
+            )
+            eta = [float(v) for v in solution.eta]
+        name = "randomized_weighted_split_conformal" if self.randomized else "weighted_split_conformal"
+        return {
+            "algorithm": name,
+            "alpha": self.alpha,
+            "delta": self.delta,
+            "ridge_weight": self.ridge_weight,
+            "tau_hat": float_to_json(self.tau_hat),
+            "cal_scores": [float_to_json(s) for s in self.cal_scores],
+            "eta": eta,
+        }
+
+
+def fit_weighted_split_conformal(
+    dataset: MultiEnvDataset,
+    family_builder: Callable,
+    alpha: float,
+    delta: float,
+    gamma: float,
+    rng: np.random.Generator,
+    ridge_weight: float = 0.0,
+    randomized: bool = False,
+) -> WeightedSplitMapping:
+    """Split fit thresholded through the score-regression dual (see ``weighted``).
+
+    The feature map is the constant 1, so one threshold serves every test
+    environment; ``randomized`` draws the multiplier's bound.
+    """
+    alpha = check_prob(alpha, "alpha")
+    delta = check_prob(delta, "delta")
+    split = split_environments(dataset, gamma, rng)
+    envs = dataset.environments
+    family = family_builder([envs[i] for i in split.d1])
+    scores = np.array([env_score(envs[i], family, alpha) for i in split.d2])
+    features = np.ones((len(scores) + 1, 1))
+    if randomized:
+        tau = randomized_threshold(scores, features, alpha, delta, rng, ridge_weight)
+    else:
+        tau = weighted_threshold(scores, features, alpha, delta, ridge_weight)
+    return WeightedSplitMapping(
+        family=family,
+        cal_scores=tuple(float(s) for s in scores),
+        tau_hat=tau,
+        alpha=alpha,
+        delta=delta,
+        ridge_weight=ridge_weight,
+        randomized=randomized,
     )

@@ -142,6 +142,15 @@ def _build_generator(section: dict, m: int | None, seed: int | None) -> HierGenC
         raise ConfigError(f"bad generator config: {err}") from None
 
 
+def _floats(raw, name: str) -> tuple[float, ...]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a list, got {raw!r}")
+    try:
+        return tuple(float(v) for v in raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must hold numbers, got {raw!r}") from None
+
+
 def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig:
     dataset_sec = _section(doc, "dataset")
     csv_path = dataset_sec.get("csv")
@@ -158,7 +167,7 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
 
     method_a = comp.get("method_a")
     method_b = comp.get("method_b")
-    delta_grid = tuple(float(v) for v in comp.get("delta_grid", ()))
+    delta_grid = _floats(comp.get("delta_grid", []), "compare.delta_grid")
     for name in (method_a, method_b):
         if name is not None and name not in algorithm_names():
             raise ConfigError(f"unknown method {name!r}; choose from {list(algorithm_names())}")
@@ -171,6 +180,17 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
         workers = plan_sec.get("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer")
+
+    sweep = _section(doc, "sweep")
+    sweep_param = sweep_values = None
+    if sweep:
+        sweep_param = sweep.get("param")
+        if sweep_param not in SWEEPABLE:
+            raise ConfigError(f"sweep.param must be one of {list(SWEEPABLE)}")
+        raw = sweep.get("values")
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError("sweep.values must be a non-empty list")
+        sweep_values = tuple(raw) if sweep_param == "label_count" else _floats(raw, "sweep.values")
 
     plan = None
     if alg:
@@ -211,20 +231,11 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
                 rule=plan_sec.get("rule", "count"),
                 seed=seed,
             )
+            # cmd_run builds one plan per sweep value; reject bad values up front
+            for value in sweep_values or ():
+                replace(plan, **{sweep_param: value})
         except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from None
-
-    sweep = _section(doc, "sweep")
-    sweep_param = sweep_values = None
-    if sweep:
-        sweep_param = sweep.get("param")
-        if sweep_param not in SWEEPABLE:
-            raise ConfigError(f"sweep.param must be one of {list(SWEEPABLE)}")
-        raw = sweep.get("values")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("sweep.values must be a non-empty list")
-        caster = int if sweep_param == "label_count" else float
-        sweep_values = tuple(caster(v) for v in raw)
 
     generator = None
     if command == "simulate" and gen_sec is not None:

@@ -14,20 +14,23 @@ as large a share of test outcomes as a baseline.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from mecp.algorithms import (
+    ResizedCalibration,
     fit_hcp,
     fit_hier_jackknife_plus,
     fit_jackknife_minmax,
     fit_jackknife_plus_quantile,
     fit_resized_calibration,
     fit_split_conformal,
+    fit_weighted_split_conformal,
     resize_for,
     ridge_point_builder,
     ridge_symmetric_builder,
@@ -38,18 +41,16 @@ from mecp.data import (
     MultiEnvDataset,
     generate_hierarchical,
     holdout_labels,
-    split_environments,
 )
-from mecp.nested_sets import contains, float_to_json, measure, sets_at
-from mecp.predictors import FitError
+from mecp.nested_sets import contains, float_to_json, measure
+from mecp.predictors import DEFAULT_LAMBDA_GRID, FitError
 from mecp.quantiles import check_prob, rank_plus
-from mecp.weighted import (
-    dual_eta,
-    env_score,
-    feature_matrix,
-    randomized_threshold,
-    weighted_threshold,
-)
+
+# Unused here: bench/tracer.py wraps these names under this module.
+from mecp.algorithms import WeightedSplitMapping  # noqa: F401
+from mecp.data import split_environments  # noqa: F401
+from mecp.nested_sets import sets_at  # noqa: F401
+from mecp.weighted import env_score, randomized_threshold, weighted_threshold  # noqa: F401
 
 RULES = ("count", "fraction")
 
@@ -226,6 +227,11 @@ class TrialPlan:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {sorted(_TRIAL_RUNNERS)}"
             )
+        for name in ("trials", "train_envs", "test_envs", "label_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.train_envs < 2:
@@ -261,23 +267,9 @@ class TrialPlan:
     def to_json_dict(self) -> dict:
         generator = None
         if self.generator is not None:
-            gen = self.generator
-            n_per_env = gen.n_per_env
-            if isinstance(n_per_env, tuple):
-                n_per_env = list(n_per_env)
-            beta = gen.beta
-            if beta is not None:
-                beta = [float(b) for b in np.asarray(beta, dtype=float)]
             generator = {
-                "m": gen.m,
-                "n_per_env": n_per_env,
-                "p": gen.p,
-                "beta": beta,
-                "env_effect_scale": gen.env_effect_scale,
-                "noise_scale": gen.noise_scale,
-                "outlier_frac": gen.outlier_frac,
-                "outlier_noise_multiplier": gen.outlier_noise_multiplier,
-                "seed": gen.seed,
+                k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self.generator).items()
             }
         return {
             "generator": generator,
@@ -299,162 +291,42 @@ class TrialPlan:
         }
 
 
-def _records_for(mapping, test_envs, plan: TrialPlan, trial: int):
-    report = evaluate_mapping(
-        mapping, test_envs, plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
-    )
-    return report.records
+def _grid(plan: TrialPlan) -> tuple[float, ...]:
+    return plan.ridge_grid or DEFAULT_LAMBDA_GRID
 
 
-def _symmetric_builder(plan: TrialPlan) -> Callable:
-    if plan.ridge_grid is None:
-        return ridge_symmetric_builder()
-    return ridge_symmetric_builder(plan.ridge_grid)
-
-
-def _point_builder(plan: TrialPlan) -> Callable:
-    if plan.ridge_grid is None:
-        return ridge_point_builder()
-    return ridge_point_builder(plan.ridge_grid)
-
-
-def _run_jackknife_minmax(train, test_envs, plan, rng, trial):
-    mapping = fit_jackknife_minmax(
-        train, _symmetric_builder(plan), plan.alpha, plan.delta
-    )
-    return _records_for(mapping, test_envs, plan, trial)
-
-
-def _run_split_conformal(train, test_envs, plan, rng, trial):
-    mapping = fit_split_conformal(
-        train, _symmetric_builder(plan), plan.alpha, plan.delta, plan.gamma, rng
-    )
-    return _records_for(mapping, test_envs, plan, trial)
-
-
-def _run_hier_jackknife_plus(train, test_envs, plan, rng, trial):
-    mapping = fit_hier_jackknife_plus(train, _point_builder(plan), plan.alpha)
-    return _records_for(mapping, test_envs, plan, trial)
-
-
-def _run_hcp(train, test_envs, plan, rng, trial):
-    mapping = fit_hcp(train, _point_builder(plan), plan.alpha, plan.gamma, rng)
-    return _records_for(mapping, test_envs, plan, trial)
-
-
-def _run_jackknife_plus_quantile(train, test_envs, plan, rng, trial):
-    mapping = fit_jackknife_plus_quantile(
-        train, _point_builder(plan), plan.alpha, plan.delta
-    )
-    return _records_for(mapping, test_envs, plan, trial)
-
-
-def _run_resized_split_conformal(train, test_envs, plan, rng, trial):
-    # one calibration per trial; each test environment then donates
-    # label_count labeled rows to its own resizing and is scored on the rest
-    calibration = fit_resized_calibration(
-        train,
-        _symmetric_builder(plan),
-        plan.alpha,
-        plan.delta,
-        plan.gamma,
-        plan.alpha0,
-        plan.label_count,
-        rng,
-    )
-    records = []
-    for env in test_envs:
-        labeled, rest = holdout_labels(env, plan.label_count, rng)
-        mapping = resize_for(calibration, env.take(labeled))
-        records.extend(_records_for(mapping, [env.take(rest)], plan, trial))
-    return tuple(records)
-
-
-@dataclass(frozen=True)
-class WeightedSplitMapping:
-    """Split-style symmetric family thresholded by the score-regression dual."""
-
-    family: object
-    cal_scores: tuple[float, ...]
-    tau_hat: float
-    alpha: float
-    delta: float
-    ridge_weight: float
-    randomized: bool
-
-    def predict_sets(self, x) -> list:
-        return sets_at(self.family, x, self.tau_hat)
-
-    def metadata(self) -> dict:
-        eta = None
-        if math.isfinite(self.tau_hat):
-            features = np.ones((len(self.cal_scores) + 1, 1))
-            solution = dual_eta(
-                np.asarray(self.cal_scores),
-                features,
-                self.delta,
-                self.ridge_weight,
-                self.tau_hat,
-            )
-            eta = [float(v) for v in solution.eta]
-        name = "randomized_weighted_split_conformal" if self.randomized else "weighted_split_conformal"
-        return {
-            "algorithm": name,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "ridge_weight": self.ridge_weight,
-            "tau_hat": float_to_json(self.tau_hat),
-            "cal_scores": [float_to_json(s) for s in self.cal_scores],
-            "eta": eta,
-        }
-
-
-def _weighted_mapping(train, test_envs, plan, rng, randomized):
-    split = split_environments(train, plan.gamma, rng)
-    envs = train.environments
-    family = _symmetric_builder(plan)([envs[i] for i in split.d1])
-    cal_envs = [envs[i] for i in split.d2]
-    scores = np.array([env_score(e, family, plan.alpha) for e in cal_envs])
-    # constant feature map: the threshold is shared by every test environment
-    features = feature_matrix([*cal_envs, test_envs[0]])
-    if randomized:
-        tau = randomized_threshold(
-            scores, features, plan.alpha, plan.delta, rng, plan.ridge_weight
-        )
-    else:
-        tau = weighted_threshold(
-            scores, features, plan.alpha, plan.delta, plan.ridge_weight
-        )
-    return WeightedSplitMapping(
-        family=family,
-        cal_scores=tuple(float(s) for s in scores),
-        tau_hat=tau,
-        alpha=plan.alpha,
-        delta=plan.delta,
-        ridge_weight=plan.ridge_weight,
-        randomized=randomized,
-    )
-
-
-def _run_weighted_split_conformal(train, test_envs, plan, rng, trial):
-    mapping = _weighted_mapping(train, test_envs, plan, rng, randomized=False)
-    return _records_for(mapping, test_envs, plan, trial)
-
-
-def _run_randomized_weighted_split_conformal(train, test_envs, plan, rng, trial):
-    mapping = _weighted_mapping(train, test_envs, plan, rng, randomized=True)
-    return _records_for(mapping, test_envs, plan, trial)
-
-
+# name -> (train, plan, rng) -> fitted mapping. The fit functions are looked
+# up at call time, so wrappers installed on this module see every fit.
 _TRIAL_RUNNERS: dict[str, Callable] = {
-    "jackknife_minmax": _run_jackknife_minmax,
-    "split_conformal": _run_split_conformal,
-    "hier_jackknife_plus": _run_hier_jackknife_plus,
-    "hcp": _run_hcp,
-    "resized_split_conformal": _run_resized_split_conformal,
-    "jackknife_plus_quantile": _run_jackknife_plus_quantile,
-    "weighted_split_conformal": _run_weighted_split_conformal,
-    "randomized_weighted_split_conformal": _run_randomized_weighted_split_conformal,
+    "jackknife_minmax": lambda train, plan, rng: fit_jackknife_minmax(
+        train, ridge_symmetric_builder(_grid(plan)), plan.alpha, plan.delta
+    ),
+    "split_conformal": lambda train, plan, rng: fit_split_conformal(
+        train, ridge_symmetric_builder(_grid(plan)), plan.alpha, plan.delta,
+        plan.gamma, rng,
+    ),
+    "hier_jackknife_plus": lambda train, plan, rng: fit_hier_jackknife_plus(
+        train, ridge_point_builder(_grid(plan)), plan.alpha
+    ),
+    "hcp": lambda train, plan, rng: fit_hcp(
+        train, ridge_point_builder(_grid(plan)), plan.alpha, plan.gamma, rng
+    ),
+    # a calibration only: dataset_records resizes it per test environment
+    "resized_split_conformal": lambda train, plan, rng: fit_resized_calibration(
+        train, ridge_symmetric_builder(_grid(plan)), plan.alpha, plan.delta,
+        plan.gamma, plan.alpha0, plan.label_count, rng,
+    ),
+    "jackknife_plus_quantile": lambda train, plan, rng: fit_jackknife_plus_quantile(
+        train, ridge_point_builder(_grid(plan)), plan.alpha, plan.delta
+    ),
+    "weighted_split_conformal": lambda train, plan, rng: fit_weighted_split_conformal(
+        train, ridge_symmetric_builder(_grid(plan)), plan.alpha, plan.delta,
+        plan.gamma, rng, plan.ridge_weight,
+    ),
+    "randomized_weighted_split_conformal": lambda train, plan, rng: fit_weighted_split_conformal(
+        train, ridge_symmetric_builder(_grid(plan)), plan.alpha, plan.delta,
+        plan.gamma, rng, plan.ridge_weight, randomized=True,
+    ),
 }
 
 
@@ -507,8 +379,23 @@ def dataset_records(
         )
     train = dataset.subset(range(plan.train_envs))
     test_envs = dataset.environments[plan.train_envs :]
-    runner = _TRIAL_RUNNERS[plan.algorithm]
-    return tuple(runner(train, test_envs, plan, rng, trial))
+    fitted = _TRIAL_RUNNERS[plan.algorithm](train, plan, rng)
+    if isinstance(fitted, ResizedCalibration):
+        # each test environment donates label_count labeled rows to its own
+        # resizing and is scored on the rest
+        scored = []
+        for env in test_envs:
+            labeled, rest = holdout_labels(env, plan.label_count, rng)
+            scored.append((resize_for(fitted, env.take(labeled)), [env.take(rest)]))
+    else:
+        scored = [(fitted, test_envs)]
+    records = []
+    for mapping, envs in scored:
+        report = evaluate_mapping(
+            mapping, envs, plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
+        )
+        records.extend(report.records)
+    return tuple(records)
 
 
 def run_trial(plan: TrialPlan, trial: int) -> tuple[EnvRecord, ...]:

@@ -177,20 +177,7 @@ def _sublevel_labels(family: LossSublevelFamily, logits: np.ndarray, tau: float)
 
 def set_at(family: NestedFamily, x, tau: float) -> PredictionSet:
     """Materialize the set at threshold tau for a single input point."""
-    if math.isnan(tau):
-        raise ValueError("tau must not be NaN")
-    row = np.asarray(x, dtype=float).reshape(1, -1)
-    if isinstance(family, SymmetricFamily):
-        center = float(np.asarray(family.predict(row), dtype=float).reshape(-1)[0])
-        return _symmetric_interval(center, tau)
-    if isinstance(family, BandFamily):
-        low = float(np.asarray(family.lower(row), dtype=float).reshape(-1)[0])
-        high = float(np.asarray(family.upper(row), dtype=float).reshape(-1)[0])
-        return _band_interval(low, high, tau)
-    if isinstance(family, LossSublevelFamily):
-        logits = np.asarray(family.logits(row), dtype=float).reshape(family.n_classes)
-        return _sublevel_labels(family, logits, tau)
-    raise TypeError(f"not a nested family: {type(family).__name__}")
+    return sets_at(family, np.asarray(x, dtype=float).reshape(1, -1), tau)[0]
 
 
 def sets_at(family: NestedFamily, x: np.ndarray, tau: float) -> list[PredictionSet]:

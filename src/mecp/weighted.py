@@ -293,6 +293,8 @@ def _solve_box_dual(full_scores: np.ndarray, phi: np.ndarray, delta: float,
                     ridge_weight: float) -> DualSolution:
     if phi.shape[1] == 1:
         return _solve_box_dual_1d(full_scores, phi[:, 0], delta, ridge_weight)
+    if ridge_weight == 0.0:
+        return _solve_box_lp(full_scores, phi, delta)
     return _solve_box_dual_ca(full_scores, phi, delta, ridge_weight)
 
 
@@ -360,11 +362,7 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
     if ridge_weight < 0.0:
         raise ValueError("ridge_weight must be nonnegative")
     full_scores, phi = _stacked(scores, features, s)
-    if phi.shape[1] == 1:
-        return _solve_box_dual_1d(full_scores, phi[:, 0], delta, ridge_weight)
-    if ridge_weight == 0.0:
-        return _solve_box_lp(full_scores, phi, delta)
-    return _solve_box_dual_ca(full_scores, phi, delta, ridge_weight)
+    return _solve_box_dual(full_scores, phi, delta, ridge_weight)
 
 
 def _max_feasible_test_eta(phi: np.ndarray, delta: float) -> float:

@@ -18,6 +18,7 @@ from mecp.algorithms import (
     fit_resized_calibration,
     fit_resized_split_conformal,
     fit_split_conformal,
+    fit_weighted_split_conformal,
     pinball_band_builder,
     resize_for,
     ridge_point_builder,
@@ -627,6 +628,13 @@ class TestMetadata:
                 np.random.default_rng(0),
             ),
             fit_jackknife_plus_quantile(ds, ridge_point_builder(), 0.2, 0.4),
+            fit_weighted_split_conformal(
+                ds, ridge_symmetric_builder(), 0.2, 0.4, 0.5, np.random.default_rng(0)
+            ),
+            fit_weighted_split_conformal(
+                ds, ridge_symmetric_builder(), 0.2, 0.4, 0.5, np.random.default_rng(0),
+                randomized=True,
+            ),
         ]
         kinds = set()
         for m in mappings:
@@ -634,7 +642,7 @@ class TestMetadata:
             kinds.add(meta["algorithm"])
             round_trip = json.loads(json.dumps(meta, sort_keys=True))
             assert round_trip == meta
-        assert len(kinds) == 6
+        assert len(kinds) == 8
 
 
 class TestBuilders:

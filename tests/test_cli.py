@@ -188,6 +188,22 @@ class TestRun:
         proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc, "bad.json"))
         assert proc.returncode == 2
 
+    def test_non_numeric_sweep_value_is_a_config_error(self, tmp_path):
+        doc = run_doc(sweep={"param": "delta", "values": [0.1, "x"]})
+        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: sweep.values")
+
+    def test_non_integer_counts_are_config_errors(self, tmp_path):
+        doc = run_doc()
+        doc["plan"]["trials"] = 2.5
+        bad_sweep = run_doc(sweep={"param": "label_count", "values": [5, 2.7]})
+        for bad in (doc, bad_sweep):
+            proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, bad))
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: ")
+            assert "integer" in proc.stderr
+
     def test_runtime_failure_leaves_error_record(self, tmp_path):
         doc = run_doc()
         doc["algorithm"] = {
@@ -240,6 +256,13 @@ class TestCompare:
         doc = self.compare_doc(delta_grid=[])
         proc = run_cli(tmp_path, "compare", "-c", write_config(tmp_path, doc))
         assert proc.returncode == 2
+
+    def test_malformed_grid_is_a_config_error(self, tmp_path):
+        for grid in (0.3, ["x"]):
+            doc = self.compare_doc(delta_grid=grid)
+            proc = run_cli(tmp_path, "compare", "-c", write_config(tmp_path, doc))
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: compare.delta_grid")
 
     def test_paired_trial_seeds_are_identical(self, tmp_path):
         doc = self.compare_doc()

@@ -78,16 +78,8 @@ def make_plan(**overrides):
 def constant_set_runner(pred_set):
     """Trial runner whose mapping ignores the fit data entirely."""
 
-    def run(train, test_envs, plan, rng, trial):
-        report = evaluate_mapping(
-            ConstantMapping(pred_set),
-            test_envs,
-            plan.alpha,
-            clip=plan.clip,
-            rule=plan.rule,
-            trial=trial,
-        )
-        return report.records
+    def run(train, plan, rng):
+        return ConstantMapping(pred_set)
 
     return run
 
@@ -245,12 +237,22 @@ class TestTrialPlan:
             {"gamma": -0.1},
             {"alpha0": 2.0},
             {"label_count": 0},
+            {"trials": 2.5},
+            {"train_envs": 4.0},
+            {"test_envs": "2"},
+            {"label_count": 2.7},
+            {"trials": True},
             {"rule": "majority"},
             {"clip": (2.0, -1.0)},
             {"clip": (0.0, math.inf)},
         ):
             with pytest.raises(ValueError):
                 make_plan(**overrides)
+
+    def test_numpy_integer_counts_normalized_to_int(self):
+        plan = make_plan(trials=np.int64(2), train_envs=np.int32(4), label_count=np.int64(5))
+        assert all(type(v) is int for v in (plan.trials, plan.train_envs, plan.label_count))
+        json.dumps(plan.to_json_dict())
 
     def test_clip_normalized_to_floats(self):
         plan = make_plan(clip=(0, 4))
@@ -336,7 +338,7 @@ class TestRunTrials:
                 assert np.array_equal(a.y, b.y)
 
     def test_fit_error_carries_trial_index(self, monkeypatch):
-        def exploding_runner(train, test_envs, plan, rng, trial):
+        def exploding_runner(train, plan, rng):
             raise evaluation.FitError("synthetic failure", code=7)
 
         monkeypatch.setitem(evaluation._TRIAL_RUNNERS, "exploder", exploding_runner)
