@@ -2,9 +2,12 @@
 
 Every ``fit_*`` function returns a frozen mapping with two methods:
 ``predict_sets(x)`` gives one prediction set per input row, and
-``metadata()`` gives a JSON-ready summary of the fitted state. Leave-one-out
-refits always drop a whole environment, never single rows, so the guarantees
-target fresh environments rather than fresh observations from known ones.
+``metadata()`` gives a JSON-ready summary of the fitted state. Mappings
+whose sets are single intervals also have ``predict_bounds(x)``: the same
+sets as ``(lo, hi)`` arrays, a row being empty when lo > hi, or None when
+the sets are label sets or unions. Leave-one-out refits always drop a
+whole environment, never single rows, so the guarantees target fresh
+environments rather than fresh observations from known ones.
 """
 
 from __future__ import annotations
@@ -17,16 +20,15 @@ import numpy as np
 
 from .data import EnvironmentSample, EnvSplit, MultiEnvDataset, holdout_labels, split_environments
 from .nested_sets import (
-    EMPTY_SET,
     BandFamily,
-    Interval,
-    IntervalUnion,
     LossSublevelFamily,
     NestedFamily,
     PredictionSet,
     SymmetricFamily,
+    bounds_at,
     float_to_json,
     sets_at,
+    sets_from_bounds,
     thresholds,
     union_sets,
 )
@@ -133,18 +135,14 @@ def softmax_sublevel_builder(
     return build
 
 
-def _hull(pred_set: PredictionSet) -> PredictionSet:
-    if isinstance(pred_set, IntervalUnion):
-        if not pred_set.parts:
-            return EMPTY_SET
-        return Interval(pred_set.parts[0].lo, pred_set.parts[-1].hi)
-    return pred_set
+_INTERVAL_FAMILIES = (SymmetricFamily, BandFamily)
 
 
-def _interval_or_empty(lo: float, hi: float) -> PredictionSet:
-    if lo > hi:
-        return EMPTY_SET
-    return Interval(lo, hi)
+def _family_bounds(family: NestedFamily, x, tau: float) -> tuple[np.ndarray, np.ndarray] | None:
+    # label families have no interval view
+    if not isinstance(family, _INTERVAL_FAMILIES):
+        return None
+    return bounds_at(family, x, tau)
 
 
 def _point_residuals(predict: Callable, env: EnvironmentSample) -> np.ndarray:
@@ -165,7 +163,8 @@ class JackknifeMinmax:
 
     ``mode`` selects the deployed shape: "hull" spans the leave-one-out
     components with a single interval (the min/max form), "union" keeps the
-    exact union of components.
+    exact union of components. Label-set components have no hull other
+    than their union.
     """
 
     families: tuple[NestedFamily, ...]
@@ -183,19 +182,27 @@ class JackknifeMinmax:
         per_family = self.component_sets(x)
         return [union_sets(components) for components in zip(*per_family)]
 
+    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
+        if self.mode == "union" or not all(
+            isinstance(f, _INTERVAL_FAMILIES) for f in self.families
+        ):
+            return None
+        # min/max over the nonempty components: bit for bit the hull of the
+        # union, and (+inf, -inf) when every component is empty
+        parts = [bounds_at(f, x, self.tau_hat) for f in self.families]
+        lows = np.stack([lo for lo, _ in parts])
+        highs = np.stack([hi for _, hi in parts])
+        empty = lows > highs
+        return (
+            np.where(empty, math.inf, lows).min(axis=0),
+            np.where(empty, -math.inf, highs).max(axis=0),
+        )
+
     def predict_sets(self, x) -> list[PredictionSet]:
-        if self.mode == "union":
+        bounds = self.predict_bounds(x)
+        if bounds is None:
             return self.predict_unions(x)
-        if all(isinstance(f, SymmetricFamily) for f in self.families):
-            # direct min/max form; agrees bit for bit with the union envelope
-            x = np.asarray(x, dtype=float)
-            preds = np.stack(
-                [np.asarray(f.predict(x), dtype=float) for f in self.families]
-            )
-            lows = preds.min(axis=0) - self.tau_hat
-            highs = preds.max(axis=0) + self.tau_hat
-            return [Interval(lo, hi) for lo, hi in zip(lows, highs)]
-        return [_hull(u) for u in self.predict_unions(x)]
+        return sets_from_bounds(*bounds)
 
     def metadata(self) -> dict:
         return {
@@ -249,6 +256,9 @@ class SplitConformal:
     delta: float
     gamma: float
     split: EnvSplit
+
+    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
+        return _family_bounds(self.family, x, self.tau_hat)
 
     def predict_sets(self, x) -> list[PredictionSet]:
         return sets_at(self.family, x, self.tau_hat)
@@ -319,7 +329,7 @@ class HierJackknifePlus:
         )
         return np.repeat(np.arange(m), sizes), weights
 
-    def predict_sets(self, x) -> list[PredictionSet]:
+    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
         env_idx, weights = self._atom_weights()
         preds = np.stack(
@@ -332,7 +342,10 @@ class HierJackknifePlus:
         highs_rows = np.hstack([base + res, np.full((t, 1), np.inf)])
         lows = mixture_quantile_rows(lows_rows, weights, self.alpha)
         highs = mixture_quantile_rows(highs_rows, weights, 1.0 - self.alpha)
-        return [_interval_or_empty(lo, hi) for lo, hi in zip(lows, highs)]
+        return lows, highs
+
+    def predict_sets(self, x) -> list[PredictionSet]:
+        return sets_from_bounds(*self.predict_bounds(x))
 
     def metadata(self) -> dict:
         return {
@@ -369,6 +382,9 @@ class Hcp:
     alpha: float
     gamma: float
     split: EnvSplit
+
+    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
+        return _family_bounds(self.family, x, self.tau_hat)
 
     def predict_sets(self, x) -> list[PredictionSet]:
         return sets_at(self.family, x, self.tau_hat)
@@ -455,6 +471,9 @@ class ResizedSplitConformal:
     calibration: ResizedCalibration
     test_factor: float
     tau_hat: float
+
+    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
+        return _family_bounds(self.calibration.family, x, self.tau_hat)
 
     def predict_sets(self, x) -> list[PredictionSet]:
         return sets_at(self.calibration.family, x, self.tau_hat)
@@ -588,12 +607,14 @@ class JackknifePlusQuantile:
     alpha: float
     delta: float
 
-    def predict_sets(self, x) -> list[PredictionSet]:
+    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
         preds = np.stack([np.asarray(f(x), dtype=float) for f in self.predictors])
         s = np.asarray(self.env_scores, dtype=float)[:, None]
-        lows, highs = column_quant_bounds(preds - s, preds + s, self.delta)
-        return [_interval_or_empty(lo, hi) for lo, hi in zip(lows, highs)]
+        return column_quant_bounds(preds - s, preds + s, self.delta)
+
+    def predict_sets(self, x) -> list[PredictionSet]:
+        return sets_from_bounds(*self.predict_bounds(x))
 
     def metadata(self) -> dict:
         return {
@@ -635,6 +656,9 @@ class WeightedSplitMapping:
     delta: float
     ridge_weight: float
     randomized: bool
+
+    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
+        return _family_bounds(self.family, x, self.tau_hat)
 
     def predict_sets(self, x) -> list[PredictionSet]:
         return sets_at(self.family, x, self.tau_hat)

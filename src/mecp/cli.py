@@ -178,7 +178,7 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
     workers = getattr(args, "workers", None)
     if workers is None:
         workers = plan_sec.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer")
 
     sweep = _section(doc, "sweep")

@@ -9,6 +9,7 @@ assumed exchangeable within their environment.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,6 +159,10 @@ class HierGenConfig:
             raise ValueError("outlier_frac must lie in [0, 1]")
         if self.outlier_noise_multiplier <= 0:
             raise ValueError("outlier_noise_multiplier must be positive")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
 
     def resolved_beta(self) -> np.ndarray:
         if self.beta is None:

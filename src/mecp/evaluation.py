@@ -42,7 +42,7 @@ from mecp.data import (
     generate_hierarchical,
     holdout_labels,
 )
-from mecp.nested_sets import contains, float_to_json, measure
+from mecp.nested_sets import bounds_measure, contains, float_to_json, measure
 from mecp.predictors import DEFAULT_LAMBDA_GRID, FitError
 from mecp.quantiles import check_prob, rank_plus
 
@@ -152,6 +152,18 @@ class CoverageReport:
         }
 
 
+def _score_bounds(lo: np.ndarray, hi: np.ndarray, y: np.ndarray, clip) -> tuple[int, np.ndarray]:
+    """In-set count and per-row measures of columnar interval sets.
+
+    Whole-array ``contains`` and ``measure``: rows are closed intervals, and
+    a row with lo > hi is empty, so it covers nothing and measures 0.
+    """
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("interval endpoints must not be NaN")
+    covered = int(np.count_nonzero((lo <= y) & (y <= hi)))
+    return covered, bounds_measure(lo, hi, clip)
+
+
 def evaluate_mapping(
     mapping,
     test_envs: Sequence[EnvironmentSample],
@@ -162,6 +174,8 @@ def evaluate_mapping(
 ) -> CoverageReport:
     """Score a fitted set-valued mapping on held-out environments.
 
+    A mapping whose ``predict_bounds`` gives ``(lo, hi)`` arrays is scored
+    from them; other mappings, label sets and unions are scored set by set.
     ``clip`` intersects interval sets with a reporting range before
     measuring. ``rule`` selects how a pair counts as covered: "count"
     requires the in-set count to reach ceil((1-alpha)(n+1)), "fraction"
@@ -175,11 +189,17 @@ def evaluate_mapping(
         raise ValueError("need at least one test environment")
     if any(e.p != envs[0].p for e in envs):
         raise ValueError("test environments must share the feature dimension")
+    predict_bounds = getattr(mapping, "predict_bounds", None)
     records = []
     for env in envs:
-        sets = mapping.predict_sets(env.x)
-        covered = sum(1 for s, y in zip(sets, env.y) if contains(s, y))
-        mean_measure = float(np.mean([measure(s, clip) for s in sets]))
+        bounds = None if predict_bounds is None else predict_bounds(env.x)
+        if bounds is None:
+            sets = mapping.predict_sets(env.x)
+            covered = sum(1 for s, y in zip(sets, env.y) if contains(s, y))
+            measures = [measure(s, clip) for s in sets]
+        else:
+            covered, measures = _score_bounds(*bounds, env.y, clip)
+        mean_measure = float(np.mean(measures))
         records.append(
             EnvRecord(
                 trial=int(trial),
@@ -227,13 +247,15 @@ class TrialPlan:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {sorted(_TRIAL_RUNNERS)}"
             )
-        for name in ("trials", "train_envs", "test_envs", "label_count"):
+        for name in ("trials", "train_envs", "test_envs", "label_count", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.train_envs < 2:
             raise ValueError("need at least two training environments")
         if self.test_envs < 1:

@@ -4,7 +4,9 @@ A family maps a threshold tau to a set-valued prediction that grows with tau:
 symmetric intervals around a point predictor, bands between a lower and an
 upper fit, or sublevel sets of a classification loss. The coverage threshold
 of an outcome is the smallest tau whose set contains it, so membership at tau
-and a threshold comparison are two views of the same relation.
+and a threshold comparison are two views of the same relation. Interval
+families also give their sets as columns, ``(lo, hi)`` arrays, through
+``bounds_at``; ``sets_from_bounds`` turns those into per-row sets.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ __all__ = [
     "thresholds",
     "set_at",
     "sets_at",
+    "bounds_at",
+    "sets_from_bounds",
     "contains",
     "measure",
+    "bounds_measure",
     "union_sets",
     "set_to_json",
     "float_to_json",
@@ -156,20 +161,6 @@ def coverage_threshold(family: NestedFamily, x, y) -> float:
     return float(thresholds(family, row, np.asarray([y]))[0])
 
 
-def _symmetric_interval(center: float, tau: float) -> PredictionSet:
-    if tau < 0.0:
-        return EMPTY_SET
-    return Interval(center - tau, center + tau)
-
-
-def _band_interval(low: float, high: float, tau: float) -> PredictionSet:
-    lo = low - tau
-    hi = high + tau
-    if lo > hi:
-        return EMPTY_SET
-    return Interval(lo, hi)
-
-
 def _sublevel_labels(family: LossSublevelFamily, logits: np.ndarray, tau: float) -> LabelSet:
     keep = tuple(c for c in range(family.n_classes) if float(family.loss(c, logits)) <= tau)
     return LabelSet(keep)
@@ -184,18 +175,38 @@ def sets_at(family: NestedFamily, x: np.ndarray, tau: float) -> list[PredictionS
     """Materialize sets at one threshold for every row of x, batching the fits."""
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
+    if isinstance(family, LossSublevelFamily):
+        logits = np.asarray(family.logits(np.asarray(x, dtype=float)), dtype=float)
+        return [_sublevel_labels(family, row, tau) for row in logits]
+    return sets_from_bounds(*bounds_at(family, x, tau))
+
+
+def bounds_at(family: NestedFamily, x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar sets at one threshold for an interval family: (lo, hi) arrays.
+
+    Row i is the closed interval [lo[i], hi[i]] and is empty when
+    lo[i] > hi[i]; a symmetric family at tau < 0 gives (+inf, -inf) rows.
+    NaN endpoints pass through; ``sets_from_bounds`` and the scorer in
+    ``evaluation`` reject them with the ValueError ``Interval`` raises.
+    """
+    if math.isnan(tau):
+        raise ValueError("tau must not be NaN")
     x = np.asarray(x, dtype=float)
     if isinstance(family, SymmetricFamily):
         centers = np.asarray(family.predict(x), dtype=float)
-        return [_symmetric_interval(float(c), tau) for c in centers]
+        if tau < 0.0:
+            return np.full(centers.shape, math.inf), np.full(centers.shape, -math.inf)
+        return centers - tau, centers + tau
     if isinstance(family, BandFamily):
         lows = np.asarray(family.lower(x), dtype=float)
         highs = np.asarray(family.upper(x), dtype=float)
-        return [_band_interval(float(a), float(b), tau) for a, b in zip(lows, highs)]
-    if isinstance(family, LossSublevelFamily):
-        logits = np.asarray(family.logits(x), dtype=float)
-        return [_sublevel_labels(family, row, tau) for row in logits]
-    raise TypeError(f"not a nested family: {type(family).__name__}")
+        return lows - tau, highs + tau
+    raise TypeError(f"not an interval family: {type(family).__name__}")
+
+
+def sets_from_bounds(lo: np.ndarray, hi: np.ndarray) -> list[PredictionSet]:
+    """Per-row view of columnar bounds: an Interval, or EMPTY_SET where lo > hi."""
+    return [EMPTY_SET if a > b else Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def contains(pred_set: PredictionSet, y) -> bool:
@@ -215,6 +226,13 @@ def _length(lo: float, hi: float) -> float:
     return hi - lo
 
 
+def _clip_range(clip: tuple[float, float]) -> tuple[float, float]:
+    clo, chi = float(clip[0]), float(clip[1])
+    if math.isnan(clo) or math.isnan(chi) or clo > chi:
+        raise ValueError("clip range out of order")
+    return clo, chi
+
+
 def measure(pred_set: PredictionSet, clip: tuple[float, float] | None = None) -> float:
     """Lebesgue length of interval kinds, label count otherwise.
 
@@ -230,9 +248,7 @@ def measure(pred_set: PredictionSet, clip: tuple[float, float] | None = None) ->
     else:
         raise TypeError(f"not a prediction set: {type(pred_set).__name__}")
     if clip is not None:
-        clo, chi = float(clip[0]), float(clip[1])
-        if math.isnan(clo) or math.isnan(chi) or clo > chi:
-            raise ValueError("clip range out of order")
+        clo, chi = _clip_range(clip)
     total = 0.0
     for part in parts:
         lo, hi = part.lo, part.hi
@@ -240,6 +256,18 @@ def measure(pred_set: PredictionSet, clip: tuple[float, float] | None = None) ->
             lo, hi = max(lo, clo), min(hi, chi)
         total += _length(lo, hi)
     return total
+
+
+def bounds_measure(
+    lo: np.ndarray, hi: np.ndarray, clip: tuple[float, float] | None = None
+) -> np.ndarray:
+    """Per-row ``measure`` of columnar bounds: hi - lo after the optional clip,
+    0 where hi <= lo (empty rows included)."""
+    if clip is not None:
+        clo, chi = _clip_range(clip)
+        lo, hi = np.maximum(lo, clo), np.minimum(hi, chi)
+    with np.errstate(invalid="ignore"):
+        return np.where(hi <= lo, 0.0, hi - lo)
 
 
 def union_sets(sets: Sequence[PredictionSet]) -> PredictionSet:

@@ -197,3 +197,27 @@ def oracle_env_score(thresholds, alpha: float) -> float:
         if frac > Fraction(1) - Fraction(alpha):
             return tau
     raise AssertionError("unreachable: the largest threshold always covers everything")
+
+
+def oracle_score_sets(sets, y, clip=None) -> tuple[int, float]:
+    """(in-set count, mean measure) of per-row interval sets, one row at a time.
+
+    Reads each set through its ``lo``/``hi`` or ``parts`` attributes and
+    applies the definitions directly: closed intervals, and a length of
+    ``hi - lo`` after clipping, 0 when ``hi <= lo``.
+    """
+    covered = 0
+    measures = []
+    for pred_set, outcome in zip(sets, y):
+        if hasattr(pred_set, "parts"):
+            parts = [(p.lo, p.hi) for p in pred_set.parts]
+        else:
+            parts = [(pred_set.lo, pred_set.hi)]
+        covered += any(a <= outcome <= b for a, b in parts)
+        total = 0.0
+        for a, b in parts:
+            if clip is not None:
+                a, b = max(a, float(clip[0])), min(b, float(clip[1]))
+            total += b - a if b > a else 0.0
+        measures.append(total)
+    return covered, float(np.mean(measures))

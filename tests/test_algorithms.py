@@ -28,6 +28,7 @@ from mecp.algorithms import (
 from mecp.data import EnvironmentSample, MultiEnvDataset, split_environments
 from mecp.nested_sets import (
     EMPTY_SET,
+    BandFamily,
     Interval,
     IntervalUnion,
     LabelSet,
@@ -154,6 +155,46 @@ class TestJackknifeMinmax:
             for h, u in zip(hulls, unions):
                 lo, hi = envelope(u)
                 assert h.lo == lo and h.hi == hi
+
+    def test_band_hull_matches_union_envelope(self):
+        def band(shift, offset):
+            # upper - lower = x1 + offset, so rows with x1 < -offset cross
+            return BandFamily(
+                lower=lambda xs: xs[:, 0] + shift,
+                upper=lambda xs: xs[:, 0] + shift + xs[:, 1] + offset,
+            )
+
+        x = np.array([[0.0, 1.0], [0.5, -0.5], [2.0, -3.0], [-1.0, 0.2], [0.3, -1.1]])
+        for tau in (0.0, 0.6, -0.25, math.inf):
+            mapping = JackknifeMinmax(
+                families=(band(-2.0, 0.0), band(0.0, 1.0), band(1.0, -1.0)),
+                env_scores=(0.0, 0.0, 0.0),
+                tau_hat=tau,
+                alpha=0.5,
+                delta=0.5,
+            )
+            unions = mapping.predict_unions(x)
+            expected = [EMPTY_SET if u == EMPTY_SET else Interval(*envelope(u)) for u in unions]
+            assert mapping.predict_sets(x) == expected
+            lo, hi = mapping.predict_bounds(x)
+            assert [bool(v) for v in lo > hi] == [u == EMPTY_SET for u in unions]
+            if tau == 0.0:
+                # row 2: every component crossed; row 1: only the middle one is left
+                assert expected[2] == EMPTY_SET
+                assert expected[1] == Interval(0.5, 1.0)
+
+    def test_fitted_band_hull_matches_union_envelope(self):
+        rng = np.random.default_rng(9)
+        ds = linear_dataset(rng, m=4, n=30, p=2, noise=0.5)
+        fitted = fit_jackknife_minmax(ds, pinball_band_builder(0.3, 0.7), 0.3, 0.5)
+        x = rng.normal(size=(40, 2))
+        # negative thresholds cross some components (-0.25) or all of them (-0.45)
+        for tau in (fitted.tau_hat, -0.25, -0.45):
+            mapping = replace(fitted, tau_hat=tau)
+            unions = mapping.predict_unions(x)
+            expected = [EMPTY_SET if u == EMPTY_SET else Interval(*envelope(u)) for u in unions]
+            assert mapping.predict_sets(x) == expected
+        assert EMPTY_SET in expected
 
     def test_env_scores_recompute(self):
         rng = np.random.default_rng(3)

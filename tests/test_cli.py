@@ -204,6 +204,25 @@ class TestRun:
             assert proc.stderr.startswith("error: ")
             assert "integer" in proc.stderr
 
+    def test_bad_seed_is_a_config_error(self, tmp_path):
+        for seed in ("x", 1.5, -1, True):
+            doc = run_doc()
+            doc["plan"]["seed"] = seed
+            proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
+            assert proc.returncode == 2, seed
+            assert proc.stderr.startswith("error: seed must be")
+            assert not (tmp_path / "report.json").exists()
+        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, run_doc()), "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: seed must be nonnegative")
+
+    def test_bool_workers_is_a_config_error(self, tmp_path):
+        doc = run_doc()
+        doc["plan"]["workers"] = True
+        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: workers")
+
     def test_runtime_failure_leaves_error_record(self, tmp_path):
         doc = run_doc()
         doc["algorithm"] = {

@@ -115,6 +115,13 @@ class TestGenerator:
         d3 = generate_hierarchical(HierGenConfig(m=3, n_per_env=5, p=2, seed=43))
         assert not np.array_equal(d1.environments[0].y, d3.environments[0].y)
 
+    def test_seed_must_be_a_nonnegative_integer(self):
+        for seed in (-1, 2.5, "3", True):
+            with pytest.raises(ValueError, match="seed"):
+                HierGenConfig(m=2, n_per_env=3, p=1, seed=seed)
+        cfg = HierGenConfig(m=2, n_per_env=3, p=1, seed=np.int64(5))
+        assert type(cfg.seed) is int and cfg.seed == 5
+
     def test_ranged_sizes(self):
         cfg = HierGenConfig(m=40, n_per_env=(2, 6), p=1, seed=1)
         sizes = {e.n for e in generate_hierarchical(cfg).environments}

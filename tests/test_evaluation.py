@@ -11,8 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecp import evaluation
-from mecp.algorithms import fit_jackknife_minmax, ridge_symmetric_builder
-from mecp.data import EnvironmentSample, HierGenConfig
+from mecp.algorithms import (
+    SplitConformal,
+    fit_hcp,
+    fit_hier_jackknife_plus,
+    fit_jackknife_minmax,
+    ridge_point_builder,
+    ridge_symmetric_builder,
+)
+from mecp.data import EnvironmentSample, EnvSplit, HierGenConfig, generate_hierarchical
 from mecp.evaluation import (
     CoverageReport,
     EnvRecord,
@@ -25,7 +32,9 @@ from mecp.evaluation import (
     run_trials,
     trial_dataset,
 )
-from mecp.nested_sets import EMPTY_SET, Interval
+from mecp.nested_sets import EMPTY_SET, Interval, SymmetricFamily
+
+from oracles import oracle_score_sets
 
 
 class WidthMapping:
@@ -249,6 +258,14 @@ class TestTrialPlan:
             with pytest.raises(ValueError):
                 make_plan(**overrides)
 
+    def test_seed_must_be_a_nonnegative_integer(self):
+        for seed in (-1, 1.5, "x", True, None):
+            with pytest.raises(ValueError, match="seed"):
+                make_plan(seed=seed)
+        plan = make_plan(seed=np.uint64(7))
+        assert type(plan.seed) is int and plan.seed == 7
+        assert json.dumps(plan.to_json_dict()["seed"]) == "7"
+
     def test_numpy_integer_counts_normalized_to_int(self):
         plan = make_plan(trials=np.int64(2), train_envs=np.int32(4), label_count=np.int64(5))
         assert all(type(v) is int for v in (plan.trials, plan.train_envs, plan.label_count))
@@ -378,6 +395,107 @@ class TestRunTrials:
         bound = 0.8 - 3.0 * math.sqrt(0.2 * 0.8 / pairs)
         assert report.empirical_one_minus_delta >= bound
         assert 0.0 < report.empirical_set_length < math.inf
+
+
+def centred_mapping(centers, tau):
+    """Split mapping of symmetric sets [c - tau, c + tau], c read off column 0."""
+    return SplitConformal(
+        family=SymmetricFamily(predict=lambda xs: np.asarray(centers, dtype=float)[: len(xs)]),
+        env_scores=(),
+        tau_hat=tau,
+        alpha=0.1,
+        delta=0.1,
+        gamma=0.5,
+        split=EnvSplit(d1=(0,), d2=(1,)),
+    )
+
+
+def assert_matches_oracle(mapping, envs, alpha, clip=None):
+    report = evaluate_mapping(mapping, envs, alpha, clip=clip)
+    for env, rec in zip(envs, report.records):
+        expected = oracle_score_sets(mapping.predict_sets(env.x), env.y, clip)
+        assert (rec.covered_count, rec.mean_measure) == expected
+    return report
+
+
+class TestColumnarScoring:
+    """Records from ``(lo, hi)`` arrays equal the per-row set-by-set scorer."""
+
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_every_algorithm_matches_per_row_oracle(self, name, monkeypatch):
+        real = evaluation.evaluate_mapping
+        scored = []
+
+        def scored_twice(mapping, envs, alpha, clip=None, rule="count", trial=0):
+            assert mapping.predict_bounds(envs[0].x) is not None
+            report = real(mapping, envs, alpha, clip=clip, rule=rule, trial=trial)
+            for env, rec in zip(envs, report.records):
+                expected = oracle_score_sets(mapping.predict_sets(env.x), env.y, clip)
+                assert (rec.covered_count, rec.mean_measure) == expected
+            scored.extend(report.records)
+            return report
+
+        monkeypatch.setattr(evaluation, "evaluate_mapping", scored_twice)
+        for alpha, delta, clip in ((0.1, 0.2, None), (0.95, 0.9, (-1.0, 2.0))):
+            plan = make_plan(
+                algorithm=name, trials=3, alpha=alpha, delta=delta, clip=clip, label_count=5
+            )
+            for t in range(plan.trials):
+                run_trial(plan, t)
+        assert len(scored) == 2 * 3 * 2
+
+    def test_outcome_on_closed_endpoint_is_covered(self):
+        env = width_env("a", (0.0, 1.0, 2.0, 3.0), (-0.5, 1.5, 2.6, 3.0))
+        report = assert_matches_oracle(centred_mapping([0.0, 1.0, 2.0, 3.0], 0.5), [env], 0.2)
+        assert report.records[0].covered_count == 3
+        assert report.records[0].mean_measure == 1.0
+
+    def test_signed_zero_endpoints(self):
+        env = width_env("a", (0.0, 0.0), (0.0, -0.0))
+        report = assert_matches_oracle(centred_mapping([-0.0, 0.0], 0.0), [env], 0.2)
+        assert report.records[0].covered_count == 2
+        assert math.copysign(1.0, report.records[0].mean_measure) == 1.0
+
+    def test_infinite_endpoints_with_few_calibration_environments(self):
+        data = generate_hierarchical(HierGenConfig(m=3, n_per_env=12, p=2, seed=4))
+        # one calibration environment: its infinite atom carries 1/2 > alpha
+        mapping = fit_hcp(
+            data.subset(range(2)), ridge_point_builder(), 0.1, 0.5, np.random.default_rng(0)
+        )
+        assert mapping.tau_hat == math.inf
+        test = [data.environments[2]]
+        lo, hi = mapping.predict_bounds(test[0].x)
+        assert np.all(lo == -math.inf) and np.all(hi == math.inf)
+        assert assert_matches_oracle(mapping, test, 0.1).records[0].mean_measure == math.inf
+        clipped = assert_matches_oracle(mapping, test, 0.1, clip=(-1.0, 2.0))
+        assert clipped.records[0].covered_count == 12
+        assert clipped.records[0].mean_measure == 3.0
+
+    def test_inverted_pairs_are_empty(self):
+        data = generate_hierarchical(HierGenConfig(m=5, n_per_env=15, p=2, seed=6))
+        mapping = fit_hier_jackknife_plus(data.subset(range(4)), ridge_point_builder(), 0.95)
+        test = [data.environments[4]]
+        lo, hi = mapping.predict_bounds(test[0].x)
+        inverted = lo > hi
+        assert inverted.any()
+        sets = mapping.predict_sets(test[0].x)
+        assert all((s == EMPTY_SET) == bool(flag) for s, flag in zip(sets, inverted))
+        for clip in (None, (-0.5, 0.5)):
+            assert_matches_oracle(mapping, test, 0.95, clip=clip)
+
+    def test_nan_endpoint_raises_on_both_routes(self):
+        env = width_env("a", (0.0, 1.0), (0.0, 1.0))
+        mapping = centred_mapping([math.nan, 1.0], 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate_mapping(mapping, [env], 0.2)
+        with pytest.raises(ValueError, match="NaN"):
+            mapping.predict_sets(env.x)
+
+    def test_bad_clip_raises_on_both_routes(self):
+        env = width_env("a", (1.0,), (0.0,))
+        for mapping in (centred_mapping([0.0], 1.0), ConstantMapping(Interval(-1.0, 1.0))):
+            with pytest.raises(ValueError, match="clip range"):
+                evaluate_mapping(mapping, [env], 0.2, clip=(2.0, 1.0))
 
 
 class TestMatchDelta:

@@ -14,6 +14,8 @@ from mecp.nested_sets import (
     LabelSet,
     LossSublevelFamily,
     SymmetricFamily,
+    bounds_at,
+    bounds_measure,
     contains,
     coverage_threshold,
     measure,
@@ -173,6 +175,62 @@ class TestSetAt:
         x = np.zeros(1)
         if contains(set_at(fam, x, lo), y):
             assert contains(set_at(fam, x, hi), y)
+
+
+class TestBoundsAt:
+    """Columnar bounds against per-row sets built from the family definitions."""
+
+    X = np.array([[0.0, 1.0], [-2.0, 0.5], [3.0, -2.0], [1e20, 0.25], [1.0, -0.0]])
+
+    @staticmethod
+    def expected_rows(family, x, tau):
+        if isinstance(family, SymmetricFamily):
+            return [
+                EMPTY_SET if tau < 0 else Interval(c - tau, c + tau)
+                for c in family.predict(x).tolist()
+            ]
+        rows = []
+        for low, high in zip(family.lower(x).tolist(), family.upper(x).tolist()):
+            lo, hi = low - tau, high + tau
+            rows.append(EMPTY_SET if lo > hi else Interval(lo, hi))
+        return rows
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, math.inf])
+    def test_matches_sets_at_for_both_interval_families(self, tau):
+        families = (
+            SymmetricFamily(predict=lambda xs: xs[:, 0]),
+            # upper below lower on rows with a negative second column
+            BandFamily(lower=lambda xs: xs[:, 0], upper=lambda xs: xs[:, 0] + xs[:, 1]),
+        )
+        for family in families:
+            lo, hi = bounds_at(family, self.X, tau)
+            expected = self.expected_rows(family, self.X, tau)
+            assert sets_at(family, self.X, tau) == expected
+            for a, b, want in zip(lo.tolist(), hi.tolist(), expected):
+                if want == EMPTY_SET:
+                    assert a > b
+                else:
+                    assert (a, b) == (want.lo, want.hi)
+                    assert math.copysign(1, a) == math.copysign(1, want.lo)
+                    assert math.copysign(1, b) == math.copysign(1, want.hi)
+
+    def test_huge_center_at_negative_tau_stays_empty(self):
+        # 1e20 +- 0.5 rounds to 1e20 on both ends; the set must still be empty
+        lo, hi = bounds_at(const_symmetric(1e20), np.zeros((2, 1)), -0.5)
+        assert np.all(lo > hi)
+
+    def test_rejects_label_family_and_nan_tau(self):
+        with pytest.raises(TypeError):
+            bounds_at(const_logits([0.0, 1.0]), np.zeros((1, 1)), 1.0)
+        with pytest.raises(ValueError):
+            bounds_at(const_symmetric(0.0), np.zeros((1, 1)), math.nan)
+
+    def test_bounds_measure_matches_measure(self):
+        lo = np.array([-1.0, 2.0, -math.inf, 0.0, math.inf, -0.0])
+        hi = np.array([1.0, 1.0, math.inf, 0.0, math.inf, 0.0])
+        sets = [EMPTY_SET if a > b else Interval(a, b) for a, b in zip(lo, hi)]
+        for clip in (None, (-0.5, 0.25)):
+            assert bounds_measure(lo, hi, clip).tolist() == [measure(s, clip) for s in sets]
 
 
 class TestMeasure:
