@@ -3,9 +3,17 @@
 The deployable threshold comes from a pinball regression of environment
 scores on environment features: the test environment's score enters as a
 free parameter s, the program's box-constrained dual exposes the multiplier
-eta attached to s, and a binary search finds the largest s whose multiplier
-stays below its upper box bound. With a constant feature and no
-regularization this reproduces the plain conformal score quantile.
+eta attached to s, and the threshold is the largest s whose multiplier stays
+within its level (below 1 - delta, or at most U - delta when randomized).
+
+With one constant feature column, the engine's choice, the multiplier depends
+on s only through the number j of scores below s and, under a ridge penalty,
+a linear term in s. The threshold is then read off the sorted scores: without
+regularization it is an order statistic (the plain conformal quantile
+``quant_plus(scores, delta)``), with regularization the crossing of a
+piecewise-linear function. Any other features go through a general search:
+a bracket expansion and a bisection on s, one dual solve per probe, snapped
+to a nearby score atom.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from scipy.optimize import linprog
 from .data import EnvironmentSample
 from .nested_sets import NestedFamily, thresholds
 from .predictors import FitError
-from .quantiles import check_prob
+from .quantiles import check_prob, rank_plus
 
 __all__ = [
     "constant_feature_map",
@@ -293,9 +301,33 @@ def _solve_box_dual(full_scores: np.ndarray, phi: np.ndarray, delta: float,
                     ridge_weight: float) -> DualSolution:
     if phi.shape[1] == 1:
         return _solve_box_dual_1d(full_scores, phi[:, 0], delta, ridge_weight)
+    nonzero = phi != 0.0
+    if (nonzero.sum(axis=1) <= 1).all():
+        return _solve_box_dual_blocks(full_scores, phi, nonzero, delta, ridge_weight)
     if ridge_weight == 0.0:
         return _solve_box_lp(full_scores, phi, delta)
     return _solve_box_dual_ca(full_scores, phi, delta, ridge_weight)
+
+
+def _solve_box_dual_blocks(full_scores: np.ndarray, phi: np.ndarray, nonzero: np.ndarray,
+                           delta: float, ridge_weight: float) -> DualSolution:
+    # Rows touching at most one column (group indicators): ||phi' eta||^2 is a
+    # sum over columns, so the dual splits into one 1-d problem per column.
+    # Each block keeps the full curvature 2 n w through the weight w n / n_block;
+    # feature-free rows take the sign rule of the 1-d solver's inactive rows.
+    n = full_scores.size
+    eta = np.where(full_scores > 0.0, 1.0 - delta,
+                   np.where(full_scores < 0.0, -delta, 0.0))
+    penalty = 0.0
+    for col in range(phi.shape[1]):
+        rows = np.flatnonzero(nonzero[:, col])
+        if rows.size == 0:
+            continue
+        block = _solve_box_dual_1d(full_scores[rows], phi[rows, col], delta,
+                                   ridge_weight * n / rows.size)
+        eta[rows] = block.eta
+        penalty += float(full_scores[rows] @ block.eta) - block.objective
+    return DualSolution(eta=eta, objective=float(full_scores @ eta) - penalty)
 
 
 def _solve_box_dual_ca(full_scores: np.ndarray, phi: np.ndarray, delta: float,
@@ -337,7 +369,7 @@ def _solve_box_dual_ca(full_scores: np.ndarray, phi: np.ndarray, delta: float,
                    sweeps=100_000)
 
 
-def _stacked(scores, features, s: float) -> tuple[np.ndarray, np.ndarray]:
+def _validated(scores, features) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=float)
     phi = np.asarray(features, dtype=float)
     if scores.ndim != 1 or scores.size < 1:
@@ -348,7 +380,7 @@ def _stacked(scores, features, s: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("features must have one row per score plus the test row")
     if not np.isfinite(phi).all():
         raise ValueError("features must be finite")
-    return np.append(scores, float(s)), phi
+    return scores, phi
 
 
 def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> DualSolution:
@@ -361,8 +393,8 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
     delta = check_prob(delta, "delta")
     if ridge_weight < 0.0:
         raise ValueError("ridge_weight must be nonnegative")
-    full_scores, phi = _stacked(scores, features, s)
-    return _solve_box_dual(full_scores, phi, delta, ridge_weight)
+    scores, phi = _validated(scores, features)
+    return _solve_box_dual(np.append(scores, float(s)), phi, delta, ridge_weight)
 
 
 def _max_feasible_test_eta(phi: np.ndarray, delta: float) -> float:
@@ -387,13 +419,14 @@ def _max_feasible_test_eta(phi: np.ndarray, delta: float) -> float:
     return -res.fun
 
 
-def _search_threshold(scores, features, delta, ridge_weight, level, strict,
-                      tolerance) -> float:
-    scores = np.asarray(scores, dtype=float)
+def _search_threshold(scores: np.ndarray, phi: np.ndarray, delta, ridge_weight,
+                      level, strict, tolerance) -> float:
+    # General route for features the closed form cannot serve: bracket the
+    # crossing, bisect it to ``tolerance``, then snap to a nearby score atom.
     margin = 1e-9
 
     def holds(sv: float) -> bool:
-        eta_test = dual_eta(scores, features, delta, ridge_weight, sv).eta[-1]
+        eta_test = dual_eta(scores, phi, delta, ridge_weight, sv).eta[-1]
         if strict:
             return eta_test < level - margin
         return eta_test <= level + margin
@@ -401,7 +434,6 @@ def _search_threshold(scores, features, delta, ridge_weight, level, strict,
     if ridge_weight == 0.0 and strict:
         # the test multiplier may be capped below its box bound by the
         # equality constraints; then no finite s exhausts the criterion
-        phi = np.asarray(features, dtype=float)
         if _max_feasible_test_eta(phi, delta) < level - 1e-12:
             return math.inf
 
@@ -439,20 +471,81 @@ def _search_threshold(scores, features, delta, ridge_weight, level, strict,
     return float(hi)
 
 
+def _curvature(phi: np.ndarray, ridge_weight: float) -> float | None:
+    """Dual curvature 2 n w / c^2 when ``phi`` is one constant column c != 0.
+
+    None when the closed form cannot serve ``phi``: several columns, or a
+    non-constant or zero column. An underflow to 0 (c huge) leaves the
+    unregularized limit, an overflow to +inf (c tiny) a crossing at 0.
+    """
+    if phi.shape[1] != 1:
+        return None
+    c = float(phi[0, 0])
+    if c == 0.0 or not (phi[:, 0] == c).all():
+        return None
+    return 2.0 * phi.shape[0] * ridge_weight / c / c
+
+
+def _closed_form_threshold(scores: np.ndarray, curv: float, delta: float,
+                           level: float, rank: int) -> float:
+    # Imputing s with j scores below it, the test multiplier is
+    # clip(curv * s - A_j, -delta, 1 - delta), where A_j = (1-delta)(m-j) - delta j
+    # sums the others' box bounds. Without regularization it steps with j
+    # alone, so the threshold is the order statistic ``rank``; with it, the
+    # level is met in the first gap [v_j, v_{j+1}] that contains the crossing
+    # (level + A_j) / curv, or at v_j when the crossing lies below that gap.
+    v = np.sort(scores)
+    m = v.size
+    if curv == 0.0:
+        if rank > m:
+            return math.inf
+        if rank < 1:
+            return -math.inf
+        return float(v[rank - 1])
+    j = np.arange(m + 1)
+    cross = (level + (1.0 - delta) * (m - j) - delta * j) / curv
+    first = int(np.argmax(cross <= np.append(v, math.inf)))
+    return float(max(cross[first], v[first - 1] if first else -math.inf))
+
+
+def _threshold(scores, features, delta: float, ridge_weight: float,
+               u: float | None, tolerance: float) -> float:
+    # u is None for the plain threshold (eta_test < 1 - delta), else the
+    # randomized draw (eta_test <= u - delta)
+    if ridge_weight < 0.0:
+        raise ValueError("ridge_weight must be nonnegative")
+    scores, phi = _validated(scores, features)
+    m = scores.size
+    if u is None:
+        level, rank = 1.0 - delta, rank_plus(m, delta)
+    elif u >= 1.0:
+        return math.inf
+    else:
+        level, rank = u - delta, math.floor((1 - Fraction(delta)) * (m + 1) + Fraction(u))
+    curv = _curvature(phi, ridge_weight)
+    if curv is not None:
+        return _closed_form_threshold(scores, curv, delta, level, rank)
+    return _search_threshold(scores, phi, delta, ridge_weight, level,
+                             strict=u is None, tolerance=tolerance)
+
+
 def weighted_threshold(scores, features, alpha: float, delta: float,
                        ridge_weight: float = 0.0,
                        tolerance: float = SEARCH_TOLERANCE) -> float:
     """Largest imputed test score whose dual multiplier stays below 1-delta.
 
     ``scores`` are the per-environment coverage thresholds at level alpha
-    (see :func:`env_score`); the search itself depends only on delta. A
-    criterion that never fails within the bracket expansion yields +inf
-    (the full-space convention), mirroring the plain quantile's overflow.
+    (see :func:`env_score`); the threshold itself depends only on delta.
+    One constant feature column gets the closed form: without regularization
+    this is ``quant_plus(scores, delta)`` exactly, ``+inf`` when its rank
+    ``ceil((1 - delta)(m + 1))`` exceeds m; with it, the exact crossing of
+    the piecewise-linear multiplier. Other features run the general search
+    (bisection to ``tolerance``, then a snap to a nearby score atom), where a
+    criterion that never fails within the bracket expansion yields +inf.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
-    return _search_threshold(scores, features, delta, ridge_weight,
-                             level=1.0 - delta, strict=True, tolerance=tolerance)
+    return _threshold(scores, features, delta, ridge_weight, None, tolerance)
 
 
 def randomized_threshold(scores, features, alpha: float, delta: float,
@@ -460,11 +553,16 @@ def randomized_threshold(scores, features, alpha: float, delta: float,
                          tolerance: float = SEARCH_TOLERANCE) -> float:
     """Randomized variant: the multiplier may reach U - delta, U uniform.
 
-    Exhausting the upward bracket (e.g. U near 1) returns +inf; a criterion
-    that fails everywhere returns -inf (the empty-set convention).
+    U is drawn once, before the scores are checked. One constant feature
+    column gets the closed form: without regularization the
+    ``floor((1 - delta)(m + 1) + U)``-th smallest score, ``+inf`` when that
+    rank exceeds m and ``-inf`` (the empty-set convention) when it is below 1;
+    with it, the exact crossing of the piecewise-linear multiplier. ``U >= 1``
+    never binds and gives +inf on every route. Other features run the
+    general search, where exhausting the upward bracket returns +inf and a
+    criterion that fails everywhere returns -inf.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
     u = float(rng.uniform())
-    return _search_threshold(scores, features, delta, ridge_weight,
-                             level=u - delta, strict=False, tolerance=tolerance)
+    return _threshold(scores, features, delta, ridge_weight, u, tolerance)

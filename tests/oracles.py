@@ -221,3 +221,40 @@ def oracle_score_sets(sets, y, clip=None) -> tuple[int, float]:
             total += b - a if b > a else 0.0
         measures.append(total)
     return covered, float(np.mean(measures))
+
+
+def oracle_weighted_threshold(scores, test_multiplier, delta: float, u=None) -> float:
+    """Supremum of imputed test scores s whose dual multiplier meets the level.
+
+    ``test_multiplier(s)`` is the test coordinate of the unregularized box
+    dual with the test score imputed as s. The criterion is
+    ``test_multiplier(s) < 1 - delta`` (plain, ``u`` None) or
+    ``test_multiplier(s) <= u - delta`` (randomized), read on the shifted
+    multiplier ``eta + delta`` in [0, 1]: its box bounds round to exactly 0
+    and 1, while a float ``u - delta`` can round onto ``1 - delta``. The
+    multiplier is
+    constant on each open gap between distinct score atoms, so probing every
+    atom and one point inside every gap decides the criterion everywhere: a
+    gap where it holds contributes its upper end (``+inf`` past the largest
+    atom), an atom where it holds contributes itself, and ``-inf`` is left
+    when it holds nowhere.
+    """
+    atoms = sorted({float(v) for v in scores})
+
+    def holds(s: float) -> bool:
+        shifted = test_multiplier(s) + delta
+        return shifted < 1.0 if u is None else shifted <= u
+
+    reach = 1.0 + abs(atoms[0]) + abs(atoms[-1])
+    inside = ([atoms[0] - reach]
+              + [0.5 * (a + b) for a, b in zip(atoms, atoms[1:])]
+              + [atoms[-1] + reach])
+    gap_ends = atoms + [math.inf]
+    best = -math.inf
+    for probe, end in zip(inside, gap_ends):
+        if holds(probe):
+            best = max(best, end)
+    for atom in atoms:
+        if holds(atom):
+            best = max(best, atom)
+    return best

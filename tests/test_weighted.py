@@ -13,6 +13,11 @@ from mecp.nested_sets import SymmetricFamily
 from mecp.quantiles import quant_plus
 from mecp.weighted import (
     BOX_TOLERANCE,
+    SEARCH_TOLERANCE,
+    _search_threshold,
+    _solve_box_dual,
+    _solve_box_dual_ca,
+    _solve_box_lp,
     constant_feature_map,
     dual_eta,
     env_score,
@@ -22,7 +27,7 @@ from mecp.weighted import (
     score_from_thresholds,
     weighted_threshold,
 )
-from oracles import oracle_env_score
+from oracles import oracle_env_score, oracle_weighted_threshold
 
 
 class StubRng:
@@ -388,3 +393,134 @@ class TestGroupCoverage:
             rate = hits[g] / trials
             se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)
             assert rate >= 1.0 - delta - 3.0 * se
+
+
+def closed_form_cases():
+    """(scores, delta) pairs: random, tied, all-equal, m = 1 and overflow."""
+    rng = np.random.default_rng(606)
+    cases = []
+    for _ in range(40):
+        m = int(rng.integers(1, 13))
+        scale = 10.0 ** float(rng.uniform(-2.0, 2.0))
+        cases.append((rng.normal(size=m) * scale, float(rng.uniform(0.02, 0.95))))
+    for _ in range(10):
+        m = int(rng.integers(2, 10))
+        tied = rng.choice(rng.normal(size=3), size=m)
+        cases.append((tied, float(rng.uniform(0.02, 0.95))))
+    cases += [
+        (np.full(5, 3.25), 0.4),
+        (np.full(4, -1.5), 0.15),
+        (np.array([0.7]), 0.3),
+        (np.array([0.7]), 0.9),
+        (np.array([1.0, 2.0]), 0.2),
+    ]
+    return cases
+
+
+def criterion_holds(scores, features, delta, weight, s, u=None):
+    shifted = dual_eta(scores, features, delta, weight, s).eta[-1] + delta
+    return shifted < 1.0 if u is None else shifted <= u
+
+
+class TestClosedFormThreshold:
+    @pytest.mark.parametrize("m, delta, want", [(9, 0.3, 8.0), (9, 0.6, 5.0),
+                                                (19, 0.3, 15.0)])
+    def test_boundary_levels_read_the_rank_rule(self, m, delta, want):
+        # (1 - delta)(m + 1) is an integer in decimal; the float delta lies
+        # just below its decimal, so the exact rank is one atom higher
+        scores = np.arange(1.0, m + 1.0)
+        assert quant_plus(scores, delta) == want
+        assert weighted_threshold(scores, ones_features(m), 0.1, delta) == want
+
+    @pytest.mark.parametrize("m, delta, u, want", [(4, 0.1, 0.5, 4.0), (9, 0.1, 0.0, 8.0),
+                                                   (9, 0.2, 0.0, 7.0)])
+    def test_randomized_boundary_levels_read_the_exact_rank(self, m, delta, u, want):
+        # (1 - delta)(m + 1) + u is an integer in decimal; the float delta
+        # lies just above its decimal, so the exact rank is one atom lower
+        scores = np.arange(1.0, m + 1.0)
+        got = randomized_threshold(scores, ones_features(m), 0.1, delta, StubRng(u))
+        assert got == want
+
+    def test_plain_equals_definition_without_regularization(self):
+        for scores, delta in closed_form_cases():
+            m = scores.size
+            want = oracle_weighted_threshold(
+                scores, lambda s: dual_eta(scores, ones_features(m), delta, 0.0, s).eta[-1],
+                delta)
+            assert weighted_threshold(scores, ones_features(m), 0.1, delta) == want
+            assert want == quant_plus(scores, delta)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53, 1.0])
+    def test_randomized_equals_definition_without_regularization(self, u):
+        for scores, delta in closed_form_cases():
+            m = scores.size
+            want = oracle_weighted_threshold(
+                scores, lambda s: dual_eta(scores, ones_features(m), delta, 0.0, s).eta[-1],
+                delta, u=u)
+            got = randomized_threshold(scores, ones_features(m), 0.1, delta, StubRng(u))
+            assert got == want
+
+    def test_randomized_rank_below_one_is_empty(self):
+        scores = np.array([0.7])
+        assert randomized_threshold(scores, ones_features(1), 0.1, 0.9, StubRng(0.1)) == -math.inf
+
+    def test_scaled_constant_feature_keeps_the_quantile(self):
+        scores = np.array([3.0, -1.0, 2.0, 0.5, 4.0])
+        for c in (2.5, -0.3):
+            features = c * ones_features(5)
+            assert weighted_threshold(scores, features, 0.1, 0.35) == quant_plus(scores, 0.35)
+
+    def test_regularized_matches_general_search_and_straddles_the_level(self):
+        rng = np.random.default_rng(4242)
+        for case in range(200):
+            m = int(rng.integers(1, 13))
+            delta = float(rng.uniform(0.02, 0.95))
+            weight = float(rng.choice([5e-3, 0.05, 0.5, 2.0]))
+            scores = rng.normal(size=m) * 10.0 ** float(rng.uniform(-1.0, 1.5))
+            features = float(rng.choice([1.0, 2.5, -0.7])) * ones_features(m)
+            u = None if case % 2 == 0 else float(rng.choice([0.0, 0.5, rng.uniform()]))
+            if u is None:
+                tau = weighted_threshold(scores, features, 0.1, delta, ridge_weight=weight)
+                level = 1.0 - delta
+            else:
+                tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u),
+                                           ridge_weight=weight)
+                level = u - delta
+            want = _search_threshold(scores, features, delta, weight, level,
+                                     strict=u is None, tolerance=SEARCH_TOLERANCE)
+            assert math.isfinite(tau)
+            assert abs(tau - want) <= 1e-7 * max(1.0, abs(want))
+            eps = 1e-9 * (1.0 + abs(tau))
+            assert criterion_holds(scores, features, delta, weight, tau - eps, u)
+            assert not criterion_holds(scores, features, delta, weight, tau + eps, u)
+
+    def test_randomized_full_draw_overflows_with_regularization(self):
+        scores = np.array([0.5, 1.5, 2.5])
+        got = randomized_threshold(scores, ones_features(3), 0.1, 0.4, StubRng(1.0),
+                                   ridge_weight=0.05)
+        assert got == math.inf
+
+
+class TestBlockDual:
+    def test_block_indicators_match_lp_and_coordinate_ascent(self):
+        rng = np.random.default_rng(515)
+        for case in range(80):
+            k = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 13))
+            phi = np.zeros((n, k))
+            cols = rng.integers(-1, k, size=n)
+            for i, col in enumerate(cols):
+                if col >= 0:
+                    phi[i, col] = float(rng.choice([1.0, rng.uniform(0.3, 3.0),
+                                                    -rng.uniform(0.3, 3.0)]))
+            scores = rng.normal(size=n)
+            delta = float(rng.uniform(0.05, 0.95))
+            weight = 0.0 if case % 2 == 0 else float(rng.choice([0.01, 0.3, 2.0]))
+            got = _solve_box_dual(scores, phi, delta, weight)
+            if weight == 0.0:
+                ref = _solve_box_lp(scores, phi, delta)
+            else:
+                ref = _solve_box_dual_ca(scores, phi, delta, weight)
+            assert (got.eta >= -delta).all() and (got.eta <= 1.0 - delta).all()
+            assert got.eta[-1] == pytest.approx(ref.eta[-1], abs=1e-6)
+            assert got.objective >= ref.objective - 1e-9
