@@ -33,7 +33,6 @@ def main() -> None:
     parser.add_argument("--outliers", action="store_true",
                         help="heavy-tailed environments (20%% at 10x noise)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
     generator = HierGenConfig(
@@ -50,7 +49,7 @@ def main() -> None:
                          trials=args.trials, train_envs=args.train_envs,
                          test_envs=args.test_envs, alpha=args.alpha,
                          delta=delta, gamma=args.gamma, seed=args.seed)
-        report = run_trials(plan, workers=args.workers)
+        report = run_trials(plan)
         within = report.empirical_one_minus_alpha
         print(f"{delta:>7.3f} {report.empirical_one_minus_delta:>10.4f} "
               f"{'-' if within is None else format(within, '>11.4f')} "

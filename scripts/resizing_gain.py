@@ -39,7 +39,6 @@ def main() -> None:
     parser.add_argument("--test-envs", type=int, default=5)
     parser.add_argument("--n-per-env", type=int, default=100)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
     generator = HierGenConfig(
@@ -52,10 +51,8 @@ def main() -> None:
                   seed=args.seed)
     resized = run_trials(
         TrialPlan(algorithm="resized_split_conformal", alpha0=args.alpha0,
-                  label_count=args.label_count, **shared),
-        workers=args.workers)
-    plain = run_trials(TrialPlan(algorithm="split_conformal", **shared),
-                       workers=args.workers)
+                  label_count=args.label_count, **shared))
+    plain = run_trials(TrialPlan(algorithm="split_conformal", **shared))
 
     resized_len = mean_length_by_trial(resized)
     plain_len = mean_length_by_trial(plain)

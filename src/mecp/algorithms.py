@@ -138,11 +138,26 @@ def softmax_sublevel_builder(
 _INTERVAL_FAMILIES = (SymmetricFamily, BandFamily)
 
 
-def _family_bounds(family: NestedFamily, x, tau: float) -> tuple[np.ndarray, np.ndarray] | None:
-    # label families have no interval view
-    if not isinstance(family, _INTERVAL_FAMILIES):
-        return None
-    return bounds_at(family, x, tau)
+class _FamilyAtThreshold:
+    """Sets of a fitted ``family`` at its calibrated threshold ``tau_hat``."""
+
+    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
+        # label families have no interval view
+        if not isinstance(self.family, _INTERVAL_FAMILIES):
+            return None
+        return bounds_at(self.family, x, self.tau_hat)
+
+    def predict_sets(self, x) -> list[PredictionSet]:
+        return sets_at(self.family, x, self.tau_hat)
+
+
+def _split_envs(
+    dataset: MultiEnvDataset, gamma: float, rng: np.random.Generator
+) -> tuple[EnvSplit, list[EnvironmentSample], list[EnvironmentSample]]:
+    """(split, fit environments d1, calibration environments d2), in index order."""
+    split = split_environments(dataset, gamma, rng)
+    envs = dataset.environments
+    return split, [envs[i] for i in split.d1], [envs[i] for i in split.d2]
 
 
 def _point_residuals(predict: Callable, env: EnvironmentSample) -> np.ndarray:
@@ -246,7 +261,7 @@ def fit_jackknife_minmax(
 
 
 @dataclass(frozen=True)
-class SplitConformal:
+class SplitConformal(_FamilyAtThreshold):
     """One family fitted on the proper-training environments plus a threshold."""
 
     family: NestedFamily
@@ -256,12 +271,6 @@ class SplitConformal:
     delta: float
     gamma: float
     split: EnvSplit
-
-    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
-        return _family_bounds(self.family, x, self.tau_hat)
-
-    def predict_sets(self, x) -> list[PredictionSet]:
-        return sets_at(self.family, x, self.tau_hat)
 
     def metadata(self) -> dict:
         return {
@@ -287,18 +296,13 @@ def fit_split_conformal(
     """Fit on a gamma fraction of environments, calibrate on the rest."""
     alpha = check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
-    split = split_environments(dataset, gamma, rng)
-    envs = dataset.environments
-    family = family_builder([envs[i] for i in split.d1])
-    scores = []
-    for i in split.d2:
-        resid = thresholds(family, envs[i].x, envs[i].y)
-        scores.append(quant_plus(resid, alpha))
-    tau_hat = quant_plus(scores, delta)
+    split, fit_envs, cal_envs = _split_envs(dataset, gamma, rng)
+    family = family_builder(fit_envs)
+    scores = [quant_plus(thresholds(family, env.x, env.y), alpha) for env in cal_envs]
     return SplitConformal(
         family=family,
         env_scores=tuple(scores),
-        tau_hat=tau_hat,
+        tau_hat=quant_plus(scores, delta),
         alpha=alpha,
         delta=delta,
         gamma=float(gamma),
@@ -374,7 +378,7 @@ def fit_hier_jackknife_plus(
 
 
 @dataclass(frozen=True)
-class Hcp:
+class Hcp(_FamilyAtThreshold):
     """Split fit with a single residual-mixture threshold, symmetric around it."""
 
     family: SymmetricFamily
@@ -382,12 +386,6 @@ class Hcp:
     alpha: float
     gamma: float
     split: EnvSplit
-
-    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
-        return _family_bounds(self.family, x, self.tau_hat)
-
-    def predict_sets(self, x) -> list[PredictionSet]:
-        return sets_at(self.family, x, self.tau_hat)
 
     def metadata(self) -> dict:
         return {
@@ -416,16 +414,11 @@ def fit_hcp(
     alpha = check_prob(alpha, "alpha")
     if dataset.outcome != "regression":
         raise ValueError("this construction requires a regression outcome")
-    split = split_environments(dataset, gamma, rng)
-    envs = dataset.environments
-    family = SymmetricFamily(predict=predictor_builder([envs[i] for i in split.d1]))
-    k = len(split.d2)
-    locations = []
-    weights = []
-    for i in split.d2:
-        resid = thresholds(family, envs[i].x, envs[i].y)
-        locations.append(resid)
-        weights.append(np.full(envs[i].n, 1.0 / ((k + 1) * envs[i].n)))
+    split, fit_envs, cal_envs = _split_envs(dataset, gamma, rng)
+    family = SymmetricFamily(predict=predictor_builder(fit_envs))
+    k = len(cal_envs)
+    locations = [thresholds(family, env.x, env.y) for env in cal_envs]
+    weights = [np.full(env.n, 1.0 / ((k + 1) * env.n)) for env in cal_envs]
     locations.append(np.array([math.inf]))
     weights.append(np.array([1.0 / (k + 1)]))
     mixture = DiscreteDistribution(np.concatenate(locations), np.concatenate(weights))
@@ -465,18 +458,16 @@ class ResizedCalibration:
 
 
 @dataclass(frozen=True)
-class ResizedSplitConformal:
+class ResizedSplitConformal(_FamilyAtThreshold):
     """Resized split mapping: the threshold is the test factor times the score quantile."""
 
     calibration: ResizedCalibration
     test_factor: float
     tau_hat: float
 
-    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
-        return _family_bounds(self.calibration.family, x, self.tau_hat)
-
-    def predict_sets(self, x) -> list[PredictionSet]:
-        return sets_at(self.calibration.family, x, self.tau_hat)
+    @property
+    def family(self) -> NestedFamily:
+        return self.calibration.family
 
     def metadata(self) -> dict:
         cal = self.calibration
@@ -519,20 +510,18 @@ def fit_resized_calibration(
     alpha0 = check_prob(alpha0, "alpha0")
     if label_count < 1:
         raise ValueError("label_count must be at least 1")
-    split = split_environments(dataset, gamma, rng)
-    envs = dataset.environments
-    for i in split.d2:
-        if envs[i].n <= label_count:
+    split, fit_envs, cal_envs = _split_envs(dataset, gamma, rng)
+    for env in cal_envs:
+        if env.n <= label_count:
             raise ValueError(
-                f"environment {envs[i].env_id} has {envs[i].n} rows; "
+                f"environment {env.env_id} has {env.n} rows; "
                 f"resizing needs more than {label_count}"
             )
-    family = family_builder([envs[i] for i in split.d1])
+    family = family_builder(fit_envs)
     scores = []
     factors = []
     degenerate = []
-    for i in split.d2:
-        env = envs[i]
+    for env in cal_envs:
         resid = thresholds(family, env.x, env.y)
         labeled, rest = holdout_labels(env, label_count, rng)
         factor = quant_plus(resid[list(labeled)], alpha0)
@@ -646,7 +635,7 @@ def fit_jackknife_plus_quantile(
 
 
 @dataclass(frozen=True)
-class WeightedSplitMapping:
+class WeightedSplitMapping(_FamilyAtThreshold):
     """Split-style symmetric family thresholded by the score-regression dual."""
 
     family: NestedFamily
@@ -656,12 +645,6 @@ class WeightedSplitMapping:
     delta: float
     ridge_weight: float
     randomized: bool
-
-    def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
-        return _family_bounds(self.family, x, self.tau_hat)
-
-    def predict_sets(self, x) -> list[PredictionSet]:
-        return sets_at(self.family, x, self.tau_hat)
 
     def metadata(self) -> dict:
         eta = None
@@ -703,10 +686,9 @@ def fit_weighted_split_conformal(
     """
     alpha = check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
-    split = split_environments(dataset, gamma, rng)
-    envs = dataset.environments
-    family = family_builder([envs[i] for i in split.d1])
-    scores = np.array([env_score(envs[i], family, alpha) for i in split.d2])
+    _split, fit_envs, cal_envs = _split_envs(dataset, gamma, rng)
+    family = family_builder(fit_envs)
+    scores = np.array([env_score(env, family, alpha) for env in cal_envs])
     features = np.ones((len(scores) + 1, 1))
     if randomized:
         tau = randomized_threshold(scores, features, alpha, delta, rng, ridge_weight)

@@ -8,8 +8,9 @@ Usage:
 The config is a JSON document with nested sections (dataset, algorithm,
 plan, sweep, compare, output); command line flags override file values.
 Outputs are deterministic given the config and seed: reports are
-sorted-key JSON and sweep CSVs use repr floats, so reruns and different
-worker counts produce identical bytes.
+sorted-key JSON and sweep CSVs use repr floats, so reruns produce
+identical bytes. Trials run one after another: ``--workers`` and
+``plan.workers`` must be positive integers and are otherwise ignored.
 
 Exit codes: 0 success, 2 usage or config error, 1 runtime failure (fit
 errors leave a JSON error record at the report path).
@@ -83,7 +84,6 @@ class RunConfig:
     dataset_csv: str | None = None
     generator: HierGenConfig | None = None
     plan: TrialPlan | None = None
-    workers: int = 1
     sweep_param: str | None = None
     sweep_values: tuple | None = None
     method_a: str | None = None
@@ -175,6 +175,7 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
     seed = args.seed
     if seed is None:
         seed = plan_sec.get("seed", 0)
+    # accepted for existing configs and command lines, then ignored
     workers = getattr(args, "workers", None)
     if workers is None:
         workers = plan_sec.get("workers", 1)
@@ -247,7 +248,6 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
         dataset_csv=csv_path,
         generator=generator,
         plan=plan,
-        workers=workers,
         sweep_param=sweep_param,
         sweep_values=sweep_values,
         method_a=method_a,
@@ -308,7 +308,7 @@ def _report_for(config: RunConfig, plan: TrialPlan) -> CoverageReport:
         rng = np.random.default_rng(plan.seed)
         records = dataset_records(dataset, plan, rng)
         return CoverageReport.from_records(records, plan.alpha, plan.rule)
-    return run_trials(plan, workers=config.workers)
+    return run_trials(plan)
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -356,12 +356,7 @@ def cmd_compare(config: RunConfig) -> int:
     if config.dataset_csv is not None:
         raise ConfigError("compare needs a generator dataset source")
     result = match_delta(
-        config.method_a,
-        config.method_b,
-        plan.alpha,
-        config.delta_grid,
-        plan,
-        workers=config.workers,
+        config.method_a, config.method_b, plan.alpha, config.delta_grid, plan
     )
     # both methods derive data seeds the same way; the echo makes that auditable
     seeds_a = [
@@ -415,7 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--out", default=None, help="dataset CSV path")
     for p in (run, comp):
-        p.add_argument("--workers", type=int, default=None, help="trial parallelism")
+        p.add_argument(
+            "--workers", type=int, default=None, help="accepted and ignored; trials run serially"
+        )
         p.add_argument("--report", default=None, help="report JSON path")
     run.add_argument("--sweep-csv", dest="sweep_csv", default=None, help="sweep CSV path")
     return parser

@@ -20,6 +20,7 @@ __all__ = [
     "HierGenConfig",
     "MultiEnvDataset",
     "ParseError",
+    "check_integer",
     "generate_hierarchical",
     "holdout_labels",
     "load_csv",
@@ -116,6 +117,16 @@ class MultiEnvDataset:
         return replace(self, environments=envs)
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, after checking that it is an integer and not a bool.
+
+    Floats are refused rather than truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HierGenConfig:
     """Synthetic hierarchical regression generator settings.
@@ -138,17 +149,23 @@ class HierGenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.p < 1:
+        m = check_integer(self.m, "m")
+        p = check_integer(self.p, "p")
+        if m < 1 or p < 1:
             raise ValueError("m and p must be positive")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
         n = self.n_per_env
-        if isinstance(n, int):
-            if n < 1:
-                raise ValueError("n_per_env must be >= 1")
-        else:
-            lo, hi = n
+        if np.ndim(n) == 1 and len(n) == 2:
+            lo, hi = (check_integer(v, "n_per_env range end") for v in n)
             if lo < 1 or hi < lo:
                 raise ValueError("n_per_env range must satisfy 1 <= lo <= hi")
-            object.__setattr__(self, "n_per_env", (int(lo), int(hi)))
+            object.__setattr__(self, "n_per_env", (lo, hi))
+        else:
+            n = check_integer(n, "n_per_env")
+            if n < 1:
+                raise ValueError("n_per_env must be >= 1")
+            object.__setattr__(self, "n_per_env", n)
         if self.beta is not None:
             if len(self.beta) != self.p:
                 raise ValueError("beta must have length p")
@@ -159,10 +176,10 @@ class HierGenConfig:
             raise ValueError("outlier_frac must lie in [0, 1]")
         if self.outlier_noise_multiplier <= 0:
             raise ValueError("outlier_noise_multiplier must be positive")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        seed = check_integer(self.seed, "seed")
+        if seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", seed)
 
     def resolved_beta(self) -> np.ndarray:
         if self.beta is None:

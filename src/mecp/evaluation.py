@@ -5,17 +5,15 @@ landed inside their prediction sets, whether that count clears the
 per-environment bar ceil((1-alpha)(n+1)), and the mean set measure. Reports
 aggregate three ways: the fraction of pairs clearing the bar, the mean
 within-environment coverage fraction taken over clearing pairs only, and the
-grand mean measure. A seeded engine repeats generate/fit/score cycles so the
-aggregates are reproducible and independent of worker count, and a grid
-search finds the largest miscoverage level at which one method still covers
-as large a share of test outcomes as a baseline.
+grand mean measure. A seeded engine repeats generate/fit/score cycles, one
+trial after another on the calling thread, so the aggregates are
+reproducible; a grid search finds the largest miscoverage level at which one
+method still covers as large a share of test outcomes as a baseline.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,6 +37,7 @@ from mecp.data import (
     EnvironmentSample,
     HierGenConfig,
     MultiEnvDataset,
+    check_integer,
     generate_hierarchical,
     holdout_labels,
 )
@@ -248,10 +247,7 @@ class TrialPlan:
                 f"choose from {sorted(_TRIAL_RUNNERS)}"
             )
         for name in ("trials", "train_envs", "test_envs", "label_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
@@ -432,20 +428,13 @@ def run_trial(plan: TrialPlan, trial: int) -> tuple[EnvRecord, ...]:
         raise FitError(f"trial {trial}: {err}", trial=trial, **err.details) from err
 
 
-def run_trials(plan: TrialPlan, workers: int = 1) -> CoverageReport:
-    """Run every trial in the plan and pool the records in trial order.
+def run_trials(plan: TrialPlan) -> CoverageReport:
+    """Run every trial in the plan, in order, and pool the records.
 
-    Seeds are derived per trial, and records are concatenated in a canonical
-    order, so the report does not depend on the worker count.
+    Each trial derives its own seeds from the plan's, so the report is
+    reproducible byte for byte.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if workers == 1:
-        batches = [run_trial(plan, t) for t in range(plan.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda t: run_trial(plan, t), range(plan.trials)))
-    records = [rec for batch in batches for rec in batch]
+    records = [rec for t in range(plan.trials) for rec in run_trial(plan, t)]
     return CoverageReport.from_records(records, plan.alpha, plan.rule)
 
 
@@ -473,7 +462,6 @@ def match_delta(
     alpha: float,
     delta_grid: Sequence[float],
     plan: TrialPlan,
-    workers: int = 1,
 ) -> DeltaMatch:
     """Largest grid delta at which method_a still covers as large a pooled
     share of test outcomes as method_b.
@@ -488,11 +476,11 @@ def match_delta(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("delta_grid must be sorted ascending without repeats")
     base = replace(plan, alpha=check_prob(alpha, "alpha"))
-    baseline = run_trials(replace(base, algorithm=method_b), workers=workers)
+    baseline = run_trials(replace(base, algorithm=method_b))
     baseline_fraction = baseline.covered_sample_fraction()
     fractions = []
     for d in grid:
-        report = run_trials(replace(base, algorithm=method_a, delta=d), workers=workers)
+        report = run_trials(replace(base, algorithm=method_a, delta=d))
         fractions.append((d, report.covered_sample_fraction()))
     for d, frac in reversed(fractions):
         if frac >= baseline_fraction:

@@ -163,33 +163,23 @@ class DiscreteDistribution:
         return right_quantile(self, alpha)
 
 
-def _cdf_scan(locations: np.ndarray, weights: np.ndarray, level: float) -> float:
-    order = np.argsort(locations, kind="stable")
-    locs = locations[order]
-    cum = np.cumsum(weights[order])
-    idx = int(np.searchsorted(cum, level, side="left"))
-    # float cumsums can top out a hair under 1; the last atom is then the answer
-    if idx >= locs.size:
-        idx = locs.size - 1
-    return float(locs[idx])
-
-
 def left_quantile(dist: DiscreteDistribution, alpha: float) -> float:
-    """Smallest location t with ``P(Z <= t) >= alpha``."""
-    check_prob(alpha, "level")
-    return _cdf_scan(dist.locations, dist.weights, alpha)
+    """Smallest location t with ``P(Z <= t) >= alpha``.
+
+    The one-row case of :func:`mixture_quantile_rows`.
+    """
+    return float(mixture_quantile_rows(dist.locations[None, :], dist.weights, alpha)[0])
 
 
 def right_quantile(dist: DiscreteDistribution, alpha: float) -> float:
     """Supremum of the locations t with ``P(Z <= t) < alpha``.
 
     For finitely supported distributions this supremum coincides with the
-    first atom at which the CDF reaches or exceeds ``alpha``, so the scan is
-    shared with :func:`left_quantile`; the two names document which side of
-    a boundary a construction is meant to favor.
+    first atom at which the CDF reaches or exceeds ``alpha``, so it equals
+    :func:`left_quantile`; the two names document which side of a boundary
+    a construction is meant to favor.
     """
-    check_prob(alpha, "level")
-    return _cdf_scan(dist.locations, dist.weights, alpha)
+    return left_quantile(dist, alpha)
 
 
 def mixture_quantile_rows(loc_rows: np.ndarray, weights: np.ndarray, level: float) -> np.ndarray:
@@ -216,5 +206,6 @@ def mixture_quantile_rows(loc_rows: np.ndarray, weights: np.ndarray, level: floa
     if w.shape != loc_rows.shape[1:]:
         raise ValueError("weights must hold one entry per column of loc_rows")
     cum = np.cumsum(w[order], axis=1)
+    # float cumsums can top out a hair under 1; the last atom is then the answer
     idx = np.minimum((cum < level).sum(axis=1), loc_rows.shape[1] - 1)
     return locs[np.arange(loc_rows.shape[0]), idx]

@@ -109,7 +109,7 @@ def test_minmax_env_coverage_meets_lower_bound():
     plan = TrialPlan(generator=SMOOTH_GEN, algorithm="jackknife_minmax",
                      trials=500, train_envs=10, test_envs=5,
                      alpha=0.1, delta=0.2, seed=2026)
-    report = run_trials(plan, workers=4)
+    report = run_trials(plan)
     assert report.empirical_one_minus_delta >= 0.8 - three_se(0.2, 500 * 5)
     assert time.monotonic() - start < 120.0
 
@@ -119,7 +119,7 @@ def test_split_conformal_coverage_stays_in_two_sided_band():
     plan = TrialPlan(generator=SMOOTH_GEN, algorithm="split_conformal",
                      trials=2000, train_envs=20, test_envs=5,
                      alpha=0.1, delta=0.2, gamma=0.5, seed=2026)
-    report = run_trials(plan, workers=4)
+    report = run_trials(plan)
     tol = three_se(0.2, 2000 * 5)
     upper = 0.8 + 1.0 / (20 * (1.0 - 0.5) + 1.0)
     assert 0.8 - tol <= report.empirical_one_minus_delta <= upper + tol
@@ -161,10 +161,8 @@ def test_resized_split_keeps_coverage_and_shrinks_sets():
     shared = dict(generator=gen, trials=500, train_envs=16, test_envs=5,
                   alpha=0.1, delta=0.2, gamma=0.5, seed=7)
     resized = run_trials(TrialPlan(algorithm="resized_split_conformal",
-                                   alpha0=0.05, label_count=30, **shared),
-                         workers=4)
-    plain = run_trials(TrialPlan(algorithm="split_conformal", **shared),
-                       workers=4)
+                                   alpha0=0.05, label_count=30, **shared))
+    plain = run_trials(TrialPlan(algorithm="split_conformal", **shared))
 
     tol = three_se(0.2, 500 * 5)
     upper = 0.8 + 1.0 / (16 * (1.0 - 0.5) + 1.0)
@@ -206,7 +204,7 @@ def test_pointwise_quantile_shortcut_misses_its_nominal_level():
     shared = dict(generator=OUTLIER_GEN, trials=500, train_envs=20,
                   test_envs=5, alpha=0.1, delta=0.1, gamma=0.5, seed=13)
     reports = {
-        name: run_trials(TrialPlan(algorithm=name, **shared), workers=4)
+        name: run_trials(TrialPlan(algorithm=name, **shared))
         for name in ("jackknife_minmax", "split_conformal",
                      "jackknife_plus_quantile")
     }

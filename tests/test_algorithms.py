@@ -25,7 +25,7 @@ from mecp.algorithms import (
     ridge_symmetric_builder,
     softmax_sublevel_builder,
 )
-from mecp.data import EnvironmentSample, MultiEnvDataset, split_environments
+from mecp.data import EnvironmentSample, MultiEnvDataset, holdout_labels, split_environments
 from mecp.nested_sets import (
     EMPTY_SET,
     BandFamily,
@@ -518,11 +518,13 @@ class TestResizedSplitConformal:
         assert resize_for(sparse, env_from_y("t", [0.0, 0.0])).tau_hat == math.inf
 
     def test_validation(self):
+        def refuse(envs):
+            raise AssertionError("fitted before the size check")
+
         ds = self.unit_residual_dataset()
         with pytest.raises(ValueError, match="more than"):
             fit_resized_calibration(
-                ds, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0, 0.5, 5,
-                np.random.default_rng(0),
+                ds, refuse, 0.3, 0.5, 1.0 / 3.0, 0.5, 5, np.random.default_rng(0)
             )
         cal = fit_resized_calibration(
             ds, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0, 0.5, 2,
@@ -539,6 +541,51 @@ class TestResizedSplitConformal:
         )
         text = json.dumps(resized.metadata(), sort_keys=True)
         assert "resized_split_conformal" in text
+
+
+class TestSplitFits:
+    """The four split constructions share one split/fit/calibrate skeleton."""
+
+    def test_rng_draws_split_then_holdouts_then_u(self):
+        ds = linear_dataset(np.random.default_rng(5), m=6, n=12)
+        builder = ridge_symmetric_builder()
+        fits = {
+            "split": lambda rng: fit_split_conformal(ds, builder, 0.2, 0.3, 0.5, rng),
+            "hcp": lambda rng: fit_hcp(ds, ridge_point_builder(), 0.2, 0.5, rng),
+            "resized": lambda rng: fit_resized_calibration(
+                ds, builder, 0.2, 0.3, 0.5, 0.1, 4, rng
+            ),
+            "weighted": lambda rng: fit_weighted_split_conformal(
+                ds, builder, 0.2, 0.3, 0.5, rng
+            ),
+            "randomized": lambda rng: fit_weighted_split_conformal(
+                ds, builder, 0.2, 0.3, 0.5, rng, randomized=True
+            ),
+        }
+        for name, fit in fits.items():
+            rng = np.random.default_rng(11)
+            fitted = fit(rng)
+            expected = np.random.default_rng(11)
+            split = split_environments(ds, 0.5, expected)
+            if name == "resized":
+                for i in split.d2:
+                    holdout_labels(ds.environments[i], 4, expected)
+            if name == "randomized":
+                expected.uniform()
+            assert rng.bit_generator.state == expected.bit_generator.state, name
+            if hasattr(fitted, "split"):
+                assert fitted.split == split, name
+
+    def test_resized_mapping_exposes_the_calibrated_family(self):
+        ds = TestResizedSplitConformal().unit_residual_dataset()
+        resized = fit_resized_split_conformal(
+            ds, env_from_y("t", [1.0, -1.0]), constant_symmetric_builder(0.0),
+            0.3, 0.5, 1.0 / 3.0, 0.5, np.random.default_rng(7),
+        )
+        assert resized.family is resized.calibration.family
+        lo, hi = resized.predict_bounds(np.zeros((2, 1)))
+        assert lo.tolist() == [-resized.tau_hat] * 2
+        assert hi.tolist() == [resized.tau_hat] * 2
 
 
 class TestJackknifePlusQuantile:

@@ -223,6 +223,38 @@ class TestRun:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: workers")
 
+    def test_non_positive_workers_are_config_errors(self, tmp_path):
+        # the flag is ignored, but a value that could never run is still refused
+        cfg = write_config(tmp_path, run_doc())
+        for command, workers in (("run", "0"), ("compare", "-1")):
+            proc = run_cli(tmp_path, command, "-c", cfg, "--workers", workers)
+            assert proc.returncode == 2, (command, workers)
+            assert proc.stderr.startswith("error: workers")
+        doc = run_doc()
+        doc["plan"]["workers"] = 0
+        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: workers")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_non_integer_generator_counts_are_config_errors(self, tmp_path):
+        cases = [
+            ("simulate", {"m": 4, "p": 2.5}),
+            ("simulate", {"m": 2.5}),
+            ("simulate", {"m": True}),
+            ("simulate", {"m": 4, "n_per_env": [2, 4.5]}),
+            ("run", {"p": 2.5}),
+        ]
+        for command, fields in cases:
+            doc = run_doc()
+            doc["dataset"] = {"generator": generator_section(**fields)}
+            proc = run_cli(tmp_path, command, "-c", write_config(tmp_path, doc))
+            assert proc.returncode == 2, fields
+            assert proc.stderr.startswith("error: bad generator config"), proc.stderr
+            assert "integer" in proc.stderr
+        assert not (tmp_path / "dataset.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
     def test_runtime_failure_leaves_error_record(self, tmp_path):
         doc = run_doc()
         doc["algorithm"] = {

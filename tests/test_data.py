@@ -122,6 +122,20 @@ class TestGenerator:
         cfg = HierGenConfig(m=2, n_per_env=3, p=1, seed=np.int64(5))
         assert type(cfg.seed) is int and cfg.seed == 5
 
+    def test_counts_must_be_integers(self):
+        # floats are refused, not truncated; bools are not counts
+        for bad in (
+            dict(m=2.5), dict(p=2.5), dict(m=True), dict(p=True),
+            dict(n_per_env=4.5), dict(n_per_env=True),
+            dict(n_per_env=(2, 4.5)), dict(n_per_env=[2.0, 4]), dict(n_per_env=(True, 4)),
+        ):
+            with pytest.raises(ValueError, match="integer"):
+                HierGenConfig(**{"m": 2, "n_per_env": 3, "p": 1, **bad})
+        cfg = HierGenConfig(m=np.int64(2), n_per_env=[np.int32(2), 4], p=np.int16(1))
+        assert (cfg.m, cfg.n_per_env, cfg.p) == (2, (2, 4), 1)
+        assert all(type(v) is int for v in (cfg.m, cfg.p, *cfg.n_per_env))
+        assert type(HierGenConfig(m=2, n_per_env=np.int64(3), p=1).n_per_env) is int
+
     def test_ranged_sizes(self):
         cfg = HierGenConfig(m=40, n_per_env=(2, 6), p=1, seed=1)
         sizes = {e.n for e in generate_hierarchical(cfg).environments}

@@ -302,15 +302,6 @@ class TestRunTrials:
         )
         assert report == manual
 
-    def test_worker_count_does_not_change_report(self):
-        plan = make_plan(trials=6)
-        serial = run_trials(plan, workers=1)
-        threaded = run_trials(plan, workers=3)
-        assert serial == threaded
-        assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
-            threaded.to_json_dict(), sort_keys=True
-        )
-
     def test_same_plan_same_bytes(self):
         first = json.dumps(run_trials(make_plan(trials=3)).to_json_dict(), sort_keys=True)
         second = json.dumps(run_trials(make_plan(trials=3)).to_json_dict(), sort_keys=True)
@@ -375,10 +366,6 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trial(plan, 2)
 
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            run_trials(make_plan(), workers=0)
-
     def test_minmax_coverage_clears_monte_carlo_bound(self):
         plan = make_plan(
             generator=HierGenConfig(m=1, n_per_env=30, p=3, seed=0),
@@ -389,7 +376,7 @@ class TestRunTrials:
             delta=0.2,
             seed=20260814,
         )
-        report = run_trials(plan, workers=2)
+        report = run_trials(plan)
         pairs = len(report.records)
         assert pairs == 360
         bound = 0.8 - 3.0 * math.sqrt(0.2 * 0.8 / pairs)
