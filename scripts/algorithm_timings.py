@@ -1,0 +1,56 @@
+"""Time one seeded trial of every algorithm on the ROADMAP plan.
+
+The plan is the outlier generator (20% of environments at 10x noise),
+20 train + 5 test environments, n=50 rows per environment, p=5 features,
+alpha=0.1 and the default ridge grid. Each algorithm runs ``--trials``
+consecutive ``run_trial`` calls ``--repeats`` times; the table reports the
+fastest repeat's mean time per trial, slowest algorithm first. Wall-clock
+timings on a shared machine swing, so compare rows as ratios.
+
+Usage:
+    python scripts/algorithm_timings.py
+    python scripts/algorithm_timings.py --trials 30 --repeats 3 --seed 0
+"""
+
+import argparse
+import time
+
+from mecp.data import HierGenConfig
+from mecp.evaluation import TrialPlan, algorithm_names, run_trial
+
+
+def ms_per_trial(plan: TrialPlan, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for t in range(plan.trials):
+            run_trial(plan, t)
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best / plan.trials
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trials", type=int, default=30)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    generator = HierGenConfig(
+        m=1, n_per_env=50, p=5, outlier_frac=0.2, outlier_noise_multiplier=10.0, seed=0
+    )
+    rows = []
+    for name in algorithm_names():
+        plan = TrialPlan(generator=generator, algorithm=name, trials=args.trials,
+                         train_envs=20, test_envs=5, alpha=0.1, seed=args.seed)
+        rows.append((ms_per_trial(plan, args.repeats), name))
+
+    print(f"ms per trial, min of {args.repeats} x {args.trials} trials, "
+          f"outlier generator, 20+5 envs, n=50, p=5")
+    print(f"{'algorithm':<38} {'ms/trial':>9}")
+    for ms, name in sorted(rows, reverse=True):
+        print(f"{name:<38} {ms:>9.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -32,7 +32,7 @@ from .nested_sets import (
     thresholds,
     union_sets,
 )
-from .predictors import DEFAULT_LAMBDA_GRID, fit_pinball, fit_ridge, fit_softmax
+from .predictors import DEFAULT_LAMBDA_GRID, FitError, fit_pinball, fit_ridge, fit_softmax
 from .quantiles import (
     DiscreteDistribution,
     check_prob,
@@ -165,11 +165,23 @@ def _point_residuals(predict: Callable, env: EnvironmentSample) -> np.ndarray:
 
 
 def _leave_one_env_out(dataset: MultiEnvDataset, builder: Callable) -> list[tuple]:
-    """(fit without environment i, environment i) for every environment i."""
+    """(fit without environment i, environment i) for every environment i.
+
+    A builder's :class:`FitError` is re-raised naming the left-out environment.
+    """
     envs = dataset.environments
     if dataset.m < 2:
         raise ValueError("leave-one-environment-out needs at least two environments")
-    return [(builder(list(envs[:i] + envs[i + 1 :])), env) for i, env in enumerate(envs)]
+    fits = []
+    for i, env in enumerate(envs):
+        try:
+            fits.append((builder(list(envs[:i] + envs[i + 1 :])), env))
+        except FitError as err:
+            raise FitError(
+                f"left-out environment {env.env_id}: {err}",
+                **{**err.details, "left_out_env": env.env_id},
+            ) from err
+    return fits
 
 
 @dataclass(frozen=True)

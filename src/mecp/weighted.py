@@ -398,16 +398,21 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
 
 
 def _max_feasible_test_eta(phi: np.ndarray, delta: float) -> float:
-    n = phi.shape[0]
     lower, upper = -delta, 1.0 - delta
-    if phi.shape[1] == 1:
-        h, ht = phi[:-1, 0], float(phi[-1, 0])
-        if ht == 0.0:
+    nonzero = phi != 0.0
+    if (nonzero.sum(axis=1) <= 1).all():
+        # One column or group indicators: the blocks decouple and eta = 0
+        # meets every block but the test row's own, so only the rows of that
+        # block can balance the test multiplier.
+        cols = np.flatnonzero(nonzero[-1])
+        if cols.size == 0:
             return upper
+        h, ht = phi[:-1, cols[0]], float(phi[-1, cols[0]])
         others_min = float(np.minimum(h * lower, h * upper).sum())
         others_max = float(np.maximum(h * lower, h * upper).sum())
         reach = -others_min / ht if ht > 0.0 else -others_max / ht
         return min(upper, reach)
+    n = phi.shape[0]
     objective = np.zeros(n)
     objective[-1] = -1.0
     res = linprog(objective, A_eq=phi.T, b_eq=np.zeros(phi.shape[1]),

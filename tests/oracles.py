@@ -54,6 +54,29 @@ def oracle_left_quantile(locations, weights, alpha: float) -> float:
     return pairs[-1][0]
 
 
+def oracle_float_cumsum_quantile_rows(loc_rows, weights, level: float) -> np.ndarray:
+    """Per row: the location where the float cumsum in stable sorted order reaches level.
+
+    Each row's atoms are sorted stably (equal locations, ``-0.0`` and
+    ``0.0`` included, keep their column order), the weights are summed
+    one by one in Python floats, and the first atom with ``cum >= level``
+    is returned; when the sum never reaches the level, the last atom is.
+    """
+    weights = [float(w) for w in weights]
+    out = []
+    for row in np.asarray(loc_rows, dtype=float):
+        order = sorted(range(len(row)), key=lambda j: row[j])
+        cum = 0.0
+        pick = order[-1]
+        for j in order:
+            cum += weights[j]
+            if cum >= level:
+                pick = j
+                break
+        out.append(row[pick])
+    return np.array(out, dtype=float)
+
+
 def oracle_right_quantile(locations, weights, alpha: float) -> float:
     """sup{t : P(Z <= t) < alpha} realized by a strict-sublevel scan.
 

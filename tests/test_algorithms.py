@@ -25,7 +25,14 @@ from mecp.algorithms import (
     ridge_symmetric_builder,
     softmax_sublevel_builder,
 )
-from mecp.data import EnvironmentSample, MultiEnvDataset, holdout_labels, split_environments
+from mecp.data import (
+    EnvironmentSample,
+    HierGenConfig,
+    MultiEnvDataset,
+    generate_hierarchical,
+    holdout_labels,
+    split_environments,
+)
 from mecp.nested_sets import (
     EMPTY_SET,
     BandFamily,
@@ -36,6 +43,7 @@ from mecp.nested_sets import (
     contains,
     thresholds,
 )
+from mecp.predictors import FitError
 from mecp.quantiles import quant_minus, quant_plus
 
 from oracles import oracle_jackknife_plus_interval
@@ -353,6 +361,32 @@ class TestHierJackknifePlus:
             fit_hier_jackknife_plus(ds, mean_builder, 0.3)
         with pytest.raises(ValueError, match="alpha"):
             fit_hier_jackknife_plus(self.hand_dataset(), constant_builder(0.0), 1.0)
+
+    # Endpoints frozen from the sort-based mixture quantile; the selection
+    # route must reproduce them bit for bit.
+    FROZEN_BOUNDS = {
+        0.2: (
+            [-6.311172500336168, -2.6721364833726367, -4.887449807308864,
+             -4.0244487685922214, -3.195375442620713, -6.723804095649027],
+            [2.496635653981604, 6.4628875598924616, 4.5217959728734956,
+             5.566381012616972, 5.90412095587585, 2.0285496844504616],
+        ),
+        0.35: (
+            [-4.015522762653926, -0.3713792785874763, -2.284770760433767,
+             -1.6695600571161533, -0.9975919409445473, -4.599317672882698],
+            [0.2954248112753777, 4.06804543381584, 2.147047066192435,
+             3.0148002734211845, 3.5448064745677637, -0.3644399439391228],
+        ),
+        0.05: ([-math.inf] * 6, [math.inf] * 6),
+    }
+
+    def test_seeded_ridge_bounds_match_frozen_arrays(self):
+        ds = generate_hierarchical(HierGenConfig(m=8, n_per_env=6, p=3, seed=2024, outlier_frac=0.25))
+        x = np.random.default_rng(5).normal(size=(6, 3))
+        for alpha, (want_lo, want_hi) in self.FROZEN_BOUNDS.items():
+            lo, hi = fit_hier_jackknife_plus(ds, ridge_point_builder(), alpha).predict_bounds(x)
+            assert lo.tolist() == want_lo
+            assert hi.tolist() == want_hi
 
 
 class TestHcp:
@@ -731,6 +765,30 @@ class TestMetadata:
             round_trip = json.loads(json.dumps(meta, sort_keys=True))
             assert round_trip == meta
         assert len(kinds) == 8
+
+
+class TestLeaveOneEnvOutErrors:
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda ds, b: fit_jackknife_minmax(ds, lambda envs: SymmetricFamily(predict=b(envs)), 0.3, 0.4),
+            lambda ds, b: fit_hier_jackknife_plus(ds, b, 0.3),
+            lambda ds, b: fit_jackknife_plus_quantile(ds, b, 0.3, 0.4),
+        ],
+    )
+    def test_fit_error_names_the_left_out_environment(self, fit):
+        ds = MultiEnvDataset(environments=tuple(single_obs_env(f"e{i}", i) for i in range(4)))
+
+        def builder(envs):
+            if "e2" not in {e.env_id for e in envs}:
+                raise FitError("no usable penalty in grid", grid=(0.0,))
+            return mean_builder(envs)
+
+        with pytest.raises(FitError) as info:
+            fit(ds, builder)
+        assert str(info.value) == "left-out environment e2: no usable penalty in grid"
+        assert info.value.details == {"grid": (0.0,), "left_out_env": "e2"}
+        assert str(info.value.__cause__) == "no usable penalty in grid"
 
 
 class TestBuilders:

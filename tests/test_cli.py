@@ -268,6 +268,22 @@ class TestRun:
         assert record["error"]["kind"] == "runtime_error"
         assert "resizing" in record["error"]["message"]
 
+    def test_fit_failure_names_trial_and_left_out_environment(self, tmp_path):
+        # at lambda = 0 every leave-one-out pool of 4 rows interpolates p = 3
+        doc = run_doc()
+        doc["dataset"] = {"generator": generator_section(n_per_env=2, p=3)}
+        doc["algorithm"] = {"name": "hier_jackknife_plus", "alpha": 0.2, "ridge_grid": [0.0]}
+        doc["plan"].update(train_envs=3, test_envs=1)
+        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
+        assert proc.returncode == 1
+        message = "trial 0: left-out environment env0: no usable penalty in grid"
+        assert proc.stderr.strip() == f"error: {message}"
+        error = json.loads((tmp_path / "report.json").read_text())["error"]
+        assert error["kind"] == "fit_failure"
+        assert error["message"] == message
+        assert error["details"]["trial"] == 0
+        assert error["details"]["left_out_env"] == "env0"
+
     def test_undefined_coverage_average_leaves_cell_empty(self, tmp_path):
         doc = run_doc()
         doc["dataset"] = {"generator": generator_section(n_per_env=5)}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecp import quantiles
 from mecp.quantiles import (
     DiscreteDistribution,
     column_quant_bounds,
@@ -16,6 +17,7 @@ from mecp.quantiles import (
     right_quantile,
 )
 from oracles import (
+    oracle_float_cumsum_quantile_rows,
     oracle_left_quantile,
     oracle_quant_minus,
     oracle_quant_plus,
@@ -200,6 +202,124 @@ class TestDiscreteQuantiles:
             want = np.array([left_quantile(_dist(r, weights), level) for r in rows])
             assert (got == want).all()
             assert (np.signbit(got) == np.signbit(want)).all()
+
+
+def hier_rows(rng, t, m, n, side, decimals=None):
+    """Rows in the hierarchical jackknife+ layout and their weights.
+
+    ``m * n`` finite atoms of weight ``1/((m+1) n)`` around one centre per
+    row, then a reserved ``1/(m+1)`` column at ``-inf`` (side -1) or
+    ``+inf`` (side +1).
+    """
+    res = np.abs(rng.normal(size=m * n))
+    if decimals is not None:
+        res = np.round(res, decimals)  # rounded residuals tie
+    rows = np.hstack([rng.normal(size=(t, 1)) + side * res, np.full((t, 1), side * math.inf)])
+    weights = np.append(np.full(m * n, 1.0 / ((m + 1) * n)), 1.0 / (m + 1))
+    return rows, weights
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert (got == want).all()
+    assert (np.signbit(got) == np.signbit(want)).all()
+
+
+class TestFixedOrderSelection:
+    """The selection route against the float-cumsum contract, bit for bit."""
+
+    def check(self, rows, weights, levels):
+        for level in levels:
+            want = oracle_float_cumsum_quantile_rows(rows, weights, level)
+            assert_bitwise(mixture_quantile_rows(rows, weights, level), want)
+
+    def test_all_equal_weights(self):
+        rng = np.random.default_rng(81)
+        for width in (1, 2, 3, 9, 40):
+            rows = np.round(rng.normal(size=(30, width)), 1)
+            rows[:5, 0] = -math.inf
+            rows[5:10, -1] = math.inf
+            weights = np.full(width, 1.0 / width)
+            self.check(rows, weights, (0.05, 0.1, 0.5, 0.9, 0.999, *np.cumsum(weights)[:-1]))
+
+    def test_reserved_infinite_last_column(self):
+        rng = np.random.default_rng(82)
+        for m, n in ((1, 1), (1, 2), (3, 1), (4, 2), (6, 5), (19, 3)):
+            for side in (-1, 1):
+                rows, weights = hier_rows(rng, 25, m, n, side, decimals=1)
+                cum = np.cumsum(np.roll(weights, 1) if side < 0 else weights)
+                self.check(rows, weights, (0.01, 0.1, 0.35, 0.5, 0.9, 0.99, *cum[:-1]))
+
+    def test_ties_and_signed_zeros_at_the_selected_rank(self):
+        rng = np.random.default_rng(83)
+        pool = np.array([-1.5, -0.0, 0.0, 0.5])
+        for width in (2, 3, 5, 8):
+            weights = np.full(width, 1.0 / width)
+            rows = rng.choice(pool, size=(200, width))
+            self.check(rows, weights, (0.1, 0.3, 0.5, 0.7, 0.9, *np.cumsum(weights)[:-1]))
+            for side in (-1, 1):
+                reserved = np.hstack([rows, np.full((200, 1), side * math.inf)])
+                w = np.append(np.full(width, 0.5 / width), 0.5)
+                self.check(reserved, w, (0.1, 0.3, 0.5, 0.7, 0.9, 0.6, 0.75))
+
+    def test_single_row_and_tiny_widths(self):
+        rng = np.random.default_rng(84)
+        for m, n in ((1, 1), (2, 1), (1, 2), (5, 7)):
+            for side in (-1, 1):
+                rows, weights = hier_rows(rng, 1, m, n, side)
+                self.check(rows, weights, (0.05, 0.2, 0.5, 0.8, 0.95))
+        self.check(np.array([[-0.0]]), np.array([1.0]), (0.5,))
+        self.check(np.array([[0.0, -0.0]]), np.array([0.5, 0.5]), (0.25, 0.5, 0.75))
+
+    def test_loo_refit_shape(self):
+        # 20 environments of 50 rows: weights 1/1050 and a reserved 1/21
+        rng = np.random.default_rng(85)
+        lows, weights = hier_rows(rng, 250, 20, 50, -1)
+        highs, _ = hier_rows(rng, 250, 20, 50, 1)
+        assert weights[0] == 1.0 / 1050 and weights[-1] == 1.0 / 21
+        self.check(lows, weights, (0.1,))
+        self.check(highs, weights, (0.9,))
+        # every cumsum boundary, on a few rows
+        for rows, sorted_w in ((lows, np.roll(weights, 1)), (highs, weights)):
+            self.check(rows[:3], weights, np.cumsum(sorted_w)[:-1])
+
+    def test_fallback_inputs(self):
+        rng = np.random.default_rng(86)
+        # unequal environment sizes
+        sizes = np.array([3, 5, 4])
+        weights = np.append(np.repeat(1.0 / (4 * sizes), sizes), 0.25)
+        rows = np.hstack([np.round(rng.normal(size=(40, 12)), 1), np.full((40, 1), -math.inf)])
+        self.check(rows, weights, (0.1, 0.3, 0.5, 0.9))
+        # a free -inf atom ties with the reserved one and comes first
+        rows, weights = hier_rows(rng, 40, 4, 3, -1)
+        rows[::3, 2] = -math.inf
+        self.check(rows, weights, (0.1, 0.2, 0.21, 0.3, 0.5))
+        # the last column is infinite in only some rows
+        rows, weights = hier_rows(rng, 40, 4, 3, 1)
+        rows[::2, -1] = rng.normal(size=20)
+        self.check(rows, weights, (0.1, 0.5, 0.79, 0.8, 0.81, 0.9))
+
+    def test_fixed_order_layouts_skip_the_sort(self, monkeypatch):
+        calls = []
+        sort_route = quantiles._sorted_quantile_rows
+
+        def counted(rows, weights, level):
+            calls.append(rows.shape[0])
+            return sort_route(rows, weights, level)
+
+        monkeypatch.setattr(quantiles, "_sorted_quantile_rows", counted)
+        rng = np.random.default_rng(87)
+        rows, weights = hier_rows(rng, 30, 5, 4, -1)
+        mixture_quantile_rows(rows, weights, 0.1)
+        mixture_quantile_rows(rows[:, :-1], weights[:-1] / weights[:-1].sum(), 0.5)
+        assert calls == []
+        # only the rows whose selected value is zero go to the sort
+        rows[:4, :-1] = 0.0
+        mixture_quantile_rows(rows, weights, 0.5)
+        assert calls == [4]
+        rows[4, 0] = -math.inf
+        mixture_quantile_rows(rows, weights, 0.5)
+        assert calls == [4, 30]
 
 
 class TestColumnQuantBounds:

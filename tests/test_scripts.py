@@ -34,3 +34,17 @@ def test_script_prints_a_table(argv, tmp_path):
     # a title line, a header line, then at least one row of numbers
     title, header, *rows = proc.stdout.splitlines()
     assert rows and any(ch.isdigit() for ch in rows[0])
+
+
+def test_algorithm_timings_lists_every_algorithm(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "algorithm_timings.py"), "--trials", "1", "--repeats", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    title, header, *rows = proc.stdout.splitlines()
+    assert len(rows) == 8
+    assert all(float(row.split()[1]) > 0 for row in rows)

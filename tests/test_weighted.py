@@ -14,6 +14,7 @@ from mecp.quantiles import quant_plus
 from mecp.weighted import (
     BOX_TOLERANCE,
     SEARCH_TOLERANCE,
+    _max_feasible_test_eta,
     _search_threshold,
     _solve_box_dual,
     _solve_box_dual_ca,
@@ -524,3 +525,28 @@ class TestBlockDual:
             assert (got.eta >= -delta).all() and (got.eta <= 1.0 - delta).all()
             assert got.eta[-1] == pytest.approx(ref.eta[-1], abs=1e-6)
             assert got.objective >= ref.objective - 1e-9
+
+    def test_block_indicator_test_reach_matches_lp(self):
+        # largest feasible test multiplier: closed form per block vs HiGHS
+        rng = np.random.default_rng(516)
+        free_test_rows = 0
+        for case in range(80):
+            k = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 13))
+            phi = np.zeros((n, k))
+            cols = rng.integers(-1, k, size=n)
+            if case % 4 == 0:
+                cols[-1] = -1
+            for i, col in enumerate(cols):
+                if col >= 0:
+                    phi[i, col] = float(rng.choice([1.0, rng.uniform(0.3, 3.0),
+                                                    -rng.uniform(0.3, 3.0)]))
+            free_test_rows += cols[-1] < 0
+            delta = float(rng.uniform(0.05, 0.95))
+            objective = np.zeros(n)
+            objective[-1] = -1.0
+            res = linprog(objective, A_eq=phi.T, b_eq=np.zeros(k),
+                          bounds=[(-delta, 1.0 - delta)] * n, method="highs")
+            assert res.status == 0
+            assert _max_feasible_test_eta(phi, delta) == pytest.approx(-res.fun, abs=1e-9)
+        assert free_test_rows >= 20
