@@ -15,7 +15,7 @@ Usage:
 import argparse
 
 from mecp.data import HierGenConfig
-from mecp.evaluation import TrialPlan, algorithm_names, run_trials
+from mecp.evaluation import TrialPlan, algorithm_names, run_plans
 
 
 def main() -> None:
@@ -44,12 +44,13 @@ def main() -> None:
     print(f"{args.algorithm}: alpha={args.alpha}, {args.trials} trials, "
           f"{args.train_envs}+{args.test_envs} envs, n={args.n_per_env}")
     print(f"{'delta':>7} {'env cover':>10} {'within-env':>11} {'length':>9}")
-    for delta in args.deltas:
-        plan = TrialPlan(generator=generator, algorithm=args.algorithm,
-                         trials=args.trials, train_envs=args.train_envs,
-                         test_envs=args.test_envs, alpha=args.alpha,
-                         delta=delta, gamma=args.gamma, seed=args.seed)
-        report = run_trials(plan)
+    plans = [TrialPlan(generator=generator, algorithm=args.algorithm,
+                       trials=args.trials, train_envs=args.train_envs,
+                       test_envs=args.test_envs, alpha=args.alpha,
+                       delta=delta, gamma=args.gamma, seed=args.seed)
+             for delta in args.deltas]
+    # one paired run: each trial's data and fits serve every delta
+    for delta, report in zip(args.deltas, run_plans(plans)):
         within = report.empirical_one_minus_alpha
         print(f"{delta:>7.3f} {report.empirical_one_minus_delta:>10.4f} "
               f"{'-' if within is None else format(within, '>11.4f')} "

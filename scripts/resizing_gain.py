@@ -16,7 +16,7 @@ import argparse
 from collections import defaultdict
 
 from mecp.data import HierGenConfig
-from mecp.evaluation import TrialPlan, run_trials
+from mecp.evaluation import TrialPlan, run_plans
 
 
 def mean_length_by_trial(report) -> dict:
@@ -49,10 +49,11 @@ def main() -> None:
                   train_envs=args.train_envs, test_envs=args.test_envs,
                   alpha=args.alpha, delta=args.delta, gamma=0.5,
                   seed=args.seed)
-    resized = run_trials(
+    resized, plain = run_plans([
         TrialPlan(algorithm="resized_split_conformal", alpha0=args.alpha0,
-                  label_count=args.label_count, **shared))
-    plain = run_trials(TrialPlan(algorithm="split_conformal", **shared))
+                  label_count=args.label_count, **shared),
+        TrialPlan(algorithm="split_conformal", **shared),
+    ])
 
     resized_len = mean_length_by_trial(resized)
     plain_len = mean_length_by_trial(plain)

@@ -12,6 +12,8 @@ environments rather than fresh observations from known ones.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -75,12 +77,36 @@ def _pooled(envs: Sequence[EnvironmentSample]) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+# Ridge fits shared while a ``_shared_ridge_fits()`` block is open, in that
+# thread or task only: (lambda grid, ids of the fit environments) -> (those
+# environments, model). Holding the environments keeps their ids from being
+# reused meanwhile.
+_ridge_fits: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_ridge_fits", default=None
+)
+
+
+@contextlib.contextmanager
+def _shared_ridge_fits():
+    """Let every ridge builder reuse fits made on the same environment objects."""
+    token = _ridge_fits.set({})
+    try:
+        yield
+    finally:
+        _ridge_fits.reset(token)
+
+
 def ridge_point_builder(lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID) -> Callable:
     """Builder returning a pooled-ridge point predictor for a list of environments."""
 
     def build(envs: Sequence[EnvironmentSample]) -> Callable:
-        x, y = _pooled(envs)
-        return fit_ridge(x, y, lambda_grid).predict
+        fits = _ridge_fits.get()
+        if fits is None:
+            return fit_ridge(*_pooled(envs), lambda_grid).predict
+        key = (tuple(lambda_grid), tuple(map(id, envs)))
+        if key not in fits:
+            fits[key] = (tuple(envs), fit_ridge(*_pooled(envs), lambda_grid))
+        return fits[key][1].predict
 
     return build
 

@@ -33,7 +33,7 @@ from mecp.evaluation import (
     algorithm_names,
     dataset_records,
     match_delta,
-    run_trials,
+    run_plans,
     trial_data_seed,
 )
 from mecp.predictors import FitError
@@ -302,13 +302,11 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _report_for(config: RunConfig, plan: TrialPlan) -> CoverageReport:
-    if config.dataset_csv is not None:
-        dataset = load_csv(config.dataset_csv)
-        rng = np.random.default_rng(plan.seed)
-        records = dataset_records(dataset, plan, rng)
-        return CoverageReport.from_records(records, plan.alpha, plan.rule)
-    return run_trials(plan)
+def _csv_report(path: str, plan: TrialPlan) -> CoverageReport:
+    dataset = load_csv(path)
+    rng = np.random.default_rng(plan.seed)
+    records = dataset_records(dataset, plan, rng)
+    return CoverageReport.from_records(records, plan.alpha, plan.rule)
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -319,23 +317,25 @@ def cmd_run(config: RunConfig) -> int:
     if config.dataset_csv is not None and plan.trials != 1:
         raise ConfigError("a csv dataset supports exactly one trial")
     if config.sweep_param is None:
-        report = _report_for(config, plan)
-        doc = {"plan": plan.to_json_dict(), **report.to_json_dict()}
-        rows = [("delta", plan.delta, report)]
+        param, values = "delta", (plan.delta,)
+        plans = [plan]
     else:
-        points = []
-        rows = []
-        for value in config.sweep_values:
-            swept = replace(plan, **{config.sweep_param: value})
-            report = _report_for(config, swept)
-            points.append(
-                {"value": value, "aggregates": report.to_json_dict()["aggregates"]}
-            )
-            rows.append((config.sweep_param, value, report))
-        doc = {
-            "plan": plan.to_json_dict(),
-            "sweep": {"param": config.sweep_param, "points": points},
-        }
+        param, values = config.sweep_param, config.sweep_values
+        plans = [replace(plan, **{param: value}) for value in values]
+    if config.dataset_csv is None:
+        # every sweep point sees the same seeded data: one paired run
+        reports = run_plans(plans)
+    else:
+        reports = [_csv_report(config.dataset_csv, p) for p in plans]
+    rows = [(param, value, report) for value, report in zip(values, reports)]
+    if config.sweep_param is None:
+        doc = {"plan": plan.to_json_dict(), **reports[0].to_json_dict()}
+    else:
+        points = [
+            {"value": value, "aggregates": report.to_json_dict()["aggregates"]}
+            for value, report in zip(values, reports)
+        ]
+        doc = {"plan": plan.to_json_dict(), "sweep": {"param": param, "points": points}}
     _write_json(config.report_path, doc)
     _write_sweep_csv(config.sweep_csv_path, rows)
     print(f"wrote {config.report_path} and {config.sweep_csv_path}")

@@ -7,12 +7,15 @@ aggregate three ways: the fraction of pairs clearing the bar, the mean
 within-environment coverage fraction taken over clearing pairs only, and the
 grand mean measure. A seeded engine repeats generate/fit/score cycles, one
 trial after another on the calling thread, so the aggregates are
-reproducible; a grid search finds the largest miscoverage level at which one
-method still covers as large a share of test outcomes as a baseline.
+reproducible; plans that see the same data run paired, generating and
+fitting once per trial. A grid search finds the largest miscoverage level at
+which one method still covers as large a share of test outcomes as a
+baseline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -22,6 +25,7 @@ import numpy as np
 
 from mecp.algorithms import (
     ResizedCalibration,
+    _shared_ridge_fits,
     fit_hcp,
     fit_hier_jackknife_plus,
     fit_jackknife_minmax,
@@ -69,7 +73,13 @@ def _env_covered(covered_count: int, n: int, alpha: float, rule: str) -> bool:
     if rule == "count":
         return covered_count >= covered_env_threshold(n, alpha)
     # fraction rule: the within-environment coverage rate itself reaches 1-alpha
-    return Fraction(covered_count, n) >= 1 - Fraction(alpha)
+    return covered_count >= _fraction_bar(n, alpha)
+
+
+@functools.lru_cache(maxsize=1024)
+def _fraction_bar(n: int, alpha: float) -> int:
+    # least integer count c with c / n >= 1 - alpha, in exact arithmetic
+    return math.ceil((1 - Fraction(alpha)) * n)
 
 
 @dataclass(frozen=True)
@@ -416,16 +426,67 @@ def dataset_records(
     return tuple(records)
 
 
-def run_trial(plan: TrialPlan, trial: int) -> tuple[EnvRecord, ...]:
-    """Generate, fit, and score one seeded trial; returns its records."""
+def run_trial(
+    plan: TrialPlan, trial: int, dataset: MultiEnvDataset | None = None
+) -> tuple[EnvRecord, ...]:
+    """Generate, fit, and score one seeded trial; returns its records.
+
+    ``dataset``, when given, must be ``trial_dataset(plan, trial)``; the
+    engine passes it so that paired plans generate it once.
+    """
     if not 0 <= trial < plan.trials:
         raise ValueError(f"trial index {trial} outside plan of {plan.trials}")
-    dataset = trial_dataset(plan, trial)
+    if dataset is None:
+        dataset = trial_dataset(plan, trial)
     rng = _trial_rng(plan, trial)
     try:
         return dataset_records(dataset, plan, rng, trial)
     except FitError as err:
         raise FitError(f"trial {trial}: {err}", trial=trial, **err.details) from err
+
+
+_PAIRED_FIELDS = ("generator", "seed", "trials", "train_envs", "test_envs")
+
+
+def run_plans(plans: Sequence[TrialPlan]) -> list[CoverageReport]:
+    """Run paired plans trial by trial; one pooled report per plan, in order.
+
+    The plans must agree on ``generator``, ``seed``, ``trials``,
+    ``train_envs`` and ``test_envs``, the fields that fix each trial's
+    dataset; otherwise ``ValueError``. Each trial generates its dataset once
+    and runs every plan on it, each with the same fresh rng stream as
+    :func:`run_trials` gives it, so every report equals that plan's own
+    ``run_trials`` report. While a trial runs, ridge fits on the same
+    environments with the same penalty grid are made once and shared; the
+    cache is dropped when the trial ends. If plans fail, the error raised
+    is the one running the plans one after another would raise: the first
+    failing plan's, at its first failing trial.
+    """
+    plans = list(plans)
+    for plan in plans[1:]:
+        for name in _PAIRED_FIELDS:
+            if getattr(plan, name) != getattr(plans[0], name):
+                raise ValueError(f"plans must share {name} to run paired")
+    records: list[list[EnvRecord]] = [[] for _ in plans]
+    live = len(plans)  # plans[:live] still run; a failure cuts off the rest
+    error = None
+    for t in range(plans[0].trials if plans else 0):
+        if not live:
+            break
+        dataset = trial_dataset(plans[0], t)
+        with _shared_ridge_fits():
+            for i in range(live):
+                try:
+                    records[i].extend(run_trial(plans[i], t, dataset=dataset))
+                except Exception as err:
+                    error, live = err, i
+                    break
+    if error is not None:
+        raise error
+    return [
+        CoverageReport.from_records(recs, plan.alpha, plan.rule)
+        for recs, plan in zip(records, plans)
+    ]
 
 
 def run_trials(plan: TrialPlan) -> CoverageReport:
@@ -434,8 +495,7 @@ def run_trials(plan: TrialPlan) -> CoverageReport:
     Each trial derives its own seeds from the plan's, so the report is
     reproducible byte for byte.
     """
-    records = [rec for t in range(plan.trials) for rec in run_trial(plan, t)]
-    return CoverageReport.from_records(records, plan.alpha, plan.rule)
+    return run_plans([plan])[0]
 
 
 @dataclass(frozen=True)
@@ -466,9 +526,9 @@ def match_delta(
     """Largest grid delta at which method_a still covers as large a pooled
     share of test outcomes as method_b.
 
-    Both methods rerun the same seeded datasets trial by trial, so the
-    comparison is paired. When no grid value qualifies, the smallest is
-    returned with ``found=False``.
+    Both methods run on the same seeded datasets trial by trial, so the
+    comparison is paired; each dataset is generated and fitted once. When
+    no grid value qualifies, the smallest is returned with ``found=False``.
     """
     grid = [check_prob(d, "delta") for d in delta_grid]
     if not grid:
@@ -476,12 +536,12 @@ def match_delta(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("delta_grid must be sorted ascending without repeats")
     base = replace(plan, alpha=check_prob(alpha, "alpha"))
-    baseline = run_trials(replace(base, algorithm=method_b))
+    baseline, *candidates = run_plans(
+        [replace(base, algorithm=method_b)]
+        + [replace(base, algorithm=method_a, delta=d) for d in grid]
+    )
     baseline_fraction = baseline.covered_sample_fraction()
-    fractions = []
-    for d in grid:
-        report = run_trials(replace(base, algorithm=method_a, delta=d))
-        fractions.append((d, report.covered_sample_fraction()))
+    fractions = [(d, r.covered_sample_fraction()) for d, r in zip(grid, candidates)]
     for d, frac in reversed(fractions):
         if frac >= baseline_fraction:
             return DeltaMatch(d, True, baseline_fraction, tuple(fractions))

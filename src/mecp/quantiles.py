@@ -18,6 +18,7 @@ cases.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from dataclasses import dataclass
@@ -49,12 +50,16 @@ def check_prob(value: float, name: str) -> float:
     return value
 
 
+# Ranks are exact rational arithmetic, slow next to a sort of a few dozen
+# values, and asked for again and again at the same (n, level) pairs.
+@functools.lru_cache(maxsize=1024)
 def rank_plus(n: int, alpha: float) -> int:
     """1-based rank ``ceil((1 - alpha)(n + 1))`` read by :func:`quant_plus`."""
     # exact rational index: a float product can round across an integer
     return math.ceil((1 - Fraction(alpha)) * (n + 1))
 
 
+@functools.lru_cache(maxsize=1024)
 def rank_minus(n: int, alpha: float) -> int:
     """1-based rank ``floor(alpha (n + 1))`` read by :func:`quant_minus`."""
     return math.floor(Fraction(alpha) * (n + 1))

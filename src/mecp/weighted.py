@@ -18,6 +18,7 @@ to a nearby score atom.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,8 +80,12 @@ def score_from_thresholds(values, alpha: float) -> float:
         raise ValueError("need a one-dimensional, nonempty threshold sample")
     if np.isnan(v).any():
         raise ValueError("thresholds must not contain NaN")
-    k = math.floor((1 - Fraction(alpha)) * v.size) + 1
-    return float(v[k - 1])
+    return float(v[_score_rank(v.size, alpha) - 1])
+
+
+@functools.lru_cache(maxsize=1024)
+def _score_rank(n: int, alpha: float) -> int:
+    return math.floor((1 - Fraction(alpha)) * n) + 1
 
 
 def env_score(env: EnvironmentSample, family: NestedFamily, alpha: float) -> float:

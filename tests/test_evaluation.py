@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecp import evaluation
+from mecp import algorithms, cli, evaluation
 from mecp.algorithms import (
     SplitConformal,
     fit_hcp,
@@ -28,6 +28,7 @@ from mecp.evaluation import (
     covered_env_threshold,
     evaluate_mapping,
     match_delta,
+    run_plans,
     run_trial,
     run_trials,
     trial_dataset,
@@ -483,6 +484,139 @@ class TestColumnarScoring:
         for mapping in (centred_mapping([0.0], 1.0), ConstantMapping(Interval(-1.0, 1.0))):
             with pytest.raises(ValueError, match="clip range"):
                 evaluate_mapping(mapping, [env], 0.2, clip=(2.0, 1.0))
+
+
+def failing_at(plan, trial, message):
+    """Trial runner raising a FitError on the dataset of one trial of ``plan``.
+
+    It recognises the trial by its data, so it fails at the same trial
+    whatever order the engine runs plans and trials in.
+    """
+    marker = trial_dataset(plan, trial).environments[0].y
+
+    def run(train, plan, rng):
+        if np.array_equal(train.environments[0].y, marker):
+            raise evaluation.FitError(message)
+        return ConstantMapping(EMPTY_SET)
+
+    return run
+
+
+class TestRunPlans:
+    def test_reports_equal_per_plan_run_trials_for_every_algorithm(self):
+        variants = [
+            dict(),
+            dict(alpha=0.2, delta=0.3, gamma=0.6, label_count=8, ridge_weight=0.5,
+                 clip=(-3.0, 3.0), rule="fraction"),
+            dict(alpha=0.3, delta=0.1, ridge_weight=2.0),
+        ]
+        plans = [
+            make_plan(algorithm=name, trials=3, train_envs=6, seed=5, **{"label_count": 5, **v})
+            for name in algorithm_names()
+            for v in variants
+        ]
+        assert run_plans(plans) == [run_trials(plan) for plan in plans]
+
+    def test_match_delta_generates_and_fits_once_per_trial(self, monkeypatch):
+        calls = {"fit_ridge": 0, "generate_hierarchical": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(algorithms, "fit_ridge")
+        counted(evaluation, "generate_hierarchical")
+        plan = make_plan(algorithm="weighted_split_conformal", trials=10, train_envs=6)
+        match_delta(
+            "weighted_split_conformal", "split_conformal", 0.1, (0.1, 0.2, 0.3), plan
+        )
+        assert calls == {"fit_ridge": 10, "generate_hierarchical": 10}
+
+    def test_unpaired_plans_raise(self):
+        base = make_plan(trials=2)
+        changes = dict(
+            generator=HierGenConfig(m=1, n_per_env=21, p=2, seed=0),
+            seed=12,
+            trials=3,
+            train_envs=5,
+            test_envs=3,
+        )
+        for name, value in changes.items():
+            with pytest.raises(ValueError, match=f"share {name}"):
+                run_plans([base, replace(base, algorithm="hcp", **{name: value})])
+
+    def test_no_fit_survives_a_trial(self, monkeypatch):
+        sizes = []
+        inner = evaluation.run_trial
+
+        def recording(plan, trial, dataset=None):
+            sizes.append(len(algorithms._ridge_fits.get()))
+            return inner(plan, trial, dataset=dataset)
+
+        monkeypatch.setattr(evaluation, "run_trial", recording)
+        plan = make_plan(algorithm="split_conformal", trials=3, train_envs=6)
+        run_plans([plan, replace(plan, delta=0.4)])
+        # the second plan reuses the first plan's fit; each trial starts empty
+        assert sizes == [0, 1, 0, 1, 0, 1]
+        assert algorithms._ridge_fits.get() is None
+
+    def test_fit_error_names_trial_and_left_out_environment(self, monkeypatch):
+        calls = []
+        inner = algorithms.fit_ridge
+
+        def fails_sixth_call(x, y, lambda_grid):
+            calls.append(len(y))
+            if len(calls) == 6:
+                raise evaluation.FitError("synthetic failure", code=3)
+            return inner(x, y, lambda_grid)
+
+        monkeypatch.setattr(algorithms, "fit_ridge", fails_sixth_call)
+        plan = make_plan(trials=3, train_envs=4)
+        plans = [plan, replace(plan, algorithm="jackknife_plus_quantile")]
+        with pytest.raises(evaluation.FitError) as paired:
+            run_plans(plans)
+        # four shared refits per trial: the sixth leaves out env1 in trial 1
+        assert str(paired.value) == (
+            "trial 1: left-out environment env1: synthetic failure"
+        )
+        assert paired.value.details == {"code": 3, "left_out_env": "env1", "trial": 1}
+        assert algorithms._ridge_fits.get() is None
+        calls.clear()
+        with pytest.raises(evaluation.FitError) as alone:
+            run_trials(plan)
+        assert str(alone.value) == str(paired.value)
+
+    def test_first_failing_plan_wins_over_an_earlier_trial(self, monkeypatch, tmp_path):
+        plan = make_plan(trials=5, train_envs=6)
+        monkeypatch.setitem(
+            evaluation._TRIAL_RUNNERS, "method_a", failing_at(plan, 1, "method_a failed")
+        )
+        monkeypatch.setitem(
+            evaluation._TRIAL_RUNNERS, "method_b", failing_at(plan, 3, "method_b failed")
+        )
+        config = tmp_path / "compare.json"
+        report = tmp_path / "report.json"
+        config.write_text(json.dumps({
+            "dataset": {"generator": {"n_per_env": 20, "p": 2, "seed": 0}},
+            "algorithm": {"name": "method_a", "alpha": 0.1},
+            "plan": {"trials": 5, "train_envs": 6, "test_envs": 2, "seed": 11},
+            "compare": {"method_a": "method_a", "method_b": "method_b",
+                        "delta_grid": [0.1, 0.2, 0.3]},
+        }))
+        assert cli.main(["compare", "-c", str(config), "--report", str(report)]) == 1
+        # the record running method_b's trials before method_a's writes
+        assert json.loads(report.read_text()) == {
+            "error": {
+                "details": {"trial": 3},
+                "kind": "fit_failure",
+                "message": "trial 3: method_b failed",
+            }
+        }
 
 
 class TestMatchDelta:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,12 @@ from mecp.quantiles import (
     mixture_quantile_rows,
     quant_minus,
     quant_plus,
+    rank_minus,
+    rank_plus,
     right_quantile,
 )
+from mecp.evaluation import _env_covered
+from mecp.weighted import score_from_thresholds
 from oracles import (
     oracle_float_cumsum_quantile_rows,
     oracle_left_quantile,
@@ -23,6 +28,38 @@ from oracles import (
     oracle_quant_plus,
     oracle_right_quantile,
 )
+
+
+RANK_ALPHAS = (0.1, 0.2, 0.3, 0.7, 0.9, 1 / 3, 1e-9, 1 - 1e-9)
+
+
+class TestCachedRanks:
+    """Memoized ranks against the rational formulas they cache."""
+
+    def test_ranks_match_the_exact_formulas(self):
+        for alpha in RANK_ALPHAS:
+            a = Fraction(alpha)
+            for n in range(1, 301):
+                plus = math.ceil((1 - a) * (n + 1))
+                minus = math.floor(a * (n + 1))
+                score = math.floor((1 - a) * n) + 1
+                bar = math.ceil((1 - a) * n)
+                values = np.arange(1.0, n + 1)
+                # twice: a fresh computation, then the cached value
+                for _ in range(2):
+                    assert rank_plus(n, alpha) == plus
+                    assert rank_minus(n, alpha) == minus
+                    assert quant_plus(values, alpha) == (plus if plus <= n else math.inf)
+                    assert quant_minus(values, alpha) == (minus if minus >= 1 else -math.inf)
+                    assert score_from_thresholds(values, alpha) == score
+                    assert _env_covered(bar, n, alpha, "fraction")
+                    assert not _env_covered(bar - 1, n, alpha, "fraction")
+
+    def test_decimal_boundary(self):
+        # the double nearest 0.3 lies below it, so (1 - alpha) * 10 exceeds 7
+        # in exact arithmetic and the rank is 8; the float product rounds to 7
+        assert quant_plus(np.arange(1.0, 10.0), 0.3) == 8.0
+        assert quant_plus(list(range(1, 10)), 0.3) == 8.0
 
 
 class TestSampleQuantiles:

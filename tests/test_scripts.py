@@ -36,6 +36,67 @@ def test_script_prints_a_table(argv, tmp_path):
     assert rows and any(ch.isdigit() for ch in rows[0])
 
 
+def run_script(tmp_path, *argv):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Tables printed when each plan ran its trials on its own, before paired
+# plans shared datasets and fits; the paired engine must print them unchanged.
+FROZEN_TABLES = {
+    ("coverage_sweep.py", "--trials", "3"): """\
+jackknife_minmax: alpha=0.1, 3 trials, 10+5 envs, n=50
+  delta  env cover  within-env    length
+  0.050     1.0000      1.0000       inf
+  0.100     1.0000      1.0000    15.443
+  0.200     1.0000      0.9973    13.004
+  0.300     1.0000      0.9907    11.519
+  0.500     1.0000      0.9827    10.782
+""",
+    (
+        "coverage_sweep.py", "--trials", "3", "--outliers", "--deltas", "0.1", "0.3",
+        "--algorithm", "randomized_weighted_split_conformal",
+    ): """\
+randomized_weighted_split_conformal: alpha=0.1, 3 trials, 10+5 envs, n=50
+  delta  env cover  within-env    length
+  0.100     1.0000      1.0000       inf
+  0.300     0.6667      0.9860    19.438
+""",
+    ("resizing_gain.py", "--trials", "3"): """\
+3 paired trials, outlier_frac=0.2, multiplier=10.0, |L|=30
+            env cover    length
+     plain     1.0000    35.755
+   resized     0.8000    16.929
+resized strictly shorter on 3/3 trials (100.0%)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_TABLES), ids=lambda argv: " ".join(argv))
+def test_paired_scripts_print_frozen_tables(argv, tmp_path):
+    assert run_script(tmp_path, *argv) == FROZEN_TABLES[argv]
+
+
+def test_cli_digests_cover_the_matrix(tmp_path):
+    lines = run_script(tmp_path, "cli_digests.py", "--trials", "1").splitlines()
+    # 8 algorithms x 2 grids x 2 generators x 4 modes, a report and a sweep
+    # CSV each; two compare reports; one error record
+    assert len(lines) == 8 * 2 * 2 * 4 * 2 + 2 + 1
+    names = [line.split()[1] for line in lines]
+    assert len(set(names)) == len(names)
+    assert all(len(line.split()[0]) == 64 for line in lines)
+    failed = [line for line in lines if line.endswith("(exit 1)")]
+    assert failed == [lines[-1]]
+    assert names[-1] == "resized-label-count-failure.report.json"
+
+
 def test_algorithm_timings_lists_every_algorithm(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "algorithm_timings.py"), "--trials", "1", "--repeats", "1"],
