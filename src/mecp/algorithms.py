@@ -39,6 +39,7 @@ from .quantiles import (
     DiscreteDistribution,
     check_prob,
     column_quant_bounds,
+    cumsum_rank,
     left_quantile,
     mixture_quantile_rows,
     quant_minus,  # noqa: F401  (bench/tracer.py wraps it under this module)
@@ -372,11 +373,27 @@ class HierJackknifePlus:
         return np.repeat(np.arange(m), sizes), weights
 
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The alpha and 1-alpha mixture quantiles per row of ``x``.
+
+        Row r's atoms are ``preds[j, r] -+ residuals[j][i]`` in column
+        order ``(j, i)``, then the reserved ``-+inf`` atom.  With equal
+        environment sizes and every atom finite, all rows share one stable
+        sorted weight order, so :meth:`_selected_bounds` reads the ranks by
+        selection without building those rows; otherwise each row is built
+        and sorted by :func:`mixture_quantile_rows`.  Both agree bit for bit.
+        """
         x = np.asarray(x, dtype=float)
         env_idx, weights = self._atom_weights()
         preds = np.stack(
             [np.asarray(f(x), dtype=float) for f in self.predictors]
         )
+        n = len(self.residuals[0])
+        if preds.size and all(len(r) == n for r in self.residuals):
+            res = np.stack(self.residuals)
+            # |p -+ r| <= max|p| + max|r|, so a finite bound rules out an
+            # infinite or NaN atom, which would tie with the reserved one
+            if math.isfinite(float(np.abs(preds).max()) + float(np.abs(res).max())):
+                return self._selected_bounds(preds, res, weights)
         base = preds[env_idx, :].T
         res = np.concatenate(self.residuals)[None, :]
         t = base.shape[0]
@@ -385,6 +402,40 @@ class HierJackknifePlus:
         lows = mixture_quantile_rows(lows_rows, weights, self.alpha)
         highs = mixture_quantile_rows(highs_rows, weights, 1.0 - self.alpha)
         return lows, highs
+
+    def _selected_bounds(self, preds, res, weights) -> tuple[np.ndarray, np.ndarray]:
+        """Both endpoints by in-place selection in one ``(t, m*n)`` atom buffer.
+
+        The reserved atom sorts first among the lows and last among the
+        highs, so the float-cumsum rank ``idx`` of the shared sorted weights
+        reads it at ``idx == 0`` (lows) or ``idx == m*n`` (highs), and rank
+        ``idx - 1`` (lows) or ``idx`` (highs) of the finite block otherwise.
+        The partition scrambles column order, which decides whether a tie
+        of ``-0.0`` and ``0.0`` returns one or the other, so rows whose
+        selected value is zero are rebuilt and re-read in column order.
+        """
+        t = preds.shape[1]
+        m, n = res.shape
+        centres = preds.T[:, :, None]
+        buf = np.empty((t, m * n))
+
+        def side(op, reserved, level):
+            first = reserved < 0  # the reserved atom sorts first among the lows
+            idx = int(cumsum_rank(np.roll(weights, 1) if first else weights, level))
+            if idx == (0 if first else m * n):
+                return np.full(t, reserved)
+            k = idx - first
+            op(centres, res[None], out=buf.reshape(t, m, n))
+            buf.partition(k, axis=1)
+            out = buf[:, k].copy()
+            zero = np.flatnonzero(out == 0.0)
+            if zero.size:
+                rows = op(centres[zero], res[None]).reshape(zero.size, m * n)
+                rows = np.hstack([rows, np.full((zero.size, 1), reserved)])
+                out[zero] = mixture_quantile_rows(rows, weights, level)
+            return out
+
+        return side(np.subtract, -math.inf, self.alpha), side(np.add, math.inf, 1.0 - self.alpha)
 
     def predict_sets(self, x) -> list[PredictionSet]:
         return sets_from_bounds(*self.predict_bounds(x))

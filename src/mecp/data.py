@@ -246,7 +246,7 @@ def holdout_labels(sample: EnvironmentSample, count: int, rng: np.random.Generat
     labeled = np.sort(chosen)
     mask = np.ones(sample.n, dtype=bool)
     mask[labeled] = False
-    return tuple(int(i) for i in labeled), tuple(int(i) for i in np.nonzero(mask)[0])
+    return tuple(labeled.tolist()), tuple(np.flatnonzero(mask).tolist())
 
 
 def _format_value(v: float) -> str:

@@ -161,16 +161,31 @@ class CoverageReport:
         }
 
 
-def _score_bounds(lo: np.ndarray, hi: np.ndarray, y: np.ndarray, clip) -> tuple[int, np.ndarray]:
-    """In-set count and per-row measures of columnar interval sets.
+def _bounds_tallies(
+    bounds: list[tuple[np.ndarray, np.ndarray]], envs: list[EnvironmentSample], clip
+) -> tuple[list[int], list[float]]:
+    """(in-set count, mean measure) per environment of columnar interval sets.
 
-    Whole-array ``contains`` and ``measure``: rows are closed intervals, and
-    a row with lo > hi is empty, so it covers nothing and measures 0.
+    One whole-array ``contains`` and ``measure`` over every environment's
+    rows: rows are closed intervals, and a row with lo > hi is empty, so it
+    covers nothing and measures 0. Means come from a ``(k, n)`` reshape when
+    sizes are equal: a row-wise mean there is bit-identical to ``np.mean``
+    of each environment's slice.
     """
+    lo = np.concatenate([lo for lo, _ in bounds])
+    hi = np.concatenate([hi for _, hi in bounds])
     if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("interval endpoints must not be NaN")
-    covered = int(np.count_nonzero((lo <= y) & (y <= hi)))
-    return covered, bounds_measure(lo, hi, clip)
+    y = np.concatenate([env.y for env in envs])
+    measures = bounds_measure(lo, hi, clip)
+    sizes = [env.n for env in envs]
+    starts = np.cumsum([0] + sizes[:-1])
+    counts = np.add.reduceat(((lo <= y) & (y <= hi)).astype(np.intp), starts)
+    if len(set(sizes)) == 1:
+        means = measures.reshape(len(sizes), sizes[0]).mean(axis=1)
+    else:
+        means = [np.mean(measures[a : a + n]) for a, n in zip(starts, sizes)]
+    return [int(c) for c in counts], [float(v) for v in means]
 
 
 def evaluate_mapping(
@@ -199,26 +214,28 @@ def evaluate_mapping(
     if any(e.p != envs[0].p for e in envs):
         raise ValueError("test environments must share the feature dimension")
     predict_bounds = getattr(mapping, "predict_bounds", None)
-    records = []
-    for env in envs:
-        bounds = None if predict_bounds is None else predict_bounds(env.x)
-        if bounds is None:
+    # one call per environment: a call on the stacked rows is not
+    # bit-identical, since x @ coef rounds differently by block shape
+    bounds = [predict_bounds(env.x) for env in envs] if predict_bounds else None
+    if bounds is not None and all(b is not None for b in bounds):
+        counts, means = _bounds_tallies(bounds, envs, clip)
+    else:
+        counts, means = [], []
+        for env in envs:
             sets = mapping.predict_sets(env.x)
-            covered = sum(1 for s, y in zip(sets, env.y) if contains(s, y))
-            measures = [measure(s, clip) for s in sets]
-        else:
-            covered, measures = _score_bounds(*bounds, env.y, clip)
-        mean_measure = float(np.mean(measures))
-        records.append(
-            EnvRecord(
-                trial=int(trial),
-                env_id=env.env_id,
-                n=env.n,
-                covered_count=covered,
-                env_covered=_env_covered(covered, env.n, alpha, rule),
-                mean_measure=mean_measure,
-            )
+            counts.append(sum(1 for s, y in zip(sets, env.y) if contains(s, y)))
+            means.append(float(np.mean([measure(s, clip) for s in sets])))
+    records = [
+        EnvRecord(
+            trial=int(trial),
+            env_id=env.env_id,
+            n=env.n,
+            covered_count=covered,
+            env_covered=_env_covered(covered, env.n, alpha, rule),
+            mean_measure=mean_measure,
         )
+        for env, covered, mean_measure in zip(envs, counts, means)
+    ]
     return CoverageReport.from_records(records, alpha, rule)
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "DiscreteDistribution",
     "check_prob",
     "column_quant_bounds",
+    "cumsum_rank",
     "left_quantile",
     "mixture_quantile_rows",
     "quant_minus",
@@ -218,13 +219,23 @@ def mixture_quantile_rows(loc_rows: np.ndarray, weights: np.ndarray, level: floa
     sorted_w = _fixed_sorted_weights(loc_rows, w)
     if sorted_w is None:
         return _sorted_quantile_rows(loc_rows, w, level)
-    # float cumsums can top out a hair under 1; the last atom is then the answer
-    idx = min(int((np.cumsum(sorted_w) < level).sum()), w.size - 1)
+    idx = int(cumsum_rank(sorted_w, level))
     out = np.partition(loc_rows, idx, axis=1)[:, idx].copy()
     zero = np.flatnonzero(out == 0.0)
     if zero.size:
         out[zero] = _sorted_quantile_rows(loc_rows[zero], w, level)
     return out
+
+
+def cumsum_rank(sorted_w: np.ndarray, level: float) -> np.ndarray:
+    """Index of the first atom whose float cumsum of ``sorted_w`` reaches ``level``.
+
+    The weights are summed along the last axis in the order given, so a 2-D
+    ``sorted_w`` yields one index per row.  Float cumsums can top out a hair
+    under 1; the last atom is then the answer.
+    """
+    hits = (np.cumsum(sorted_w, axis=-1) < level).sum(axis=-1)
+    return np.minimum(hits, sorted_w.shape[-1] - 1)
 
 
 def _fixed_sorted_weights(loc_rows: np.ndarray, w: np.ndarray) -> np.ndarray | None:
@@ -254,7 +265,5 @@ def _sorted_quantile_rows(loc_rows: np.ndarray, w: np.ndarray, level: float) -> 
     if tied.size:
         order[tied] = np.argsort(loc_rows[tied], axis=1, kind="stable")
         locs[tied] = np.take_along_axis(loc_rows[tied], order[tied], axis=1)
-    cum = np.cumsum(w[order], axis=1)
-    # float cumsums can top out a hair under 1; the last atom is then the answer
-    idx = np.minimum((cum < level).sum(axis=1), loc_rows.shape[1] - 1)
+    idx = cumsum_rank(w[order], level)
     return locs[np.arange(loc_rows.shape[0]), idx]

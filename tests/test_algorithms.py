@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mecp import algorithms, quantiles
 from mecp.algorithms import (
     HierJackknifePlus,
     JackknifeMinmax,
@@ -46,7 +47,7 @@ from mecp.nested_sets import (
 from mecp.predictors import FitError
 from mecp.quantiles import quant_minus, quant_plus
 
-from oracles import oracle_jackknife_plus_interval
+from oracles import oracle_float_cumsum_quantile_rows, oracle_jackknife_plus_interval
 
 
 def mean_builder(envs):
@@ -387,6 +388,133 @@ class TestHierJackknifePlus:
             lo, hi = fit_hier_jackknife_plus(ds, ridge_point_builder(), alpha).predict_bounds(x)
             assert lo.tolist() == want_lo
             assert hi.tolist() == want_hi
+
+
+def hier_mapping(preds, residuals, alpha):
+    """A hierarchical jackknife+ mapping whose predictor j returns ``preds[j]``."""
+    return HierJackknifePlus(
+        predictors=tuple(lambda xs, row=row: np.asarray(row, dtype=float)[: len(xs)] for row in preds),
+        residuals=tuple(np.asarray(r, dtype=float) for r in residuals),
+        alpha=alpha,
+    )
+
+
+def hier_oracle_bounds(preds, residuals, alpha):
+    """Endpoints from the hstacked atom rows, one float cumsum per row."""
+    sizes = np.array([len(r) for r in residuals])
+    m = len(residuals)
+    weights = np.append(np.repeat(1.0 / ((m + 1) * sizes), sizes), 1.0 / (m + 1))
+    base = np.asarray(preds, dtype=float)[np.repeat(np.arange(m), sizes), :].T
+    res = np.concatenate(residuals)[None, :]
+    t = base.shape[0]
+    lows = np.hstack([base - res, np.full((t, 1), -math.inf)])
+    highs = np.hstack([base + res, np.full((t, 1), math.inf)])
+    return (
+        oracle_float_cumsum_quantile_rows(lows, weights, alpha),
+        oracle_float_cumsum_quantile_rows(highs, weights, 1.0 - alpha),
+    )
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert (got == want).all()
+    assert (np.signbit(got) == np.signbit(want)).all()
+
+
+class TestHierSelectionRoute:
+    """Equal-size layouts read both endpoints by selection, bit for bit."""
+
+    def check(self, preds, residuals, alpha):
+        lo, hi = hier_mapping(preds, residuals, alpha).predict_bounds(np.zeros((len(preds[0]), 1)))
+        want_lo, want_hi = hier_oracle_bounds(preds, residuals, alpha)
+        assert_bitwise(lo, want_lo)
+        assert_bitwise(hi, want_hi)
+        return lo, hi
+
+    def test_random_equal_size_layouts_with_ties(self):
+        rng = np.random.default_rng(91)
+        for m, n, t in ((1, 1, 1), (2, 1, 4), (1, 3, 5), (4, 2, 9), (7, 5, 12), (20, 50, 6)):
+            for decimals in (0, 1, None):
+                preds = rng.normal(size=(m, t))
+                residuals = np.abs(rng.normal(size=(m, n)))
+                if decimals is not None:
+                    preds, residuals = np.round(preds, decimals), np.round(residuals, decimals)
+                for alpha in (0.02, 0.1, 0.25, 0.4, 0.5):
+                    self.check(preds, residuals, alpha)
+
+    def test_signed_zero_atoms_at_the_selected_rank(self):
+        rng = np.random.default_rng(92)
+        hit = 0
+        for m, n in ((2, 2), (3, 4), (5, 3)):
+            preds = rng.choice(np.array([-0.0, 0.0, 0.5, -0.5]), size=(m, 40))
+            residuals = rng.choice(np.array([-0.0, 0.0, 0.5]), size=(m, n))
+            for alpha in (0.1, 0.2, 0.3, 0.45):
+                lo, hi = self.check(preds, residuals, alpha)
+                hit += int((lo == 0.0).sum() + (hi == 0.0).sum())
+        assert hit > 0
+
+    def test_reserved_atom_selected_below_one_over_m_plus_one(self):
+        rng = np.random.default_rng(93)
+        for m, n in ((1, 3), (4, 2), (9, 5)):
+            preds, residuals = rng.normal(size=(m, 7)), np.abs(rng.normal(size=(m, n)))
+            lo, hi = self.check(preds, residuals, 0.99 / (m + 1))
+            assert (lo == -math.inf).all() and (hi == math.inf).all()
+
+    def test_alpha_above_one_half_inverts_to_empty(self):
+        rng = np.random.default_rng(94)
+        # residuals small next to the spread of the predictions
+        preds, residuals = rng.normal(size=(6, 10)), 0.01 * np.abs(rng.normal(size=(6, 4)))
+        for alpha in (0.6, 0.8, 0.95):
+            lo, hi = self.check(preds, residuals, alpha)
+            assert (lo > hi).any()
+
+    def test_non_finite_atoms_and_ragged_sizes_take_the_fallback(self, monkeypatch):
+        real = algorithms.mixture_quantile_rows
+        widths = []
+
+        def counted(rows, weights, level):
+            widths.append(rows.shape)
+            return real(rows, weights, level)
+
+        monkeypatch.setattr(algorithms, "mixture_quantile_rows", counted)
+        rng = np.random.default_rng(95)
+        preds = rng.normal(size=(4, 6))
+        residuals = [np.abs(rng.normal(size=3)) for _ in range(4)]
+        self.check(preds, residuals, 0.2)
+        assert widths == []
+        cases = []
+        infinite = preds.copy()
+        infinite[1, 2] = math.inf
+        cases.append((infinite, residuals))
+        huge = preds.copy()
+        huge[0, 0] = 1e308  # p + r overflows to +inf
+        cases.append((huge, [np.full(3, 1e308)] + residuals[1:]))
+        cases.append((preds, [np.abs(rng.normal(size=k)) for k in (3, 4, 3, 2)]))
+        for case_preds, case_res in cases:
+            widths.clear()
+            with np.errstate(over="ignore"):
+                self.check(case_preds, case_res, 0.2)
+            width = sum(len(r) for r in case_res) + 1
+            assert widths == [(6, width), (6, width)]
+
+    def test_sort_route_runs_only_for_zero_rows(self, monkeypatch):
+        real = quantiles._sorted_quantile_rows
+        calls = []
+
+        def counted(rows, weights, level):
+            calls.append(rows.shape[0])
+            return real(rows, weights, level)
+
+        monkeypatch.setattr(quantiles, "_sorted_quantile_rows", counted)
+        rng = np.random.default_rng(96)
+        preds, residuals = rng.normal(size=(5, 30)), np.abs(rng.normal(size=(5, 4)))
+        lo, hi = self.check(preds, residuals, 0.3)
+        assert calls == []
+        # rows 0-3 put zero atoms in every position of the lower side
+        preds[:, :4] = residuals[:, :1]
+        residuals[:, :] = residuals[:, :1]
+        lo, hi = self.check(preds, residuals, 0.3)
+        assert calls == [4] and (lo[:4] == 0.0).all() and (hi != 0.0).all()
 
 
 class TestHcp:

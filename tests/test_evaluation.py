@@ -471,6 +471,23 @@ class TestColumnarScoring:
         for clip in (None, (-0.5, 0.5)):
             assert_matches_oracle(mapping, test, 0.95, clip=clip)
 
+    @pytest.mark.parametrize("n_per_env", [(3, 40), 17])
+    def test_several_environments_match_per_env_oracle(self, n_per_env):
+        data = generate_hierarchical(HierGenConfig(m=14, n_per_env=n_per_env, p=2, seed=12))
+        mapping = fit_hier_jackknife_plus(data.subset(range(8)), ridge_point_builder(), 0.25)
+        test = data.environments[8:]
+        assert (len({e.n for e in test}) > 1) == isinstance(n_per_env, tuple)
+        for clip, rule in ((None, "count"), ((-1.0, 1.0), "fraction")):
+            report = evaluate_mapping(mapping, test, 0.25, clip=clip, rule=rule, trial=3)
+            assert [(r.trial, r.env_id, r.n) for r in report.records] == [
+                (3, e.env_id, e.n) for e in test
+            ]
+            for env, rec in zip(test, report.records):
+                expected = oracle_score_sets(mapping.predict_sets(env.x), env.y, clip)
+                assert (rec.covered_count, rec.mean_measure) == expected
+                bar = (1 - Fraction(0.25)) * (env.n + (rule == "count"))
+                assert rec.env_covered == (rec.covered_count >= bar)
+
     def test_nan_endpoint_raises_on_both_routes(self):
         env = width_env("a", (0.0, 1.0), (0.0, 1.0))
         mapping = centred_mapping([math.nan, 1.0], 0.5)
@@ -478,6 +495,10 @@ class TestColumnarScoring:
             evaluate_mapping(mapping, [env], 0.2)
         with pytest.raises(ValueError, match="NaN"):
             mapping.predict_sets(env.x)
+        # a NaN in a later environment only
+        first = width_env("a", (0.0,), (0.0,))
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate_mapping(centred_mapping([1.0, math.nan], 0.5), [first, env], 0.2)
 
     def test_bad_clip_raises_on_both_routes(self):
         env = width_env("a", (1.0,), (0.0,))
