@@ -379,31 +379,31 @@ class HierJackknifePlus:
         order ``(j, i)``, then the reserved ``-+inf`` atom.  With equal
         environment sizes and every atom finite, all rows share one stable
         sorted weight order, so :meth:`_selected_bounds` reads the ranks by
-        selection without building those rows; otherwise each row is built
-        and sorted by :func:`mixture_quantile_rows`.  Both agree bit for bit.
+        selection without building those rows; otherwise :meth:`_sorted_side`
+        builds and sorts them.  Both agree bit for bit.
         """
         x = np.asarray(x, dtype=float)
-        env_idx, weights = self._atom_weights()
-        preds = np.stack(
-            [np.asarray(f(x), dtype=float) for f in self.predictors]
-        )
+        preds = np.stack([np.asarray(f(x), dtype=float) for f in self.predictors])
         n = len(self.residuals[0])
         if preds.size and all(len(r) == n for r in self.residuals):
             res = np.stack(self.residuals)
             # |p -+ r| <= max|p| + max|r|, so a finite bound rules out an
             # infinite or NaN atom, which would tie with the reserved one
             if math.isfinite(float(np.abs(preds).max()) + float(np.abs(res).max())):
-                return self._selected_bounds(preds, res, weights)
-        base = preds[env_idx, :].T
-        res = np.concatenate(self.residuals)[None, :]
-        t = base.shape[0]
-        lows_rows = np.hstack([base - res, np.full((t, 1), -np.inf)])
-        highs_rows = np.hstack([base + res, np.full((t, 1), np.inf)])
-        lows = mixture_quantile_rows(lows_rows, weights, self.alpha)
-        highs = mixture_quantile_rows(highs_rows, weights, 1.0 - self.alpha)
-        return lows, highs
+                return self._selected_bounds(preds, res)
+        return (
+            self._sorted_side(preds, np.subtract, -math.inf, self.alpha),
+            self._sorted_side(preds, np.add, math.inf, 1.0 - self.alpha),
+        )
 
-    def _selected_bounds(self, preds, res, weights) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted_side(self, preds, op, reserved, level) -> np.ndarray:
+        """One endpoint per column of ``preds`` from its atom row, by sort."""
+        env_idx, weights = self._atom_weights()
+        rows = op(preds[env_idx, :].T, np.concatenate(self.residuals))
+        rows = np.hstack([rows, np.full((rows.shape[0], 1), reserved)])
+        return mixture_quantile_rows(rows, weights, level)
+
+    def _selected_bounds(self, preds, res) -> tuple[np.ndarray, np.ndarray]:
         """Both endpoints by in-place selection in one ``(t, m*n)`` atom buffer.
 
         The reserved atom sorts first among the lows and last among the
@@ -412,10 +412,11 @@ class HierJackknifePlus:
         ``idx - 1`` (lows) or ``idx`` (highs) of the finite block otherwise.
         The partition scrambles column order, which decides whether a tie
         of ``-0.0`` and ``0.0`` returns one or the other, so rows whose
-        selected value is zero are rebuilt and re-read in column order.
+        selected value is zero are re-read by :meth:`_sorted_side`.
         """
         t = preds.shape[1]
         m, n = res.shape
+        _, weights = self._atom_weights()
         centres = preds.T[:, :, None]
         buf = np.empty((t, m * n))
 
@@ -430,9 +431,7 @@ class HierJackknifePlus:
             out = buf[:, k].copy()
             zero = np.flatnonzero(out == 0.0)
             if zero.size:
-                rows = op(centres[zero], res[None]).reshape(zero.size, m * n)
-                rows = np.hstack([rows, np.full((zero.size, 1), reserved)])
-                out[zero] = mixture_quantile_rows(rows, weights, level)
+                out[zero] = self._sorted_side(preds[:, zero], op, reserved, level)
             return out
 
         return side(np.subtract, -math.inf, self.alpha), side(np.add, math.inf, 1.0 - self.alpha)

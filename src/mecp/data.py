@@ -170,6 +170,13 @@ class HierGenConfig:
             if len(self.beta) != self.p:
                 raise ValueError("beta must have length p")
             object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+            if not np.isfinite(self.beta).all():
+                raise ValueError(f"beta entries must be finite, got {list(self.beta)}")
+        for name in ("env_effect_scale", "noise_scale", "outlier_frac",
+                     "outlier_noise_multiplier"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.env_effect_scale < 0 or self.noise_scale < 0:
             raise ValueError("scales must be nonnegative")
         if not 0.0 <= self.outlier_frac <= 1.0:

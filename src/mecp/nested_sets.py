@@ -29,7 +29,6 @@ __all__ = [
     "BandFamily",
     "LossSublevelFamily",
     "NestedFamily",
-    "coverage_threshold",
     "thresholds",
     "set_at",
     "sets_at",
@@ -153,12 +152,6 @@ def thresholds(family: NestedFamily, x: np.ndarray, y) -> np.ndarray:
             return np.atleast_1d(np.asarray(multiclass_loss(labels, logits), dtype=float))
         return np.array([float(family.loss(int(c), row)) for c, row in zip(labels, logits)])
     raise TypeError(f"not a nested family: {type(family).__name__}")
-
-
-def coverage_threshold(family: NestedFamily, x, y) -> float:
-    """Smallest threshold whose set contains the outcome y at input x."""
-    row = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(thresholds(family, row, np.asarray([y]))[0])
 
 
 def _sublevel_labels(family: LossSublevelFamily, logits: np.ndarray, tau: float) -> LabelSet:

@@ -196,18 +196,10 @@ def mixture_quantile_rows(loc_rows: np.ndarray, weights: np.ndarray, level: floa
     ``left_quantile(DiscreteDistribution(row, weights), level)`` per row,
     vectorized for the hot evaluation paths.
 
-    The answer is the location at the first index where the float cumsum
-    of the weights, taken in stable sorted order, reaches ``level``.  Two
-    routes read it, and they agree bit for bit, sign of zero included:
-
-    * selection, when the sorted weight sequence is the same for every row:
-      all weights equal, or all but the last equal with the last column
-      ``-inf`` (or ``+inf``) in every row and every other atom finite.  One
-      cumsum gives the index, and ``np.partition`` reads that rank of each
-      row in linear time.  Rows whose selected value is zero are re-read by
-      the sort route, which fixes which of ``-0.0``/``0.0`` they return;
-    * sort, for every other input: a stable argsort per row, then the
-      cumsum of the weights in that order.
+    Each row is sorted stably and the answer is the location at the first
+    index where the float cumsum of the weights, taken in that order,
+    reaches ``level``; the order of tied atoms, signed zeros included,
+    follows their column order.
     """
     check_prob(level, "level")
     loc_rows = np.asarray(loc_rows, dtype=float)
@@ -216,15 +208,16 @@ def mixture_quantile_rows(loc_rows: np.ndarray, weights: np.ndarray, level: floa
     w = np.asarray(weights, dtype=float)
     if w.shape != loc_rows.shape[1:]:
         raise ValueError("weights must hold one entry per column of loc_rows")
-    sorted_w = _fixed_sorted_weights(loc_rows, w)
-    if sorted_w is None:
-        return _sorted_quantile_rows(loc_rows, w, level)
-    idx = int(cumsum_rank(sorted_w, level))
-    out = np.partition(loc_rows, idx, axis=1)[:, idx].copy()
-    zero = np.flatnonzero(out == 0.0)
-    if zero.size:
-        out[zero] = _sorted_quantile_rows(loc_rows[zero], w, level)
-    return out
+    order = np.argsort(loc_rows, axis=1)
+    locs = np.take_along_axis(loc_rows, order, axis=1)
+    # Without ties the sorted order is unique; rows with tied locations are
+    # re-sorted stably so their cumulative sums add up in the same order.
+    tied = np.flatnonzero((locs[:, 1:] == locs[:, :-1]).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(loc_rows[tied], axis=1, kind="stable")
+        locs[tied] = np.take_along_axis(loc_rows[tied], order[tied], axis=1)
+    idx = cumsum_rank(w[order], level)
+    return locs[np.arange(loc_rows.shape[0]), idx]
 
 
 def cumsum_rank(sorted_w: np.ndarray, level: float) -> np.ndarray:
@@ -236,34 +229,3 @@ def cumsum_rank(sorted_w: np.ndarray, level: float) -> np.ndarray:
     """
     hits = (np.cumsum(sorted_w, axis=-1) < level).sum(axis=-1)
     return np.minimum(hits, sorted_w.shape[-1] - 1)
-
-
-def _fixed_sorted_weights(loc_rows: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """The weights in stable sorted order when every row shares it, else None."""
-    if w.size == 0:
-        return None
-    if (w == w[0]).all():
-        return w
-    # a free infinite atom would tie with the reserved one and move it
-    if not (w[:-1] == w[0]).all() or not np.isfinite(loc_rows[:, :-1]).all():
-        return None
-    last = loc_rows[:, -1]
-    if (last == -math.inf).all():
-        return np.roll(w, 1)
-    if (last == math.inf).all():
-        return w
-    return None
-
-
-def _sorted_quantile_rows(loc_rows: np.ndarray, w: np.ndarray, level: float) -> np.ndarray:
-    """The sort route of :func:`mixture_quantile_rows`, for any weights."""
-    order = np.argsort(loc_rows, axis=1)
-    locs = np.take_along_axis(loc_rows, order, axis=1)
-    # Without ties the sorted order is unique; rows with tied locations are
-    # re-sorted stably so their cumulative sums add up in the same order.
-    tied = np.flatnonzero((locs[:, 1:] == locs[:, :-1]).any(axis=1))
-    if tied.size:
-        order[tied] = np.argsort(loc_rows[tied], axis=1, kind="stable")
-        locs[tied] = np.take_along_axis(loc_rows[tied], order[tied], axis=1)
-    idx = cumsum_rank(w[order], level)
-    return locs[np.arange(loc_rows.shape[0]), idx]

@@ -133,14 +133,14 @@ def fit_pinball_env(
     scores,
     delta: float,
     ridge_weight: float = 0.0,
-    tolerance: float = SEARCH_TOLERANCE,
 ) -> PinballEnvModel:
     """Minimize mean quantile loss of scores against linear-in-feature fits.
 
     The loss on t = S - g(E) is (1-delta)*max(t,0) + delta*max(-t,0), plus
     ridge_weight * ||theta||^2. Zero regularization solves the exact LP;
     positive regularization maximizes the smooth box dual and recovers theta
-    from the dual optimum, certifying the result through the primal-dual gap.
+    from the dual optimum, certifying the result through a primal-dual gap
+    of at most ``SEARCH_TOLERANCE``.
     """
     delta = check_prob(delta, "delta")
     if ridge_weight < 0.0:
@@ -163,7 +163,7 @@ def fit_pinball_env(
     theta = phi.T @ dual.eta / (2.0 * ridge_weight * n)
     objective = _primal_objective(phi, s, theta, delta, ridge_weight)
     gap = objective - dual.objective / n
-    if not gap <= tolerance:
+    if not gap <= SEARCH_TOLERANCE:
         raise FitError("regularized score fit exceeded the duality-gap tolerance",
                        objective=objective, gap=gap)
     return PinballEnvModel(theta=theta, delta=delta, ridge_weight=float(ridge_weight),
@@ -430,9 +430,9 @@ def _max_feasible_test_eta(phi: np.ndarray, delta: float) -> float:
 
 
 def _search_threshold(scores: np.ndarray, phi: np.ndarray, delta, ridge_weight,
-                      level, strict, tolerance) -> float:
+                      level, strict) -> float:
     # General route for features the closed form cannot serve: bracket the
-    # crossing, bisect it to ``tolerance``, then snap to a nearby score atom.
+    # crossing, bisect it to SEARCH_TOLERANCE, then snap to a nearby score atom.
     margin = 1e-9
 
     def holds(sv: float) -> bool:
@@ -464,7 +464,7 @@ def _search_threshold(scores: np.ndarray, phi: np.ndarray, delta, ridge_weight,
         lo -= span * 2.0 ** attempt
     else:
         return -math.inf
-    while hi - lo > tolerance:
+    while hi - lo > SEARCH_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -519,7 +519,7 @@ def _closed_form_threshold(scores: np.ndarray, curv: float, delta: float,
 
 
 def _threshold(scores, features, delta: float, ridge_weight: float,
-               u: float | None, tolerance: float) -> float:
+               u: float | None) -> float:
     # u is None for the plain threshold (eta_test < 1 - delta), else the
     # randomized draw (eta_test <= u - delta)
     if ridge_weight < 0.0:
@@ -536,12 +536,11 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
     if curv is not None:
         return _closed_form_threshold(scores, curv, delta, level, rank)
     return _search_threshold(scores, phi, delta, ridge_weight, level,
-                             strict=u is None, tolerance=tolerance)
+                             strict=u is None)
 
 
 def weighted_threshold(scores, features, alpha: float, delta: float,
-                       ridge_weight: float = 0.0,
-                       tolerance: float = SEARCH_TOLERANCE) -> float:
+                       ridge_weight: float = 0.0) -> float:
     """Largest imputed test score whose dual multiplier stays below 1-delta.
 
     ``scores`` are the per-environment coverage thresholds at level alpha
@@ -550,17 +549,16 @@ def weighted_threshold(scores, features, alpha: float, delta: float,
     this is ``quant_plus(scores, delta)`` exactly, ``+inf`` when its rank
     ``ceil((1 - delta)(m + 1))`` exceeds m; with it, the exact crossing of
     the piecewise-linear multiplier. Other features run the general search
-    (bisection to ``tolerance``, then a snap to a nearby score atom), where a
-    criterion that never fails within the bracket expansion yields +inf.
+    (bisection to ``SEARCH_TOLERANCE``, then a snap to a nearby score atom),
+    where a criterion that never fails within the bracket expansion yields +inf.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
-    return _threshold(scores, features, delta, ridge_weight, None, tolerance)
+    return _threshold(scores, features, delta, ridge_weight, None)
 
 
 def randomized_threshold(scores, features, alpha: float, delta: float,
-                         rng: np.random.Generator, ridge_weight: float = 0.0,
-                         tolerance: float = SEARCH_TOLERANCE) -> float:
+                         rng: np.random.Generator, ridge_weight: float = 0.0) -> float:
     """Randomized variant: the multiplier may reach U - delta, U uniform.
 
     U is drawn once, before the scores are checked. One constant feature
@@ -575,4 +573,4 @@ def randomized_threshold(scores, features, alpha: float, delta: float,
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
     u = float(rng.uniform())
-    return _threshold(scores, features, delta, ridge_weight, u, tolerance)
+    return _threshold(scores, features, delta, ridge_weight, u)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mecp import algorithms, quantiles
+from mecp import algorithms
 from mecp.algorithms import (
     HierJackknifePlus,
     JackknifeMinmax,
@@ -498,14 +498,14 @@ class TestHierSelectionRoute:
             assert widths == [(6, width), (6, width)]
 
     def test_sort_route_runs_only_for_zero_rows(self, monkeypatch):
-        real = quantiles._sorted_quantile_rows
+        real = algorithms.mixture_quantile_rows
         calls = []
 
         def counted(rows, weights, level):
             calls.append(rows.shape[0])
             return real(rows, weights, level)
 
-        monkeypatch.setattr(quantiles, "_sorted_quantile_rows", counted)
+        monkeypatch.setattr(algorithms, "mixture_quantile_rows", counted)
         rng = np.random.default_rng(96)
         preds, residuals = rng.normal(size=(5, 30)), np.abs(rng.normal(size=(5, 4)))
         lo, hi = self.check(preds, residuals, 0.3)
@@ -559,6 +559,36 @@ class TestHcp:
         assert low.tau_hat == 3.0
         high = fit_hcp(ds, constant_builder(0.0), 0.25, gamma, np.random.default_rng(seed))
         assert high.tau_hat == math.inf
+
+    def oracle_tau(self, mapping, ds, alpha):
+        cal = [ds.environments[i] for i in mapping.split.d2]
+        k = len(cal)
+        locs = [thresholds(mapping.family, env.x, env.y) for env in cal] + [[math.inf]]
+        weights = [np.full(env.n, 1.0 / ((k + 1) * env.n)) for env in cal] + [[1.0 / (k + 1)]]
+        return oracle_float_cumsum_quantile_rows(
+            np.concatenate(locs)[None], np.concatenate(weights), 1.0 - alpha
+        )[0]
+
+    def test_tau_hat_matches_float_cumsum_oracle(self):
+        # the one engine caller of the sorted mixture route, on ridge fits;
+        # at equal sizes 4 calibration environments of 6 give 24 weights of
+        # 1/30, and every cumsum c with 1 - (1 - c) == c is a boundary level
+        cum = np.cumsum(np.full(24, 1.0 / 30))
+        boundary = [1.0 - c for c in cum if 1.0 - (1.0 - c) == c]
+        assert boundary
+        for seed, n_per_env, tied in ((11, 6, False), (12, (3, 9), False), (13, 6, True)):
+            ds = generate_hierarchical(HierGenConfig(m=9, n_per_env=n_per_env, p=3, seed=seed))
+            if tied:  # each row twice, so every residual atom is tied
+                ds = MultiEnvDataset(environments=tuple(
+                    replace(env, x=np.repeat(env.x[:3], 2, axis=0), y=np.repeat(env.y[:3], 2))
+                    for env in ds.environments
+                ))
+            for alpha in [0.05, 0.1, 0.3, 0.5] + (boundary if n_per_env == 6 else []):
+                mapping = fit_hcp(
+                    ds, ridge_point_builder(), alpha, 0.5, np.random.default_rng(seed)
+                )
+                assert n_per_env != 6 or len(mapping.split.d2) == 4
+                assert mapping.tau_hat == self.oracle_tau(mapping, ds, alpha), (seed, alpha)
 
     def test_requires_regression(self):
         ds = MultiEnvDataset(

@@ -255,6 +255,24 @@ class TestRun:
         assert not (tmp_path / "dataset.csv").exists()
         assert not (tmp_path / "report.json").exists()
 
+    def test_non_finite_generator_scales_are_config_errors(self, tmp_path):
+        # json reads NaN and Infinity; a scale holding one is refused by name
+        cases = [
+            ("simulate", {"m": 4, "noise_scale": float("nan")}, "noise_scale"),
+            ("run", {"env_effect_scale": float("inf")}, "env_effect_scale"),
+            ("run", {"outlier_noise_multiplier": float("inf")}, "outlier_noise_multiplier"),
+            ("run", {"beta": [1.0, float("-inf")]}, "beta"),
+        ]
+        for command, fields, name in cases:
+            doc = run_doc()
+            doc["dataset"] = {"generator": generator_section(**fields)}
+            proc = run_cli(tmp_path, command, "-c", write_config(tmp_path, doc))
+            assert proc.returncode == 2, fields
+            assert proc.stderr.startswith("error: bad generator config"), proc.stderr
+            assert name in proc.stderr and "finite" in proc.stderr
+        assert not (tmp_path / "dataset.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
     def test_runtime_failure_leaves_error_record(self, tmp_path):
         doc = run_doc()
         doc["algorithm"] = {

@@ -188,6 +188,16 @@ class TestGenerator:
         with pytest.raises(ValueError):
             HierGenConfig(m=1, n_per_env=3, p=1, outlier_frac=1.5)
 
+    def test_scales_and_beta_must_be_finite(self):
+        for bad in (
+            dict(env_effect_scale=np.inf), dict(noise_scale=np.nan),
+            dict(outlier_noise_multiplier=np.inf), dict(beta=(1.0, np.nan)),
+            dict(beta=(-np.inf, 0.0)), dict(noise_scale="1"), dict(outlier_frac="0.1"),
+        ):
+            (name,) = bad
+            with pytest.raises(ValueError, match=f"{name}.*finite"):
+                HierGenConfig(**{"m": 2, "n_per_env": 3, "p": 2, **bad})
+
 
 class TestSplits:
     def test_round_half_up_sizes(self):

@@ -17,7 +17,6 @@ from mecp.nested_sets import (
     bounds_at,
     bounds_measure,
     contains,
-    coverage_threshold,
     measure,
     set_at,
     set_from_json,
@@ -76,15 +75,15 @@ class TestSetTypes:
 
 class TestCoverageThreshold:
     def test_symmetric(self):
-        assert coverage_threshold(const_symmetric(3.0), np.zeros(2), 5.0) == 2.0
+        assert thresholds(const_symmetric(3.0), np.zeros((1, 2)), [5.0])[0] == 2.0
 
     def test_band_inside_is_negative(self):
-        assert coverage_threshold(const_band(0.0, 4.0), np.zeros(2), 2.0) == -2.0
+        assert thresholds(const_band(0.0, 4.0), np.zeros((1, 2)), [2.0])[0] == -2.0
 
     def test_uniform_logits(self):
         fam = const_logits([0.0, 0.0, 0.0])
         for label in range(3):
-            got = coverage_threshold(fam, np.zeros(1), label)
+            got = thresholds(fam, np.zeros((1, 1)), [label])[0]
             assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_batch_matches_scalar(self):
@@ -94,7 +93,7 @@ class TestCoverageThreshold:
         xs = rng.normal(size=(6, 2))
         ys = rng.normal(size=6)
         batch = thresholds(fam, xs, ys)
-        scalar = [coverage_threshold(fam, x, y) for x, y in zip(xs, ys)]
+        scalar = [thresholds(fam, x[None], [y])[0] for x, y in zip(xs, ys)]
         assert np.allclose(batch, scalar, atol=0)
 
 
@@ -166,7 +165,7 @@ class TestSetAt:
             if case % 17 == 0:
                 tau = math.inf if case % 2 else -math.inf
             member = contains(set_at(fam, x, tau), y)
-            assert member == (coverage_threshold(fam, x, y) <= tau)
+            assert member == (thresholds(fam, x[None], [y])[0] <= tau)
 
     @given(center=finite, y=finite, tau1=finite, tau2=finite)
     def test_nesting_in_tau(self, center, y, tau1, tau2):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecp import quantiles
 from mecp.quantiles import (
     DiscreteDistribution,
     column_quant_bounds,
@@ -262,8 +261,8 @@ def assert_bitwise(got, want):
     assert (np.signbit(got) == np.signbit(want)).all()
 
 
-class TestFixedOrderSelection:
-    """The selection route against the float-cumsum contract, bit for bit."""
+class TestSortRouteOnFixedOrderLayouts:
+    """Hier and hcp weight layouts against the float-cumsum contract, bit for bit."""
 
     def check(self, rows, weights, levels):
         for level in levels:
@@ -336,27 +335,6 @@ class TestFixedOrderSelection:
         rows[::2, -1] = rng.normal(size=20)
         self.check(rows, weights, (0.1, 0.5, 0.79, 0.8, 0.81, 0.9))
 
-    def test_fixed_order_layouts_skip_the_sort(self, monkeypatch):
-        calls = []
-        sort_route = quantiles._sorted_quantile_rows
-
-        def counted(rows, weights, level):
-            calls.append(rows.shape[0])
-            return sort_route(rows, weights, level)
-
-        monkeypatch.setattr(quantiles, "_sorted_quantile_rows", counted)
-        rng = np.random.default_rng(87)
-        rows, weights = hier_rows(rng, 30, 5, 4, -1)
-        mixture_quantile_rows(rows, weights, 0.1)
-        mixture_quantile_rows(rows[:, :-1], weights[:-1] / weights[:-1].sum(), 0.5)
-        assert calls == []
-        # only the rows whose selected value is zero go to the sort
-        rows[:4, :-1] = 0.0
-        mixture_quantile_rows(rows, weights, 0.5)
-        assert calls == [4]
-        rows[4, 0] = -math.inf
-        mixture_quantile_rows(rows, weights, 0.5)
-        assert calls == [4, 30]
 
 
 class TestColumnQuantBounds:

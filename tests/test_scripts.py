@@ -4,6 +4,7 @@ Nothing else imports the scripts, so a library signature change would
 otherwise break them without a failing test.
 """
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -84,8 +85,16 @@ def test_paired_scripts_print_frozen_tables(argv, tmp_path):
     assert run_script(tmp_path, *argv) == FROZEN_TABLES[argv]
 
 
+# sha256 of the whole ``cli_digests.py --trials 1`` output: every report,
+# sweep CSV and error record byte for byte. A change that moves it must say
+# which files moved and why.
+CLI_DIGESTS_SHA256 = "af771ea84920286b402f3f384cfb964d05a25dfad53ab2cbfc26051d61fadfe6"
+
+
 def test_cli_digests_cover_the_matrix(tmp_path):
-    lines = run_script(tmp_path, "cli_digests.py", "--trials", "1").splitlines()
+    out = run_script(tmp_path, "cli_digests.py", "--trials", "1")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS_SHA256
+    lines = out.splitlines()
     # 8 algorithms x 2 grids x 2 generators x 4 modes, a report and a sweep
     # CSV each; two compare reports; one error record
     assert len(lines) == 8 * 2 * 2 * 4 * 2 + 2 + 1

@@ -13,7 +13,6 @@ from mecp.nested_sets import SymmetricFamily
 from mecp.quantiles import quant_plus
 from mecp.weighted import (
     BOX_TOLERANCE,
-    SEARCH_TOLERANCE,
     _max_feasible_test_eta,
     _search_threshold,
     _solve_box_dual,
@@ -488,7 +487,7 @@ class TestClosedFormThreshold:
                                            ridge_weight=weight)
                 level = u - delta
             want = _search_threshold(scores, features, delta, weight, level,
-                                     strict=u is None, tolerance=SEARCH_TOLERANCE)
+                                     strict=u is None)
             assert math.isfinite(tau)
             assert abs(tau - want) <= 1e-7 * max(1.0, abs(want))
             eps = 1e-9 * (1.0 + abs(tau))
