@@ -93,6 +93,26 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_matrix(work: Path, trials: int, seed: int):
+    """Run every command of the matrix in ``work``: (output path, exit code) per file written."""
+    for name, command, config in run_configs(trials, seed):
+        config_path = work / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        report = work / f"{name}.report.json"
+        argv = [command, "-c", str(config_path), "--report", str(report)]
+        outputs = [report]
+        if command == "run":
+            sweep_csv = work / f"{name}.sweep.csv"
+            argv += ["--sweep-csv", str(sweep_csv)]
+            outputs.append(sweep_csv)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        for path in outputs:
+            if path.exists():
+                yield path, code
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=3)
@@ -100,24 +120,9 @@ def main() -> None:
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for name, command, config in run_configs(args.trials, args.seed):
-            config_path = work / f"{name}.json"
-            config_path.write_text(json.dumps(config))
-            report = work / f"{name}.report.json"
-            argv = [command, "-c", str(config_path), "--report", str(report)]
-            outputs = [report]
-            if command == "run":
-                sweep_csv = work / f"{name}.sweep.csv"
-                argv += ["--sweep-csv", str(sweep_csv)]
-                outputs.append(sweep_csv)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv)
+        for path, code in run_matrix(Path(tmp), args.trials, args.seed):
             suffix = "" if code == 0 else f"  (exit {code})"
-            for path in outputs:
-                if path.exists():
-                    print(f"{digest(path)}  {path.name}{suffix}")
+            print(f"{digest(path)}  {path.name}{suffix}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,9 @@ from .nested_sets import (
     thresholds,
     union_sets,
 )
-from .predictors import DEFAULT_LAMBDA_GRID, FitError, fit_pinball, fit_ridge, fit_softmax
+from .predictors import (
+    DEFAULT_LAMBDA_GRID, FitError, fit_pinball, fit_ridge, fit_ridge_leave_one_out, fit_softmax
+)
 from .quantiles import (
     DiscreteDistribution,
     check_prob,
@@ -79,9 +81,9 @@ def _pooled(envs: Sequence[EnvironmentSample]) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Ridge fits shared while a ``_shared_ridge_fits()`` block is open, in that
-# thread or task only: (lambda grid, ids of the fit environments) -> (those
-# environments, model). Holding the environments keeps their ids from being
-# reused meanwhile.
+# thread or task only: (lambda grid, ids of the fit environments) or, for a
+# leave-one-out pass, ("leave_one_out", lambda grid, ids of all environments)
+# -> (those environments, fit). Holding them keeps their ids from reuse.
 _ridge_fits: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_ridge_fits", default=None
 )
@@ -97,18 +99,33 @@ def _shared_ridge_fits():
         _ridge_fits.reset(token)
 
 
+def _shared(tag: tuple, envs: Sequence[EnvironmentSample], fit: Callable):
+    """``fit()``, made once per tag and ``envs`` while a ``_shared_ridge_fits()`` block is open."""
+    fits = _ridge_fits.get()
+    if fits is None:
+        return fit()
+    key = (*tag, tuple(map(id, envs)))
+    if key not in fits:
+        fits[key] = (tuple(envs), fit())
+    return fits[key][1]
+
+
 def ridge_point_builder(lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID) -> Callable:
-    """Builder returning a pooled-ridge point predictor for a list of environments."""
+    """Builder returning a pooled-ridge point predictor for a list of environments.
+
+    ``build.leave_one_out(envs)`` gives all m leave-one-out predictors in one pass.
+    """
+    grid = tuple(lambda_grid)
 
     def build(envs: Sequence[EnvironmentSample]) -> Callable:
-        fits = _ridge_fits.get()
-        if fits is None:
-            return fit_ridge(*_pooled(envs), lambda_grid).predict
-        key = (tuple(lambda_grid), tuple(map(id, envs)))
-        if key not in fits:
-            fits[key] = (tuple(envs), fit_ridge(*_pooled(envs), lambda_grid))
-        return fits[key][1].predict
+        return _shared((grid,), envs, lambda: fit_ridge(*_pooled(envs), grid)).predict
 
+    def leave_one_out(envs: Sequence[EnvironmentSample]) -> list[Callable]:
+        models = _shared(("leave_one_out", grid), envs, lambda: fit_ridge_leave_one_out(
+            *_pooled(envs), [env.n for env in envs], grid))
+        return [model.predict for model in models]
+
+    build.leave_one_out = leave_one_out
     return build
 
 
@@ -119,6 +136,7 @@ def ridge_symmetric_builder(lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID) 
     def build(envs: Sequence[EnvironmentSample]) -> SymmetricFamily:
         return SymmetricFamily(predict=point(envs))
 
+    build.leave_one_out = lambda envs: [SymmetricFamily(predict=f) for f in point.leave_one_out(envs)]
     return build
 
 
@@ -194,21 +212,25 @@ def _point_residuals(predict: Callable, env: EnvironmentSample) -> np.ndarray:
 def _leave_one_env_out(dataset: MultiEnvDataset, builder: Callable) -> list[tuple]:
     """(fit without environment i, environment i) for every environment i.
 
-    A builder's :class:`FitError` is re-raised naming the left-out environment.
+    A builder's ``leave_one_out`` method, if any, makes all m fits in one pass.
+    A :class:`FitError` is re-raised naming the left-out environment.
     """
     envs = dataset.environments
     if dataset.m < 2:
         raise ValueError("leave-one-environment-out needs at least two environments")
     fits = []
-    for i, env in enumerate(envs):
-        try:
-            fits.append((builder(list(envs[:i] + envs[i + 1 :])), env))
-        except FitError as err:
-            raise FitError(
-                f"left-out environment {env.env_id}: {err}",
-                **{**err.details, "left_out_env": env.env_id},
-            ) from err
-    return fits
+    try:
+        if hasattr(builder, "leave_one_out"):
+            fits = builder.leave_one_out(envs)
+        else:
+            for i in range(len(envs)):
+                fits.append(builder(list(envs[:i] + envs[i + 1 :])))
+    except FitError as err:
+        details = dict(err.details)
+        env = envs[details.pop("left_out", len(fits))]
+        message = f"left-out environment {env.env_id}: {err}"
+        raise FitError(message, **{**details, "left_out_env": env.env_id}) from err
+    return list(zip(fits, envs))
 
 
 @dataclass(frozen=True)

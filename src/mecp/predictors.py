@@ -22,6 +22,7 @@ __all__ = [
     "SoftmaxModel",
     "fit_pinball",
     "fit_ridge",
+    "fit_ridge_leave_one_out",
     "fit_softmax",
     "multiclass_loss",
     "predict_logits",
@@ -32,6 +33,8 @@ DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(10.0**j for j in range(-4, 5))
 
 # relative eigenvalue cutoff below which normal equations count as singular
 _SINGULAR_RTOL = 1e-12
+# a penalty whose smallest leave-one-out denominator 1 - h_ii reaches this is unusable
+_LEVERAGE_FLOOR = 1e-10
 
 
 class FitError(RuntimeError):
@@ -88,6 +91,45 @@ class RidgeModel:
         return x @ self.coef + self.intercept
 
 
+def _select_ridge(lambda_grid, s, v, zy, x_mean, y_mean, scan) -> RidgeModel:
+    """The penalty rules both ridge routes share, applied to one centred fit.
+
+    ``V diag(s) V^T`` is the centred Gram matrix and ``zy = V^T x_c^T y_c``;
+    ``scan(inv)`` maps the (p, L) inverse shifted spectra of L penalties to
+    their leave-one-out mean squared errors and smallest ``1 - h_ii``.
+    """
+    grid = sorted(float(l) for l in lambda_grid)
+    if not grid:
+        raise ValueError("lambda_grid must be nonempty")
+    if grid[0] < 0:
+        raise ValueError("penalties must be nonnegative")
+
+    def mse_at(lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        shifted = s[:, None] + np.asarray(lams)
+        top = shifted.max(axis=0, initial=1.0)
+        singular = shifted.min(axis=0, initial=np.inf) <= _SINGULAR_RTOL * top
+        mse, denom_min = scan(1.0 / np.where(singular, 1.0, shifted))
+        mse[singular | (denom_min <= _LEVERAGE_FLOOR)] = math.inf
+        return mse, singular
+
+    mse, singular = mse_at(grid)
+    singular_zero = bool(singular[np.asarray(grid) == 0.0].any())
+    table = list(zip(grid, mse.tolist()))
+    if np.isfinite(mse).any():
+        lam = grid[int(np.argmin(mse))]
+    elif singular_zero and grid[-1] == 0.0:
+        lam = min(DEFAULT_LAMBDA_GRID)
+        mse_fb, _ = mse_at([lam])
+        if not math.isfinite(mse_fb[0]):
+            raise FitError("ridge fallback penalty also unusable", lam=lam)
+        table.append((lam, float(mse_fb[0])))
+    else:
+        raise FitError("no usable penalty in grid", grid=tuple(grid))
+    coef = v @ (zy / (s + lam))
+    return RidgeModel(coef=coef, intercept=y_mean - float(x_mean @ coef), lam=lam,
+                      loocv_mse=tuple(table), singular_fallback=singular_zero)
+
+
 def fit_ridge(x, y, lambda_grid=DEFAULT_LAMBDA_GRID) -> RidgeModel:
     """Ridge regression choosing the penalty by exact leave-one-out error.
 
@@ -108,20 +150,14 @@ def fit_ridge(x, y, lambda_grid=DEFAULT_LAMBDA_GRID) -> RidgeModel:
     lambda_grid : iterable of nonnegative penalties.
         Scanned in ascending order; ties in LOOCV error keep the smaller
         penalty.  A singular lambda=0 candidate is dropped and flagged; if
-        the grid then has no usable entry, the smallest positive value of
-        the default grid is used as a last resort.
+        the grid has no positive entry, the smallest value of the default
+        grid is used as a last resort.
     """
     x = _features(x)
     n = x.shape[0]
     y = _check_outcomes(y, n)
     if n < 2:
         raise ValueError("ridge LOOCV needs n >= 2")
-    grid = sorted(float(l) for l in lambda_grid)
-    if not grid:
-        raise ValueError("lambda_grid must be nonempty")
-    if grid[0] < 0:
-        raise ValueError("penalties must be nonnegative")
-
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
     xc = x - x_mean
@@ -130,42 +166,64 @@ def fit_ridge(x, y, lambda_grid=DEFAULT_LAMBDA_GRID) -> RidgeModel:
     z = xc @ v
     zy = z.T @ yc
 
-    def grid_mse(lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
-        shifted = s[:, None] + np.asarray(lams)
-        top = shifted.max(axis=0, initial=1.0)
-        singular = shifted.min(axis=0, initial=np.inf) <= _SINGULAR_RTOL * top
-        inv = 1.0 / np.where(singular, 1.0, shifted)
+    def scan(inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         denom = 1.0 - (1.0 / n + (z * z) @ inv)
-        loo = (yc[:, None] - z @ (zy[:, None] * inv)) / np.maximum(denom, 1e-10)
-        mse = np.einsum("ij,ij->j", loo, loo) / n
-        mse[singular | (denom.min(axis=0) <= 1e-10)] = math.inf
-        return mse, singular
+        loo = (yc[:, None] - z @ (zy[:, None] * inv)) / np.maximum(denom, _LEVERAGE_FLOOR)
+        return np.einsum("ij,ij->j", loo, loo) / n, denom.min(axis=0)
 
-    mse, singular = grid_mse(grid)
-    singular_zero = bool(singular[np.asarray(grid) == 0.0].any())
-    table = list(zip(grid, mse.tolist()))
-    if np.isfinite(mse).any():
-        best_lam = grid[int(np.argmin(mse))]
-    elif singular_zero:
-        best_lam = min(
-            (l for l in grid if l > 0),
-            default=min(l for l in DEFAULT_LAMBDA_GRID),
-        )
-        mse_fb, _ = grid_mse([best_lam])
-        if not math.isfinite(mse_fb[0]):
-            raise FitError("ridge fallback penalty also unusable", lam=best_lam)
-        table.append((best_lam, float(mse_fb[0])))
-    else:
-        raise FitError("no usable penalty in grid", grid=tuple(grid))
+    return _select_ridge(lambda_grid, s, v, zy, x_mean, y_mean, scan)
 
-    coef = v @ (zy / (s + best_lam))
-    return RidgeModel(
-        coef=coef,
-        intercept=y_mean - float(x_mean @ coef),
-        lam=best_lam,
-        loocv_mse=tuple(table),
-        singular_fallback=singular_zero,
-    )
+
+def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> list[RidgeModel]:
+    """Model i is :func:`fit_ridge` on every block of rows but block i, all in one pass.
+
+    The rows form consecutive blocks of the given ``sizes``. Each block's
+    means and scatter about its own mean are formed once. Refit i's centred
+    Gram matrix is the prefix plus suffix sum of the other blocks' scatters
+    plus ``sum_{j != i} n_j (m_j - mu)(m_j - mu)^T`` about the refit's mean
+    ``mu``: nothing is subtracted, so a block far from the others costs the
+    refits without it no precision. A failed refit, fewer than two kept rows
+    included, raises :class:`FitError` with ``left_out=i``.
+    """
+    x = _features(x)
+    y = _check_outcomes(y, x.shape[0])
+    sizes = np.asarray(sizes, dtype=int)
+    if sizes.ndim != 1 or (sizes < 1).any() or sizes.sum() != len(y):
+        raise ValueError("sizes must be positive block sizes summing to the row count")
+    m, p, lambda_grid = len(sizes), x.shape[1], tuple(lambda_grid)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    means = np.add.reduceat(np.column_stack([x, y]), starts[:-1]) / sizes[:, None]
+    dev = x - np.repeat(means[:, :p], sizes, axis=0)
+    scatter = np.add.reduceat(dev[:, :, None] * dev[:, None, :], starts[:-1])
+    zero = np.zeros((1, p, p))
+    within = np.cumsum(np.concatenate((zero, scatter[:-1])), axis=0)
+    within += np.cumsum(np.concatenate((zero, scatter[:0:-1])), axis=0)[::-1]
+    weights = np.where(np.eye(m, dtype=bool), 0.0, sizes.astype(float))
+    mu = weights @ means / weights.sum(axis=1)[:, None]
+    gap = means[None, :, :p] - mu[:, None, :p]
+    spectra, bases = np.linalg.eigh(within + np.einsum("ij,ijk,ijl->ikl", weights, gap, gap))
+
+    models = []
+    for i in range(m):
+        n = len(y) - sizes[i]
+        if n < 2:
+            raise FitError("ridge LOOCV needs n >= 2", left_out=i)
+        a, b = starts[i], starts[i + 1]
+        zt = bases[i].T @ (np.concatenate((x[:a], x[b:])) - mu[i, :p]).T
+        yc = np.concatenate((y[:a], y[b:])) - mu[i, p]
+        zy = zt @ yc
+
+        def scan(inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            denom = 1.0 - (1.0 / n + inv.T @ (zt * zt))
+            loo = (yc - (inv * zy[:, None]).T @ zt) / np.maximum(denom, _LEVERAGE_FLOOR)
+            return np.einsum("ij,ij->i", loo, loo) / n, denom.min(axis=1)
+
+        try:
+            models.append(_select_ridge(lambda_grid, spectra[i], bases[i], zy, mu[i, :p],
+                                        float(mu[i, p]), scan))
+        except FitError as err:
+            raise FitError(str(err), **err.details, left_out=i) from err
+    return models
 
 
 def predict_ridge(model: RidgeModel, x) -> np.ndarray | float:

@@ -363,20 +363,22 @@ class TestHierJackknifePlus:
         with pytest.raises(ValueError, match="alpha"):
             fit_hier_jackknife_plus(self.hand_dataset(), constant_builder(0.0), 1.0)
 
-    # Endpoints frozen from the sort-based mixture quantile; the selection
-    # route must reproduce them bit for bit.
+    # Endpoints frozen from the sort-based mixture quantile on the
+    # leave-one-out ridge route (fit_ridge_leave_one_out, whose refits agree
+    # with pooled fit_ridge to rounding); the selection route must reproduce
+    # them bit for bit.
     FROZEN_BOUNDS = {
         0.2: (
-            [-6.311172500336168, -2.6721364833726367, -4.887449807308864,
-             -4.0244487685922214, -3.195375442620713, -6.723804095649027],
-            [2.496635653981604, 6.4628875598924616, 4.5217959728734956,
-             5.566381012616972, 5.90412095587585, 2.0285496844504616],
+            [-6.311172500336169, -2.6721364833726375, -4.887449807308864,
+             -4.024448768592222, -3.195375442620713, -6.723804095649029],
+            [2.4966356539816035, 6.462887559892462, 4.521795972873495,
+             5.5663810126169695, 5.90412095587585, 2.028549684450461],
         ),
         0.35: (
-            [-4.015522762653926, -0.3713792785874763, -2.284770760433767,
-             -1.6695600571161533, -0.9975919409445473, -4.599317672882698],
-            [0.2954248112753777, 4.06804543381584, 2.147047066192435,
-             3.0148002734211845, 3.5448064745677637, -0.3644399439391228],
+            [-4.015522762653924, -0.3713792785874763, -2.2847707604337684,
+             -1.669560057116152, -0.9975919409445484, -4.599317672882696],
+            [0.2954248112753781, 4.06804543381584, 2.1470470661924344,
+             3.0148002734211854, 3.544806474567765, -0.3644399439391228],
         ),
         0.05: ([-math.inf] * 6, [math.inf] * 6),
     }
@@ -947,6 +949,37 @@ class TestLeaveOneEnvOutErrors:
         assert str(info.value) == "left-out environment e2: no usable penalty in grid"
         assert info.value.details == {"grid": (0.0,), "left_out_env": "e2"}
         assert str(info.value.__cause__) == "no usable penalty in grid"
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda ds, grid: fit_jackknife_minmax(ds, ridge_symmetric_builder(grid), 0.3, 0.4),
+            lambda ds, grid: fit_hier_jackknife_plus(ds, ridge_point_builder(grid), 0.3),
+            lambda ds, grid: fit_jackknife_plus_quantile(ds, ridge_point_builder(grid), 0.3, 0.4),
+        ],
+    )
+    def test_ridge_refit_errors_name_the_left_out_environment(self, fit):
+        envs = [EnvironmentSample(f"e{i}", np.array([[float(i)]]), np.array([i * i + 1.0]))
+                for i in range(3)]
+        # one kept row
+        with pytest.raises(FitError) as info:
+            fit(MultiEnvDataset(environments=tuple(envs[:2])), (1.0,))
+        assert str(info.value) == "left-out environment e0: ridge LOOCV needs n >= 2"
+        assert info.value.details == {"left_out_env": "e0"}
+        # two kept rows and one feature interpolate at lambda=0
+        with pytest.raises(FitError) as info:
+            fit(MultiEnvDataset(environments=tuple(envs)), (0.0,))
+        assert str(info.value) == "left-out environment e0: no usable penalty in grid"
+        assert info.value.details == {"grid": (0.0,), "left_out_env": "e0"}
+
+    def test_ridge_builders_make_no_pooled_refit(self, monkeypatch):
+        def no_pooled_fit(*args):
+            raise AssertionError("fit_ridge called")
+
+        monkeypatch.setattr(algorithms, "fit_ridge", no_pooled_fit)
+        ds = linear_dataset(np.random.default_rng(4), m=5, n=12, p=2)
+        mapping = fit_jackknife_minmax(ds, ridge_symmetric_builder(), 0.2, 0.4)
+        assert len(mapping.families) == 5
 
 
 class TestBuilders:

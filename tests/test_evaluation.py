@@ -558,6 +558,36 @@ class TestRunPlans:
         )
         assert calls == {"fit_ridge": 10, "generate_hierarchical": 10}
 
+    def test_leave_one_out_passes_stay_out_of_the_pooled_fit_cache(self):
+        # d1 is exactly a leave-one-out set: one of two environments, nine of ten
+        for train_envs, gamma in [(2, 0.5), (10, 0.9)]:
+            # one calibration environment: delta=0.5 keeps the thresholds finite
+            plan = make_plan(trials=3, train_envs=train_envs, gamma=gamma, delta=0.5)
+            plans = [plan, replace(plan, algorithm="split_conformal"),
+                     replace(plan, algorithm="hcp")]
+            reports = run_plans(plans)
+            assert reports == [run_trials(p) for p in plans]
+            assert all(math.isfinite(r.mean_measure) for r in reports[1].records)
+
+    def test_paired_leave_one_out_algorithms_share_one_pass(self, monkeypatch):
+        calls = {"fit_ridge": 0, "fit_ridge_leave_one_out": 0}
+
+        def counted(name):
+            inner = getattr(algorithms, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(algorithms, name, wrapper)
+
+        counted("fit_ridge")
+        counted("fit_ridge_leave_one_out")
+        plan = make_plan(algorithm="jackknife_minmax", trials=4, train_envs=5)
+        run_plans([plan] + [replace(plan, algorithm=name)
+                            for name in ("hier_jackknife_plus", "jackknife_plus_quantile")])
+        assert calls == {"fit_ridge": 0, "fit_ridge_leave_one_out": 4}
+
     def test_unpaired_plans_raise(self):
         base = make_plan(trials=2)
         changes = dict(
@@ -588,20 +618,20 @@ class TestRunPlans:
 
     def test_fit_error_names_trial_and_left_out_environment(self, monkeypatch):
         calls = []
-        inner = algorithms.fit_ridge
+        inner = algorithms.fit_ridge_leave_one_out
 
-        def fails_sixth_call(x, y, lambda_grid):
-            calls.append(len(y))
-            if len(calls) == 6:
-                raise evaluation.FitError("synthetic failure", code=3)
-            return inner(x, y, lambda_grid)
+        def fails_second_pass(x, y, sizes, lambda_grid):
+            calls.append(len(sizes))
+            if len(calls) == 2:
+                raise evaluation.FitError("synthetic failure", code=3, left_out=1)
+            return inner(x, y, sizes, lambda_grid)
 
-        monkeypatch.setattr(algorithms, "fit_ridge", fails_sixth_call)
+        monkeypatch.setattr(algorithms, "fit_ridge_leave_one_out", fails_second_pass)
         plan = make_plan(trials=3, train_envs=4)
         plans = [plan, replace(plan, algorithm="jackknife_plus_quantile")]
         with pytest.raises(evaluation.FitError) as paired:
             run_plans(plans)
-        # four shared refits per trial: the sixth leaves out env1 in trial 1
+        # one shared leave-one-out pass per trial: the second is trial 1's
         assert str(paired.value) == (
             "trial 1: left-out environment env1: synthetic failure"
         )

@@ -10,6 +10,7 @@ from mecp.predictors import (
     SoftmaxModel,
     fit_pinball,
     fit_ridge,
+    fit_ridge_leave_one_out,
     fit_softmax,
     multiclass_loss,
     predict_logits,
@@ -138,6 +139,19 @@ class TestRidge:
         assert both.singular_fallback and both.lam == 0.7
         assert len(both.loocv_mse) == 2
 
+    def test_fallback_only_when_grid_has_no_positive_penalty(self):
+        # duplicate columns: the tiny positive penalty is as unusable as zero
+        rng = np.random.default_rng(15)
+        base = rng.normal(size=(10, 1))
+        x = np.hstack([base, base])
+        y = rng.normal(size=10)
+        errors = []
+        for grid in [(0.0, 1e-12), (1e-12,)]:
+            with pytest.raises(FitError) as info:
+                fit_ridge(x, y, lambda_grid=grid)
+            errors.append((str(info.value), info.value.details["grid"][-1]))
+        assert errors == [("no usable penalty in grid", 1e-12)] * 2
+
     def test_interpolating_zero_penalty_hits_hat_cut(self):
         # n = p + 1 at lambda=0 interpolates: every 1 - h_ii is zero
         rng = np.random.default_rng(13)
@@ -176,6 +190,83 @@ class TestRidge:
             fit_ridge(np.zeros((5, 2)), np.zeros(4))
         with pytest.raises(ValueError):
             fit_ridge(np.zeros((5, 2)), np.zeros(5), lambda_grid=(-1.0,))
+
+
+class TestRidgeLeaveOneOut:
+    @staticmethod
+    def blocks(seed: int, sizes, p: int = 4, offset_block=None):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(sum(sizes), p)) * rng.uniform(0.5, 3.0, size=p)
+        x += np.repeat(rng.normal(size=(len(sizes), p)), sizes, axis=0)
+        y = 3.0 + x @ rng.normal(size=p) + rng.normal(size=len(x))
+        if offset_block is not None:
+            start = sum(sizes[:offset_block])
+            x[start : start + sizes[offset_block]] += 1e6
+        return x, y
+
+    @staticmethod
+    def pooled_refits(x, y, sizes, grid):
+        starts = np.cumsum([0, *sizes])
+        for i in range(len(sizes)):
+            keep = np.r_[: starts[i], starts[i + 1] : len(y)]
+            yield x[keep], y[keep], fit_ridge(x[keep], y[keep], grid)
+
+    @staticmethod
+    def assert_same_fit(model, ref):
+        assert model.lam == ref.lam
+        assert model.singular_fallback == ref.singular_fallback
+        assert [lam for lam, _ in model.loocv_mse] == [lam for lam, _ in ref.loocv_mse]
+        for (_, mse), (_, ref_mse) in zip(model.loocv_mse, ref.loocv_mse):
+            assert mse == pytest.approx(ref_mse, rel=1e-12, abs=0)
+        np.testing.assert_allclose(model.coef, ref.coef, rtol=1e-12, atol=0)
+        assert model.intercept == pytest.approx(ref.intercept, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_LAMBDA_GRID, (0.0, 0.1, 1.0, 10.0)])
+    @pytest.mark.parametrize("sizes", [(30,) * 6, (12, 40, 7, 25, 31)], ids=["equal", "ragged"])
+    def test_matches_pooled_fit_ridge(self, sizes, grid):
+        x, y = self.blocks(len(sizes), sizes)
+        models = fit_ridge_leave_one_out(x, y, sizes, grid)
+        assert len(models) == len(sizes)
+        for model, (xk, yk, ref) in zip(models, self.pooled_refits(x, y, sizes, grid)):
+            self.assert_same_fit(model, ref)
+            brute = float(np.mean(oracle_ridge_loo_errors(xk, yk, model.lam) ** 2))
+            assert dict(model.loocv_mse)[model.lam] == pytest.approx(brute, rel=1e-8)
+
+    def test_offset_environment_costs_no_precision(self):
+        # a total-minus-block Gram downdate loses ~1e-4 here when block 2 is left out
+        sizes = (20, 25, 30, 22)
+        x, y = self.blocks(9, sizes, offset_block=2)
+        models = fit_ridge_leave_one_out(x, y, sizes, (0.1, 1.0))
+        refs = list(self.pooled_refits(x, y, sizes, (0.1, 1.0)))
+        self.assert_same_fit(models[2], refs[2][2])
+
+    @pytest.mark.parametrize("grid", [(0.0,), (0.0, 0.7)])
+    def test_singular_rule_on_the_combined_gram(self, grid):
+        sizes = (15, 20, 18)
+        x, y = self.blocks(10, sizes, p=2)
+        x = np.column_stack([x, x[:, 1]])
+        models = fit_ridge_leave_one_out(x, y, sizes, grid)
+        for model, (_, _, ref) in zip(models, self.pooled_refits(x, y, sizes, grid)):
+            assert model.singular_fallback and ref.singular_fallback
+            assert model.lam == ref.lam == (0.7 if 0.7 in grid else min(DEFAULT_LAMBDA_GRID))
+
+    def test_failed_refit_names_its_block(self):
+        x, y = self.blocks(11, (1, 1, 1), p=1)
+        with pytest.raises(FitError, match="n >= 2") as info:
+            fit_ridge_leave_one_out(x[:2], y[:2], (1, 1))
+        assert info.value.details == {"left_out": 0}
+        # three rows, one feature, lambda=0 interpolates every two-row refit
+        with pytest.raises(FitError, match="no usable penalty") as info:
+            fit_ridge_leave_one_out(x, y, (1, 1, 1), (0.0,))
+        assert info.value.details == {"grid": (0.0,), "left_out": 0}
+
+    def test_input_validation(self):
+        x, y = self.blocks(12, (5, 5))
+        for sizes in [(5, 4), (10, 0), (2, 3, 5, -1)]:
+            with pytest.raises(ValueError, match="sizes"):
+                fit_ridge_leave_one_out(x, y, sizes)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit_ridge_leave_one_out(x, y, (5, 5), (-1.0,))
 
 
 class TestPinball:

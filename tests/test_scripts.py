@@ -87,8 +87,8 @@ def test_paired_scripts_print_frozen_tables(argv, tmp_path):
 
 # sha256 of the whole ``cli_digests.py --trials 1`` output: every report,
 # sweep CSV and error record byte for byte. A change that moves it must say
-# which files moved and why.
-CLI_DIGESTS_SHA256 = "af771ea84920286b402f3f384cfb964d05a25dfad53ab2cbfc26051d61fadfe6"
+# which files moved and why (``report_drift.py`` shows how far).
+CLI_DIGESTS_SHA256 = "dc652082b51118bda98db01192235438b240d7797b1dcd86f64b02d3f2b16524"
 
 
 def test_cli_digests_cover_the_matrix(tmp_path):
@@ -104,6 +104,33 @@ def test_cli_digests_cover_the_matrix(tmp_path):
     failed = [line for line in lines if line.endswith("(exit 1)")]
     assert failed == [lines[-1]]
     assert names[-1] == "resized-label-count-failure.report.json"
+
+
+def test_report_drift_finds_no_moves_against_the_same_tree(tmp_path):
+    out = run_script(tmp_path, "report_drift.py", str(SCRIPTS.parent / "src"), "--trials", "1")
+    assert out == (
+        "0 of 259 files moved; worst relative float move 0; 0 non-float differences\n"
+    )
+
+
+def test_report_drift_compare_separates_float_moves_from_other_differences():
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import report_drift
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    moves, others = [], []
+    a = {"n": 3, "tau": 2.0, "ok": True, "rows": [[1.0, "x"]], "gone": 1}
+    b = {"n": 4, "tau": 2.0 + 4e-16, "ok": False, "rows": [[1.0, "y"], []], "new": 1}
+    report_drift.compare(a, b, "", moves, others)
+    assert moves == [(".tau", pytest.approx(2e-16, rel=0.2))]
+    assert sorted(others) == [
+        ".n: 3 != 4",
+        ".ok: True != False",
+        ".rows: length 1 != 2",
+        ".rows[0][1]: 'x' != 'y'",
+        ": keys ['gone', 'new'] on one side only",
+    ]
 
 
 def test_algorithm_timings_lists_every_algorithm(tmp_path):
