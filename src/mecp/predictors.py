@@ -35,6 +35,8 @@ DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(10.0**j for j in range(-4, 5))
 _SINGULAR_RTOL = 1e-12
 # a penalty whose smallest leave-one-out denominator 1 - h_ii reaches this is unusable
 _LEVERAGE_FLOOR = 1e-10
+# HiGHS primal and dual feasibility tolerance of the pinball LP
+_PINBALL_TOLERANCE = 1e-8
 
 
 class FitError(RuntimeError):
@@ -244,7 +246,7 @@ class PinballModel:
         return self.theta[0] + x @ self.theta[1:]
 
 
-def fit_pinball(x, y, level: float, tolerance: float = 1e-8) -> PinballModel:
+def fit_pinball(x, y, level: float) -> PinballModel:
     """Minimize mean pinball loss over affine functions via an exact LP.
 
     The loss on residual r = y - f(x) is
@@ -262,8 +264,8 @@ def fit_pinball(x, y, level: float, tolerance: float = 1e-8) -> PinballModel:
     a_eq = np.hstack([xt, np.eye(n), -np.eye(n)])
     bounds = [(None, None)] * d + [(0, None)] * (2 * n)
     res = linprog(c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": min(tolerance, 1e-7),
-                           "dual_feasibility_tolerance": min(tolerance, 1e-7)})
+                  options={"primal_feasibility_tolerance": _PINBALL_TOLERANCE,
+                           "dual_feasibility_tolerance": _PINBALL_TOLERANCE})
     if res.status != 0:
         raise FitError("pinball LP did not reach optimality",
                        status=res.status, message=res.message, objective=res.fun)

@@ -6,14 +6,17 @@ free parameter s, the program's box-constrained dual exposes the multiplier
 eta attached to s, and the threshold is the largest s whose multiplier stays
 within its level (below 1 - delta, or at most U - delta when randomized).
 
-With one constant feature column, the engine's choice, the multiplier depends
-on s only through the number j of scores below s and, under a ridge penalty,
-a linear term in s. The threshold is then read off the sorted scores: without
-regularization it is an order statistic (the plain conformal quantile
-``quant_plus(scores, delta)``), with regularization the crossing of a
-piecewise-linear function. Any other features go through a general search:
-a bracket expansion and a bisection on s, one dual solve per probe, snapped
-to a nearby score atom.
+Group features (each row nonzero in at most one column, the test row's
+column one value c on its group) decouple by group, and the test multiplier
+depends on s only through the number j of the test group's scores below s
+and, under a ridge penalty, a linear term in s. The threshold is then read
+off that group's sorted scores: split conformal within the group, an order
+statistic without regularization and the crossing of a piecewise-linear
+function with it. One constant column, the engine's choice, is the
+one-group case; a feature-free test row gives 0.0. Other features go
+through a general search: the test multiplier's range over all s decides
++-inf, and otherwise a bracket and a bisection on s, one dual solve per
+probe, find the crossing.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
 
 BOX_TOLERANCE = 1e-10
 SEARCH_TOLERANCE = 1e-8
-MAX_BRACKET_DOUBLINGS = 60
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -402,98 +404,65 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
     return _solve_box_dual(np.append(scores, float(s)), phi, delta, ridge_weight)
 
 
-def _max_feasible_test_eta(phi: np.ndarray, delta: float) -> float:
+def _test_eta_range(phi: np.ndarray, delta: float, ridge_weight: float) -> tuple[float, float]:
+    # The test multiplier's least and largest values over all imputed s, which
+    # it takes for s far enough below or above the scores. Under a ridge
+    # penalty the term s * eta_test dominates, so both box bounds are reached;
+    # without one the constraints phi' eta = 0 can cap it, and two LPs tell.
     lower, upper = -delta, 1.0 - delta
-    nonzero = phi != 0.0
-    if (nonzero.sum(axis=1) <= 1).all():
-        # One column or group indicators: the blocks decouple and eta = 0
-        # meets every block but the test row's own, so only the rows of that
-        # block can balance the test multiplier.
-        cols = np.flatnonzero(nonzero[-1])
-        if cols.size == 0:
-            return upper
-        h, ht = phi[:-1, cols[0]], float(phi[-1, cols[0]])
-        others_min = float(np.minimum(h * lower, h * upper).sum())
-        others_max = float(np.maximum(h * lower, h * upper).sum())
-        reach = -others_min / ht if ht > 0.0 else -others_max / ht
-        return min(upper, reach)
+    if ridge_weight > 0.0:
+        return lower, upper
     n = phi.shape[0]
-    objective = np.zeros(n)
-    objective[-1] = -1.0
-    res = linprog(objective, A_eq=phi.T, b_eq=np.zeros(phi.shape[1]),
-                  bounds=[(lower, upper)] * n, method="highs",
-                  options=_LP_OPTIONS)
-    if res.status != 0:
-        raise FitError("feasibility LP did not reach optimality",
-                       status=res.status, solver_message=res.message)
-    return -res.fun
+    ends = []
+    for sign in (1.0, -1.0):
+        objective = np.zeros(n)
+        objective[-1] = sign
+        res = linprog(objective, A_eq=phi.T, b_eq=np.zeros(phi.shape[1]),
+                      bounds=[(lower, upper)] * n, method="highs",
+                      options=_LP_OPTIONS)
+        if res.status != 0:
+            raise FitError("feasibility LP did not reach optimality",
+                           status=res.status, solver_message=res.message)
+        ends.append(sign * res.fun)
+    return ends[0], ends[1]
 
 
 def _search_threshold(scores: np.ndarray, phi: np.ndarray, delta, ridge_weight,
-                      level, strict) -> float:
-    # General route for features the closed form cannot serve: bracket the
-    # crossing, bisect it to SEARCH_TOLERANCE, then snap to a nearby score atom.
+                      level) -> float:
+    # General route for rows spanning several columns or a test group with
+    # mixed values: the multiplier's range decides +-inf, else bracket the
+    # crossing and bisect it to SEARCH_TOLERANCE, one dual solve per probe.
+    # The margin absorbs solver noise; a multiplier within it of the box top
+    # 1 - delta fails both criteria, as no level below 1 - delta admits it.
     margin = 1e-9
 
-    def holds(sv: float) -> bool:
-        eta_test = dual_eta(scores, phi, delta, ridge_weight, sv).eta[-1]
-        if strict:
-            return eta_test < level - margin
-        return eta_test <= level + margin
+    def holds(eta_test: float) -> bool:
+        return eta_test < 1.0 - delta - margin and eta_test <= level + margin
 
-    if ridge_weight == 0.0 and strict:
-        # the test multiplier may be capped below its box bound by the
-        # equality constraints; then no finite s exhausts the criterion
-        if _max_feasible_test_eta(phi, delta) < level - 1e-12:
-            return math.inf
+    def holds_at(sv: float) -> bool:
+        return holds(dual_eta(scores, phi, delta, ridge_weight, sv).eta[-1])
 
+    least, most = _test_eta_range(phi, delta, ridge_weight)
+    if holds(most):
+        return math.inf
+    if not holds(least):
+        return -math.inf
     span = max(1.0, float(scores.max() - scores.min()))
     lo = float(scores.min()) - span
     hi = float(scores.max()) + span
-    for attempt in range(MAX_BRACKET_DOUBLINGS + 1):
-        if not holds(hi):
-            break
-        lo = hi
-        hi += span * 2.0 ** attempt
-    else:
-        return math.inf
-    for attempt in range(MAX_BRACKET_DOUBLINGS + 1):
-        if holds(lo):
-            break
-        hi = lo
-        lo -= span * 2.0 ** attempt
-    else:
-        return -math.inf
+    while holds_at(hi):
+        lo, hi, span = hi, hi + span, 2.0 * span
+    while not holds_at(lo):
+        lo, hi, span = lo - span, lo, 2.0 * span
     while hi - lo > SEARCH_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if holds(mid):
+        if holds_at(mid):
             lo = mid
         else:
             hi = mid
-    # The supremum lies within LP-tie noise of [lo, hi]; when it is a score
-    # atom (always, for zero regularization) snapping restores exactness.
-    window = 1e-6 * (1.0 + float(np.max(np.abs(scores))))
-    near = scores[(scores >= lo - window) & (scores <= hi + window)]
-    if near.size:
-        return float(near.max())
-    return float(hi)
-
-
-def _curvature(phi: np.ndarray, ridge_weight: float) -> float | None:
-    """Dual curvature 2 n w / c^2 when ``phi`` is one constant column c != 0.
-
-    None when the closed form cannot serve ``phi``: several columns, or a
-    non-constant or zero column. An underflow to 0 (c huge) leaves the
-    unregularized limit, an overflow to +inf (c tiny) a crossing at 0.
-    """
-    if phi.shape[1] != 1:
-        return None
-    c = float(phi[0, 0])
-    if c == 0.0 or not (phi[:, 0] == c).all():
-        return None
-    return 2.0 * phi.shape[0] * ridge_weight / c / c
+    return hi
 
 
 def _closed_form_threshold(scores: np.ndarray, curv: float, delta: float,
@@ -525,18 +494,29 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
     if ridge_weight < 0.0:
         raise ValueError("ridge_weight must be nonnegative")
     scores, phi = _validated(scores, features)
-    m = scores.size
-    if u is None:
-        level, rank = 1.0 - delta, rank_plus(m, delta)
-    elif u >= 1.0:
+    if u is not None and u >= 1.0:
         return math.inf
-    else:
-        level, rank = u - delta, math.floor((1 - Fraction(delta)) * (m + 1) + Fraction(u))
-    curv = _curvature(phi, ridge_weight)
-    if curv is not None:
-        return _closed_form_threshold(scores, curv, delta, level, rank)
-    return _search_threshold(scores, phi, delta, ridge_weight, level,
-                             strict=u is None)
+    test = phi[-1]
+    if not test.any():
+        # no constraint touches the test multiplier: it takes the sign of s
+        return 0.0
+    level = 1.0 - delta if u is None else u - delta
+    if phi.shape[1] == 1 or (np.count_nonzero(phi, axis=1) <= 1).all():
+        # group indicators: the test row's block decouples from the others,
+        # and its column is constant c when the block is one group
+        col = test.nonzero()[0][0]
+        h, c = phi[:-1, col], float(test[col])
+        in_group = h == c
+        if (in_group | (h == 0.0)).all():
+            group = scores[in_group]
+            m = group.size
+            if u is None:
+                rank = rank_plus(m, delta)
+            else:
+                rank = math.floor((1 - Fraction(delta)) * (m + 1) + Fraction(u))
+            curv = 2.0 * phi.shape[0] * ridge_weight / c / c
+            return _closed_form_threshold(group, curv, delta, level, rank)
+    return _search_threshold(scores, phi, delta, ridge_weight, level)
 
 
 def weighted_threshold(scores, features, alpha: float, delta: float,
@@ -545,12 +525,15 @@ def weighted_threshold(scores, features, alpha: float, delta: float,
 
     ``scores`` are the per-environment coverage thresholds at level alpha
     (see :func:`env_score`); the threshold itself depends only on delta.
-    One constant feature column gets the closed form: without regularization
-    this is ``quant_plus(scores, delta)`` exactly, ``+inf`` when its rank
-    ``ceil((1 - delta)(m + 1))`` exceeds m; with it, the exact crossing of
-    the piecewise-linear multiplier. Other features run the general search
-    (bisection to ``SEARCH_TOLERANCE``, then a snap to a nearby score atom),
-    where a criterion that never fails within the bracket expansion yields +inf.
+    Group features (every row nonzero in at most one column, the test row's
+    column one value c on all its group's rows; one constant column is the
+    one-group case) are read exactly from the test group's m_g scores:
+    without regularization ``quant_plus(group, delta)``, ``+inf`` when its
+    rank ``ceil((1 - delta)(m_g + 1))`` exceeds m_g; with it, the crossing
+    of the piecewise-linear multiplier. A feature-free test row gives 0.0.
+    Rows spanning several columns, or a test group with mixed values, run
+    the general search (bisection to ``SEARCH_TOLERANCE``), where the test
+    multiplier's range over all s decides ``+inf`` beforehand.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
@@ -561,14 +544,16 @@ def randomized_threshold(scores, features, alpha: float, delta: float,
                          rng: np.random.Generator, ridge_weight: float = 0.0) -> float:
     """Randomized variant: the multiplier may reach U - delta, U uniform.
 
-    U is drawn once, before the scores are checked. One constant feature
-    column gets the closed form: without regularization the
-    ``floor((1 - delta)(m + 1) + U)``-th smallest score, ``+inf`` when that
-    rank exceeds m and ``-inf`` (the empty-set convention) when it is below 1;
-    with it, the exact crossing of the piecewise-linear multiplier. ``U >= 1``
-    never binds and gives +inf on every route. Other features run the
-    general search, where exhausting the upward bracket returns +inf and a
-    criterion that fails everywhere returns -inf.
+    U is drawn once, before the scores are checked. Group features, as in
+    :func:`weighted_threshold`, are read exactly from the test group's m_g
+    scores: without regularization the ``floor((1 - delta)(m_g + 1) + U)``-th
+    smallest, ``+inf`` when that rank exceeds m_g and ``-inf`` (the empty-set
+    convention) when it is below 1; with it, the crossing of the
+    piecewise-linear multiplier. A feature-free test row gives 0.0, and
+    ``U >= 1`` never binds and gives ``+inf`` on every route. Other features
+    run the general search, where the test multiplier's range over all s
+    decides ``+inf`` (the constraints cap it at or below U - delta) and
+    ``-inf`` (they hold it above U - delta) beforehand.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")

@@ -290,7 +290,7 @@ class TestPinball:
             x = rng.normal(size=(7, 1))
             y = rng.normal(size=7)
             level = float(rng.uniform(0.1, 0.9))
-            model = fit_pinball(x, y, level, tolerance=1e-8)
+            model = fit_pinball(x, y, level)
             xd = np.column_stack([np.ones(7), x])
             got = oracle_pinball_objective(xd, y, model.theta, level)
             want = oracle_pinball_vertex_min(xd, y, level)

@@ -13,8 +13,8 @@ from mecp.nested_sets import SymmetricFamily
 from mecp.quantiles import quant_plus
 from mecp.weighted import (
     BOX_TOLERANCE,
-    _max_feasible_test_eta,
     _search_threshold,
+    _test_eta_range,
     _solve_box_dual,
     _solve_box_dual_ca,
     _solve_box_lp,
@@ -58,6 +58,17 @@ def group_features(sizes, test_group):
 def pinball_loss(t, delta):
     t = np.asarray(t, dtype=float)
     return (1.0 - delta) * np.clip(t, 0.0, None) + delta * np.clip(-t, 0.0, None)
+
+
+def lp_test_reach(phi, delta, sign):
+    """Largest (sign 1) or least (sign -1) box-feasible test multiplier."""
+    n = phi.shape[0]
+    objective = np.zeros(n)
+    objective[-1] = -sign
+    res = linprog(objective, A_eq=phi.T, b_eq=np.zeros(phi.shape[1]),
+                  bounds=[(-delta, 1.0 - delta)] * n, method="highs")
+    assert res.status == 0
+    return -sign * res.fun
 
 
 def lp_dual_value(full_scores, phi, delta):
@@ -422,6 +433,12 @@ def criterion_holds(scores, features, delta, weight, s, u=None):
     return shifted < 1.0 if u is None else shifted <= u
 
 
+def straddles(scores, features, delta, weight, tau, u, rel):
+    eps = rel * (1.0 + abs(tau))
+    return (criterion_holds(scores, features, delta, weight, tau - eps, u)
+            and not criterion_holds(scores, features, delta, weight, tau + eps, u))
+
+
 class TestClosedFormThreshold:
     @pytest.mark.parametrize("m, delta, want", [(9, 0.3, 8.0), (9, 0.6, 5.0),
                                                 (19, 0.3, 15.0)])
@@ -486,13 +503,10 @@ class TestClosedFormThreshold:
                 tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u),
                                            ridge_weight=weight)
                 level = u - delta
-            want = _search_threshold(scores, features, delta, weight, level,
-                                     strict=u is None)
+            want = _search_threshold(scores, features, delta, weight, level)
             assert math.isfinite(tau)
             assert abs(tau - want) <= 1e-7 * max(1.0, abs(want))
-            eps = 1e-9 * (1.0 + abs(tau))
-            assert criterion_holds(scores, features, delta, weight, tau - eps, u)
-            assert not criterion_holds(scores, features, delta, weight, tau + eps, u)
+            assert straddles(scores, features, delta, weight, tau, u, 1e-9)
 
     def test_randomized_full_draw_overflows_with_regularization(self):
         scores = np.array([0.5, 1.5, 2.5])
@@ -525,8 +539,10 @@ class TestBlockDual:
             assert got.eta[-1] == pytest.approx(ref.eta[-1], abs=1e-6)
             assert got.objective >= ref.objective - 1e-9
 
-    def test_block_indicator_test_reach_matches_lp(self):
-        # largest feasible test multiplier: closed form per block vs HiGHS
+    def test_test_multiplier_range_is_reached_far_out(self):
+        # the range that decides +-inf before a search: its ends are the
+        # multipliers the exact block dual returns at imputed scores far below
+        # and far above every score (HiGHS vs the per-block 1-d solves)
         rng = np.random.default_rng(516)
         free_test_rows = 0
         for case in range(80):
@@ -541,11 +557,97 @@ class TestBlockDual:
                     phi[i, col] = float(rng.choice([1.0, rng.uniform(0.3, 3.0),
                                                     -rng.uniform(0.3, 3.0)]))
             free_test_rows += cols[-1] < 0
+            scores = rng.normal(size=n - 1)
             delta = float(rng.uniform(0.05, 0.95))
-            objective = np.zeros(n)
-            objective[-1] = -1.0
-            res = linprog(objective, A_eq=phi.T, b_eq=np.zeros(k),
-                          bounds=[(-delta, 1.0 - delta)] * n, method="highs")
-            assert res.status == 0
-            assert _max_feasible_test_eta(phi, delta) == pytest.approx(-res.fun, abs=1e-9)
+            weight = 0.0 if case % 2 == 0 else 0.3
+            least, most = _test_eta_range(phi, delta, weight)
+            far = 1e6 * (1.0 + float(np.abs(scores).max()))
+            assert dual_eta(scores, phi, delta, weight, -far).eta[-1] == pytest.approx(least, abs=1e-9)
+            assert dual_eta(scores, phi, delta, weight, far).eta[-1] == pytest.approx(most, abs=1e-9)
         assert free_test_rows >= 20
+
+
+U_DRAWS = (0.0, 0.5, 1.0 - 2.0**-40, 1.0 - 2.0**-53)
+
+
+def group_cases(rng, count):
+    """(scores, features, delta): 2-3 groups of 0-6 rows, rounded ties."""
+    cases = []
+    for _ in range(count):
+        sizes = [int(v) for v in rng.integers(0, 7, size=int(rng.integers(2, 4)))]
+        sizes[int(rng.integers(len(sizes)))] += sum(sizes) == 0
+        features = group_features(sizes, test_group=int(rng.integers(len(sizes))))
+        scores = np.round(rng.normal(size=sum(sizes)) * 2.0, 1)
+        cases.append((scores, features, float(rng.uniform(0.02, 0.95))))
+    return cases
+
+
+class TestGroupFeatureThresholds:
+    def test_group_features_equal_definition_without_regularization(self):
+        rng = np.random.default_rng(1414)
+        empty_test_groups = 0
+        for scores, features, delta in group_cases(rng, 60):
+            empty_test_groups += not features[:-1, features[-1] != 0.0].any()
+            multiplier = lambda s: dual_eta(scores, features, delta, 0.0, s).eta[-1]
+            want = oracle_weighted_threshold(scores, multiplier, delta)
+            assert weighted_threshold(scores, features, 0.1, delta) == want
+            for u in U_DRAWS + (float(rng.uniform()),):
+                want = oracle_weighted_threshold(scores, multiplier, delta, u=u)
+                got = randomized_threshold(scores, features, 0.1, delta, StubRng(u))
+                assert got == want
+        assert empty_test_groups >= 5
+
+    def test_feature_free_test_row_gives_zero(self):
+        # nothing constrains the test multiplier, so it follows the sign of s:
+        # -delta below 0 (both criteria hold), 1 - delta above (both fail)
+        scores = np.array([1e-7, 2.0, -1.0, 0.5])
+        free = np.zeros((1, 2))
+        for features in (np.vstack([ones_features(3), [[0.0]]]),
+                         np.vstack([group_features([2, 2], 0)[:-1], free]),
+                         np.vstack([np.column_stack([np.ones(4), scores]), free])):
+            for weight in (0.0, 0.3):
+                assert weighted_threshold(scores, features, 0.1, 0.3, weight) == 0.0
+                for u in (0.1, 0.5, 1.0 - 2.0**-53):
+                    got = randomized_threshold(scores, features, 0.1, 0.3, StubRng(u), weight)
+                    assert got == 0.0
+                # the LP route's face tolerance blurs eta near s = 0
+                for s in (-1e-3, 1e-3):
+                    eta = dual_eta(scores, features, 0.3, weight, s).eta[-1]
+                    assert eta == pytest.approx(-0.3 if s < 0.0 else 0.7, abs=1e-4)
+
+    def test_group_features_with_regularization_straddle_the_level(self):
+        rng = np.random.default_rng(1415)
+        for case, (scores, features, delta) in enumerate(group_cases(rng, 60)):
+            weight = float(rng.choice([5e-3, 0.3, 2.0]))
+            features = features * float(rng.choice([1.0, 2.5, -0.7]))
+            u = None if case % 2 == 0 else float(rng.choice(U_DRAWS[:3] + (rng.uniform(),)))
+            if u is None:
+                tau = weighted_threshold(scores, features, 0.1, delta, ridge_weight=weight)
+            else:
+                tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u),
+                                           ridge_weight=weight)
+            assert math.isfinite(tau)
+            assert straddles(scores, features, delta, weight, tau, u, 1e-9)
+
+    def test_two_column_features_randomized_without_regularization(self):
+        # [1, x_e] rows run the general search. It raises no solver error; a
+        # finite threshold straddles the level within the search tolerance,
+        # and an infinite one means the constraints hold every feasible test
+        # multiplier on one side of U - delta (HiGHS reach of the test entry).
+        rng = np.random.default_rng(1416)
+        finite = 0
+        for _ in range(60):
+            m = int(rng.integers(2, 9))
+            features = np.column_stack([np.ones(m + 1), rng.normal(size=m + 1)])
+            scores = rng.normal(size=m)
+            delta = float(rng.uniform(0.05, 0.95))
+            u = float(rng.choice([rng.uniform(), 1.0 - rng.uniform() * 2.0**-31]))
+            tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u))
+            if math.isfinite(tau):
+                finite += 1
+                assert straddles(scores, features, delta, 0.0, tau, u, 1e-8)
+            elif tau > 0.0:
+                assert lp_test_reach(features, delta, 1.0) + delta <= u + 1e-9
+            else:
+                assert lp_test_reach(features, delta, -1.0) + delta > u
+        assert finite >= 20
