@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,35 +41,18 @@ from mecp.predictors import FitError
 SWEEP_HEADER = "param,value,emp_one_minus_delta,emp_one_minus_alpha,emp_set_length"
 SWEEPABLE = ("alpha", "delta", "gamma", "alpha0", "label_count", "ridge_weight")
 
+_PLAN_KEYS = {"trials", "train_envs", "test_envs", "rule", "clip", "seed", "workers"}
 _SECTION_KEYS = {
     "dataset": {"csv", "generator"},
-    "algorithm": {
-        "name",
-        "alpha",
-        "delta",
-        "gamma",
-        "alpha0",
-        "label_count",
-        "ridge_grid",
-        "ridge_weight",
-        "feature_map",
-    },
-    "plan": {"trials", "train_envs", "test_envs", "rule", "clip", "seed", "workers"},
+    # TrialPlan's fields, less the plan section's and those the CLI fills in
+    "algorithm": {"name"}
+    | {f.name for f in fields(TrialPlan)} - _PLAN_KEYS - {"generator", "algorithm"},
+    "plan": _PLAN_KEYS,
     "sweep": {"param", "values"},
     "compare": {"method_a", "method_b", "delta_grid"},
     "output": {"report", "sweep_csv", "dataset_csv"},
 }
-_GENERATOR_KEYS = {
-    "m",
-    "n_per_env",
-    "p",
-    "beta",
-    "env_effect_scale",
-    "noise_scale",
-    "outlier_frac",
-    "outlier_noise_multiplier",
-    "seed",
-}
+_GENERATOR_KEYS = {f.name for f in fields(HierGenConfig)}
 
 
 class ConfigError(ValueError):
@@ -128,8 +111,6 @@ def _build_generator(section: dict, m: int | None, seed: int | None) -> HierGenC
     if unknown:
         raise ConfigError(f"unknown generator fields: {sorted(unknown)}")
     params = dict(section)
-    if isinstance(params.get("n_per_env"), list):
-        params["n_per_env"] = tuple(params["n_per_env"])
     if m is not None:
         params["m"] = m
     if "m" not in params:
@@ -172,9 +153,6 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
         if name is not None and name not in algorithm_names():
             raise ConfigError(f"unknown method {name!r}; choose from {list(algorithm_names())}")
 
-    seed = args.seed
-    if seed is None:
-        seed = plan_sec.get("seed", 0)
     # accepted for existing configs and command lines, then ignored
     workers = getattr(args, "workers", None)
     if workers is None:
@@ -202,17 +180,18 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
             raise ConfigError("algorithm.name is required")
         if "alpha" not in alg:
             raise ConfigError("algorithm.alpha is required")
-        ridge_grid = alg.get("ridge_grid")
-        clip = plan_sec.get("clip")
         template = None
         train_envs = plan_sec.get("train_envs", 2)
         test_envs = plan_sec.get("test_envs", 1)
         if gen_sec is not None:
             if not isinstance(train_envs, int) or not isinstance(test_envs, int):
                 raise ConfigError("plan.train_envs and plan.test_envs must be integers")
-            template = _build_generator(
-                gen_sec, m=train_envs + test_envs, seed=gen_sec.get("seed")
-            )
+            template = _build_generator(gen_sec, m=train_envs + test_envs, seed=None)
+        # only the keys the config holds: TrialPlan's defaults are the only ones
+        options = {k: v for k, v in alg.items() if k != "name"}
+        options.update({k: plan_sec[k] for k in ("clip", "rule", "seed") if k in plan_sec})
+        if args.seed is not None:
+            options["seed"] = args.seed
         try:
             plan = TrialPlan(
                 generator=template,
@@ -220,17 +199,7 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
                 trials=plan_sec.get("trials", 1),
                 train_envs=train_envs,
                 test_envs=test_envs,
-                alpha=alg["alpha"],
-                delta=alg.get("delta", 0.2),
-                gamma=alg.get("gamma", 0.5),
-                alpha0=alg.get("alpha0", 0.05),
-                label_count=alg.get("label_count", 30),
-                ridge_grid=tuple(ridge_grid) if ridge_grid is not None else None,
-                ridge_weight=alg.get("ridge_weight", 0.0),
-                feature_map=alg.get("feature_map", "constant"),
-                clip=tuple(clip) if clip is not None else None,
-                rule=plan_sec.get("rule", "count"),
-                seed=seed,
+                **options,
             )
             # cmd_run builds one plan per sweep value; reject bad values up front
             for value in sweep_values or ():
@@ -240,8 +209,7 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
 
     generator = None
     if command == "simulate" and gen_sec is not None:
-        sim_seed = args.seed if args.seed is not None else gen_sec.get("seed", 0)
-        generator = _build_generator(gen_sec, m=None, seed=sim_seed)
+        generator = _build_generator(gen_sec, m=None, seed=args.seed)
 
     return RunConfig(
         command=command,
@@ -359,20 +327,16 @@ def cmd_compare(config: RunConfig) -> int:
         config.method_a, config.method_b, plan.alpha, config.delta_grid, plan
     )
     # both methods derive data seeds the same way; the echo makes that auditable
-    seeds_a = [
-        trial_data_seed(replace(plan, algorithm=config.method_a), t)
-        for t in range(plan.trials)
-    ]
-    seeds_b = [
-        trial_data_seed(replace(plan, algorithm=config.method_b), t)
-        for t in range(plan.trials)
-    ]
+    def echo(method: str) -> dict:
+        seeds = [trial_data_seed(replace(plan, algorithm=method), t) for t in range(plan.trials)]
+        return {"name": method, "trial_seeds": seeds}
+
     doc = {
         "plan": plan.to_json_dict(),
         "alpha": plan.alpha,
         "delta_grid": list(config.delta_grid),
-        "method_a": {"name": config.method_a, "trial_seeds": seeds_a},
-        "method_b": {"name": config.method_b, "trial_seeds": seeds_b},
+        "method_a": echo(config.method_a),
+        "method_b": echo(config.method_b),
         "match": result.to_json_dict(),
     }
     _write_json(config.report_path, doc)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from mecp.quantiles import check_prob
+
 __all__ = [
     "EnvironmentSample",
     "EnvSplit",
@@ -232,8 +234,7 @@ def split_environments(dataset: MultiEnvDataset, gamma: float, rng: np.random.Ge
 
     Both sides must be nonempty; indices are returned sorted.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie strictly in (0, 1)")
+    gamma = check_prob(gamma, "gamma")
     m = dataset.m
     size1 = int(np.floor(gamma * m + 0.5))
     if size1 < 1 or size1 > m - 1:

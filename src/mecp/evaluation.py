@@ -48,6 +48,7 @@ from mecp.data import (
 from mecp.nested_sets import bounds_measure, contains, float_to_json, measure
 from mecp.predictors import DEFAULT_LAMBDA_GRID, FitError
 from mecp.quantiles import check_prob, rank_plus
+from mecp.weighted import _check_ridge_weight
 
 # Unused here: bench/tracer.py wraps these names under this module.
 from mecp.algorithms import WeightedSplitMapping  # noqa: F401
@@ -82,6 +83,20 @@ def _fraction_bar(n: int, alpha: float) -> int:
     return math.ceil((1 - Fraction(alpha)) * n)
 
 
+def _json_value(value):
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return float_to_json(value) if isinstance(value, float) else value
+
+
+def _json_dict(obj) -> dict:
+    """A dataclass as JSON-ready fields: nested dataclasses become dicts,
+    tuples lists, and +-inf the strings "inf" / "-inf"."""
+    return _json_value(asdict(obj))
+
+
 @dataclass(frozen=True)
 class EnvRecord:
     """Coverage tally for one (trial, test environment) pair."""
@@ -94,14 +109,7 @@ class EnvRecord:
     mean_measure: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "env_id": self.env_id,
-            "n": self.n,
-            "covered_count": self.covered_count,
-            "env_covered": self.env_covered,
-            "mean_measure": float_to_json(self.mean_measure),
-        }
+        return _json_dict(self)
 
 
 @dataclass(frozen=True)
@@ -283,10 +291,8 @@ class TrialPlan:
             raise ValueError("need at least two training environments")
         if self.test_envs < 1:
             raise ValueError("need at least one test environment")
-        check_prob(self.alpha, "alpha")
-        check_prob(self.delta, "delta")
-        check_prob(self.gamma, "gamma")
-        check_prob(self.alpha0, "alpha0")
+        for name in ("alpha", "delta", "gamma", "alpha0"):
+            check_prob(getattr(self, name), name)
         if self.label_count < 1:
             raise ValueError("label_count must be at least 1")
         if self.ridge_grid is not None:
@@ -294,8 +300,7 @@ class TrialPlan:
             if not grid or any(not math.isfinite(v) or v < 0.0 for v in grid):
                 raise ValueError("ridge_grid must be nonempty finite nonnegative values")
             object.__setattr__(self, "ridge_grid", grid)
-        if not math.isfinite(self.ridge_weight) or self.ridge_weight < 0.0:
-            raise ValueError("ridge_weight must be finite and nonnegative")
+        _check_ridge_weight(self.ridge_weight)
         if self.feature_map != "constant":
             raise ValueError(
                 "only the 'constant' feature map runs inside the trial engine; "
@@ -310,30 +315,7 @@ class TrialPlan:
             object.__setattr__(self, "clip", (lo, hi))
 
     def to_json_dict(self) -> dict:
-        generator = None
-        if self.generator is not None:
-            generator = {
-                k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self.generator).items()
-            }
-        return {
-            "generator": generator,
-            "algorithm": self.algorithm,
-            "trials": self.trials,
-            "train_envs": self.train_envs,
-            "test_envs": self.test_envs,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "alpha0": self.alpha0,
-            "label_count": self.label_count,
-            "ridge_grid": list(self.ridge_grid) if self.ridge_grid is not None else None,
-            "ridge_weight": self.ridge_weight,
-            "feature_map": self.feature_map,
-            "clip": list(self.clip) if self.clip is not None else None,
-            "rule": self.rule,
-            "seed": self.seed,
-        }
+        return _json_dict(self)
 
 
 def _grid(plan: TrialPlan) -> tuple[float, ...]:
@@ -525,12 +507,7 @@ class DeltaMatch:
     candidate_fractions: tuple[tuple[float, float], ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "found": self.found,
-            "baseline_fraction": self.baseline_fraction,
-            "candidate_fractions": [list(pair) for pair in self.candidate_fractions],
-        }
+        return _json_dict(self)
 
 
 def match_delta(

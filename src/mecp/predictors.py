@@ -14,6 +14,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import logsumexp, softmax as _softmax
 
+from mecp.quantiles import check_prob
+
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "FitError",
@@ -25,6 +27,7 @@ __all__ = [
     "fit_ridge_leave_one_out",
     "fit_softmax",
     "multiclass_loss",
+    "pinball_lp",
     "predict_logits",
     "predict_ridge",
 ]
@@ -246,6 +249,20 @@ class PinballModel:
         return self.theta[0] + x @ self.theta[1:]
 
 
+def pinball_lp(design: np.ndarray, target: np.ndarray, weights: tuple[float, float],
+               tolerance: float):
+    """HiGHS result of min mean(weights[0] u+ + weights[1] u-) subject to
+    design @ theta + u+ - u- = target, theta (``res.x[:d]``) free, u+- >= 0;
+    ``tolerance`` is the primal and dual feasibility tolerance."""
+    n, d = design.shape
+    c = np.concatenate([np.zeros(d), np.full(n, weights[0] / n), np.full(n, weights[1] / n)])
+    a_eq = np.hstack([design, np.eye(n), -np.eye(n)])
+    bounds = [(None, None)] * d + [(0, None)] * (2 * n)
+    return linprog(c, A_eq=a_eq, b_eq=target, bounds=bounds, method="highs",
+                   options={"primal_feasibility_tolerance": tolerance,
+                            "dual_feasibility_tolerance": tolerance})
+
+
 def fit_pinball(x, y, level: float) -> PinballModel:
     """Minimize mean pinball loss over affine functions via an exact LP.
 
@@ -254,18 +271,11 @@ def fit_pinball(x, y, level: float) -> PinballModel:
     quantile being estimated.  The solver (HiGHS) is deterministic; a
     non-optimal exit raises :class:`FitError` with the solver status.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly in (0, 1)")
+    level = check_prob(level, "level")
     xt = _design(x)
     n, d = xt.shape
     y = _check_outcomes(y, n)
-    # variables: theta (free), u+ (n), u- (n); residual split r = u+ - u-
-    c = np.concatenate([np.zeros(d), np.full(n, level / n), np.full(n, (1 - level) / n)])
-    a_eq = np.hstack([xt, np.eye(n), -np.eye(n)])
-    bounds = [(None, None)] * d + [(0, None)] * (2 * n)
-    res = linprog(c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": _PINBALL_TOLERANCE,
-                           "dual_feasibility_tolerance": _PINBALL_TOLERANCE})
+    res = pinball_lp(xt, y, (level, 1 - level), _PINBALL_TOLERANCE)
     if res.status != 0:
         raise FitError("pinball LP did not reach optimality",
                        status=res.status, message=res.message, objective=res.fun)

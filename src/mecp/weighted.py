@@ -32,7 +32,7 @@ from scipy.optimize import linprog
 
 from .data import EnvironmentSample
 from .nested_sets import NestedFamily, thresholds
-from .predictors import FitError
+from .predictors import FitError, pinball_lp
 from .quantiles import check_prob, rank_plus
 
 __all__ = [
@@ -50,9 +50,10 @@ __all__ = [
 
 BOX_TOLERANCE = 1e-10
 SEARCH_TOLERANCE = 1e-8
+_LP_TOLERANCE = 1e-10
 _LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
+    "primal_feasibility_tolerance": _LP_TOLERANCE,
+    "dual_feasibility_tolerance": _LP_TOLERANCE,
 }
 
 
@@ -126,6 +127,17 @@ def _split_score_pairs(scores) -> tuple[np.ndarray, np.ndarray]:
     return phi, s
 
 
+def _check_ridge_weight(ridge_weight: float) -> float:
+    if not math.isfinite(ridge_weight) or ridge_weight < 0.0:
+        raise ValueError("ridge_weight must be finite and nonnegative")
+    return float(ridge_weight)
+
+
+def _group_rows(phi: np.ndarray) -> bool:
+    # group features: each row nonzero in at most one column
+    return phi.shape[1] == 1 or bool(((phi != 0.0).sum(axis=1) <= 1).all())
+
+
 def _primal_objective(phi, s, theta, delta, ridge_weight) -> float:
     fits = phi @ theta
     return float(np.mean(_pinball(s - fits, delta)) + ridge_weight * theta @ theta)
@@ -145,16 +157,11 @@ def fit_pinball_env(
     of at most ``SEARCH_TOLERANCE``.
     """
     delta = check_prob(delta, "delta")
-    if ridge_weight < 0.0:
-        raise ValueError("ridge_weight must be nonnegative")
+    ridge_weight = _check_ridge_weight(ridge_weight)
     phi, s = _split_score_pairs(scores)
     n, k = phi.shape
     if ridge_weight == 0.0:
-        # variables: theta (free), u+ (n), u- (n); residual split t = u+ - u-
-        c = np.concatenate([np.zeros(k), np.full(n, (1 - delta) / n), np.full(n, delta / n)])
-        a_eq = np.hstack([phi, np.eye(n), -np.eye(n)])
-        bounds = [(None, None)] * k + [(0, None)] * (2 * n)
-        res = linprog(c, A_eq=a_eq, b_eq=s, bounds=bounds, method="highs", options=_LP_OPTIONS)
+        res = pinball_lp(phi, s, (1 - delta, delta), _LP_TOLERANCE)
         if res.status != 0:
             raise FitError("score pinball LP did not reach optimality",
                            status=res.status, solver_message=res.message, objective=res.fun)
@@ -168,7 +175,7 @@ def fit_pinball_env(
     if not gap <= SEARCH_TOLERANCE:
         raise FitError("regularized score fit exceeded the duality-gap tolerance",
                        objective=objective, gap=gap)
-    return PinballEnvModel(theta=theta, delta=delta, ridge_weight=float(ridge_weight),
+    return PinballEnvModel(theta=theta, delta=delta, ridge_weight=ridge_weight,
                            objective=objective)
 
 
@@ -215,44 +222,25 @@ def _solve_box_lp(full_scores: np.ndarray, phi: np.ndarray, delta: float) -> Dua
     return DualSolution(eta=eta, objective=float(full_scores @ eta))
 
 
-def _fill_contributions(rhs: float, spans: list[tuple[float, float]]) -> list[float]:
-    # deterministic water filling: meet rhs with each contribution in its span
-    picks = []
-    deficit = rhs - sum(lo for lo, _ in spans)
-    for lo, hi in spans:
-        add = min(max(deficit, 0.0), hi - lo)
-        picks.append(lo + add)
-        deficit -= add
-    return picks
+def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float,
+                   curv: float) -> np.ndarray:
+    """Exact box-dual multipliers for one feature column with no zero entry.
 
-
-def _solve_box_dual_1d(full_scores: np.ndarray, h: np.ndarray, delta: float,
-                       ridge_weight: float) -> DualSolution:
-    """Exact box-dual solve for a single feature column, any ridge weight.
-
-    The matching primal objective is piecewise quadratic (piecewise linear
-    when unregularized) in the scalar coefficient, so its minimizer falls
-    out of a breakpoint scan of the subgradient. Multipliers follow from
-    residual signs; coordinates tied at the kink are filled so the last
-    (test) entry comes out largest. No iterative solver, hence no solver
-    noise: vertex values are exact up to float arithmetic.
+    The matching primal objective is piecewise quadratic with curvature
+    ``curv`` (piecewise linear at 0) in the scalar coefficient, so its
+    minimizer falls out of a breakpoint scan of the subgradient. Multipliers
+    follow from residual signs; coordinates tied at the kink are filled so
+    the last (test) entry comes out largest. No iterative solver, hence no
+    solver noise: vertex values are exact up to float arithmetic.
     """
     n = full_scores.size
     lower, upper = -delta, 1.0 - delta
-    curv = 2.0 * n * ridge_weight
-    eta = np.where(full_scores > 0.0, upper,
-                   np.where(full_scores < 0.0, lower, 0.0))
-    active = h != 0.0
-    if not active.any():
-        return DualSolution(eta=eta, objective=float(full_scores @ eta))
-    hb = h[active]
-    breaks = full_scores[active] / hb
+    breaks = full_scores / h
     # subgradient of the scaled primal left of every breakpoint, plus jumps
-    left = np.where(hb > 0.0, -hb * (1.0 - delta), hb * delta)
+    left = np.where(h > 0.0, -h * (1.0 - delta), h * delta)
     order = np.argsort(breaks, kind="stable")
     sorted_breaks = breaks[order]
-    cum = left.sum() + np.concatenate(([0.0], np.cumsum(np.abs(hb)[order])))
-    theta = None
+    cum = left.sum() + np.concatenate(([0.0], np.cumsum(np.abs(h)[order])))
     for t in range(sorted_breaks.size):
         b = float(sorted_breaks[t])
         lo_edge = -math.inf if t == 0 else float(sorted_breaks[t - 1])
@@ -273,67 +261,65 @@ def _solve_box_dual_1d(full_scores: np.ndarray, h: np.ndarray, delta: float,
             if cum[t] <= 0.0 <= cum[t + 1]:
                 theta = b
                 break
-    if theta is None:
+    else:
         theta = -cum[-1] / curv if curv > 0.0 else float(sorted_breaks[-1]) + 1.0
     resid = full_scores - h * theta
     tie_tol = 1e-12 * (1.0 + np.abs(full_scores) + np.abs(h * theta))
-    tie = active & (np.abs(resid) <= tie_tol)
-    signed = active & ~tie
-    eta[signed] = np.where(resid[signed] > 0.0, upper, lower)
+    tie = np.abs(resid) <= tie_tol
+    eta = np.where(resid > 0.0, upper, lower)
     tie_idx = [int(i) for i in np.flatnonzero(tie)]
     if tie_idx:
         eta[tie_idx] = 0.0
         rhs = curv * theta - float(h @ eta)
-        # the test coordinate is last; give it the extreme of its feasible
-        # contribution range before the rest are filled in index order
-        if tie_idx[-1] == n - 1:
-            tie_idx = tie_idx[-1:] + tie_idx[:-1]
         spans = [tuple(sorted((h[j] * lower, h[j] * upper))) for j in tie_idx]
-        if tie_idx[0] == n - 1:
-            rest_lo = sum(lo for lo, _ in spans[1:])
-            rest_hi = sum(hi for _, hi in spans[1:])
-            want = rhs - (rest_lo if h[n - 1] > 0.0 else rest_hi)
-            first = min(max(want, spans[0][0]), spans[0][1])
-            picks = [first] + _fill_contributions(rhs - first, spans[1:])
-        else:
-            picks = _fill_contributions(rhs, spans)
+        picks = []
+        if tie_idx[-1] == n - 1:
+            # the test coordinate is last; give it the extreme of its feasible
+            # contribution range before the rest are filled in index order
+            (test_lo, test_hi), spans = spans[-1], spans[:-1]
+            tie_idx = tie_idx[-1:] + tie_idx[:-1]
+            rest = sum(lo for lo, _ in spans) if h[n - 1] > 0.0 else sum(hi for _, hi in spans)
+            picks = [min(max(rhs - rest, test_lo), test_hi)]
+            rhs -= picks[0]
+        # deterministic water filling: meet rhs with each contribution in its span
+        deficit = rhs - sum(lo for lo, _ in spans)
+        for lo, hi in spans:
+            add = min(max(deficit, 0.0), hi - lo)
+            picks.append(lo + add)
+            deficit -= add
         for j, pick in zip(tie_idx, picks):
             eta[j] = min(max(pick / h[j], lower), upper)
-    q = float(h @ eta)
-    penalty = 0.0 if curv == 0.0 else q * q / (2.0 * curv)
-    return DualSolution(eta=eta, objective=float(full_scores @ eta) - penalty)
+    return eta
 
 
 def _solve_box_dual(full_scores: np.ndarray, phi: np.ndarray, delta: float,
                     ridge_weight: float) -> DualSolution:
-    if phi.shape[1] == 1:
-        return _solve_box_dual_1d(full_scores, phi[:, 0], delta, ridge_weight)
-    nonzero = phi != 0.0
-    if (nonzero.sum(axis=1) <= 1).all():
-        return _solve_box_dual_blocks(full_scores, phi, nonzero, delta, ridge_weight)
+    if _group_rows(phi):
+        return _solve_box_dual_blocks(full_scores, phi, delta, ridge_weight)
     if ridge_weight == 0.0:
         return _solve_box_lp(full_scores, phi, delta)
     return _solve_box_dual_ca(full_scores, phi, delta, ridge_weight)
 
 
-def _solve_box_dual_blocks(full_scores: np.ndarray, phi: np.ndarray, nonzero: np.ndarray,
-                           delta: float, ridge_weight: float) -> DualSolution:
+def _solve_box_dual_blocks(full_scores: np.ndarray, phi: np.ndarray, delta: float,
+                           ridge_weight: float) -> DualSolution:
     # Rows touching at most one column (group indicators): ||phi' eta||^2 is a
-    # sum over columns, so the dual splits into one 1-d problem per column.
-    # Each block keeps the full curvature 2 n w through the weight w n / n_block;
-    # feature-free rows take the sign rule of the 1-d solver's inactive rows.
-    n = full_scores.size
+    # sum over columns, so the dual splits into one breakpoint scan per column,
+    # each with the full curvature 2 n w; a feature-free row's multiplier is
+    # linear in the objective and takes the sign of its score.
+    curv = 2.0 * full_scores.size * ridge_weight
     eta = np.where(full_scores > 0.0, 1.0 - delta,
                    np.where(full_scores < 0.0, -delta, 0.0))
     penalty = 0.0
     for col in range(phi.shape[1]):
-        rows = np.flatnonzero(nonzero[:, col])
+        rows = np.flatnonzero(phi[:, col])
         if rows.size == 0:
             continue
-        block = _solve_box_dual_1d(full_scores[rows], phi[rows, col], delta,
-                                   ridge_weight * n / rows.size)
-        eta[rows] = block.eta
-        penalty += float(full_scores[rows] @ block.eta) - block.objective
+        h = phi[rows, col]
+        eta[rows] = _box_dual_scan(full_scores[rows], h, delta, curv)
+        if curv > 0.0:
+            q = float(h @ eta[rows])
+            penalty += q * q / (2.0 * curv)
     return DualSolution(eta=eta, objective=float(full_scores @ eta) - penalty)
 
 
@@ -398,8 +384,7 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
     multiplier; it is non-decreasing in s.
     """
     delta = check_prob(delta, "delta")
-    if ridge_weight < 0.0:
-        raise ValueError("ridge_weight must be nonnegative")
+    ridge_weight = _check_ridge_weight(ridge_weight)
     scores, phi = _validated(scores, features)
     return _solve_box_dual(np.append(scores, float(s)), phi, delta, ridge_weight)
 
@@ -491,8 +476,7 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
                u: float | None) -> float:
     # u is None for the plain threshold (eta_test < 1 - delta), else the
     # randomized draw (eta_test <= u - delta)
-    if ridge_weight < 0.0:
-        raise ValueError("ridge_weight must be nonnegative")
+    ridge_weight = _check_ridge_weight(ridge_weight)
     scores, phi = _validated(scores, features)
     if u is not None and u >= 1.0:
         return math.inf
@@ -501,7 +485,7 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
         # no constraint touches the test multiplier: it takes the sign of s
         return 0.0
     level = 1.0 - delta if u is None else u - delta
-    if phi.shape[1] == 1 or (np.count_nonzero(phi, axis=1) <= 1).all():
+    if _group_rows(phi):
         # group indicators: the test row's block decouples from the others,
         # and its column is constant c when the block is one group
         col = test.nonzero()[0][0]

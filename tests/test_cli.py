@@ -1,10 +1,15 @@
 """End-to-end command line checks: exit codes, file formats, determinism."""
 
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
+import pytest
+
+from mecp.cli import ConfigError, build_config
 from mecp.data import HierGenConfig
 from mecp.evaluation import TrialPlan, run_trials
 
@@ -45,6 +50,11 @@ def run_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def build_plan(doc):
+    args = argparse.Namespace(seed=None, workers=None, report=None, sweep_csv=None)
+    return build_config(doc, args, "run").plan
 
 
 class TestSimulate:
@@ -397,6 +407,33 @@ class TestConfigValidation:
         proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
         assert proc.returncode == 2
         assert "algorithm" in proc.stderr
+
+    def test_generator_takes_every_config_field(self):
+        section = {
+            "m": 99, "n_per_env": [10, 20], "p": 2, "beta": [1.0, -0.5],
+            "env_effect_scale": 0.5, "noise_scale": 2.0, "outlier_frac": 0.1,
+            "outlier_noise_multiplier": 3.0, "seed": 4,
+        }
+        assert set(section) == {f.name for f in fields(HierGenConfig)}
+        plan = build_plan(run_doc(dataset={"generator": section}))
+        assert plan.generator == HierGenConfig(**{**section, "m": 8})
+        section["noise"] = 1.0
+        with pytest.raises(ConfigError, match=r"unknown generator fields: \['noise'\]"):
+            build_plan(run_doc(dataset={"generator": section}))
+
+    def test_omitted_keys_take_trial_plan_defaults(self):
+        generator = HierGenConfig(m=8, n_per_env=15, p=2)
+        required = dict(generator=generator, algorithm="split_conformal", trials=3,
+                        train_envs=6, test_envs=2, alpha=0.2)
+        doc = run_doc(algorithm={"name": "split_conformal", "alpha": 0.2})
+        del doc["plan"]["seed"]
+        assert build_plan(doc) == TrialPlan(**required)
+        options = {"delta": 0.3, "gamma": 0.4, "alpha0": 0.1, "label_count": 5,
+                   "ridge_grid": [0, 1], "ridge_weight": 0.5, "feature_map": "constant"}
+        doc["algorithm"].update(options)
+        doc["plan"].update(clip=[-1, 4], rule="fraction", seed=9)
+        assert build_plan(doc) == TrialPlan(**required, **options, clip=(-1, 4),
+                                             rule="fraction", seed=9)
 
     def test_missing_subcommand_is_usage_error(self, tmp_path):
         proc = run_cli(tmp_path)

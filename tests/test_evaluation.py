@@ -22,6 +22,7 @@ from mecp.algorithms import (
 from mecp.data import EnvironmentSample, EnvSplit, HierGenConfig, generate_hierarchical
 from mecp.evaluation import (
     CoverageReport,
+    DeltaMatch,
     EnvRecord,
     TrialPlan,
     algorithm_names,
@@ -285,6 +286,27 @@ class TestTrialPlan:
         assert doc["generator"]["beta"] is None
         assert doc["clip"] == [0.0, 4.0]
         assert json.loads(json.dumps(doc)) == doc
+
+    def test_json_echo_lists_every_field(self):
+        generator = HierGenConfig(m=6, n_per_env=[10, 20], p=2, beta=[1, -0.5], seed=3)
+        plan = make_plan(generator=generator, algorithm="weighted_split_conformal",
+                         ridge_grid=[0, 1], ridge_weight=0.25, clip=[-1, 4])
+        assert plan.to_json_dict() == {
+            "generator": {
+                "m": 6, "n_per_env": [10, 20], "p": 2, "beta": [1.0, -0.5],
+                "env_effect_scale": 1.0, "noise_scale": 1.0, "outlier_frac": 0.0,
+                "outlier_noise_multiplier": 1.0, "seed": 3,
+            },
+            "algorithm": "weighted_split_conformal", "trials": 2, "train_envs": 4,
+            "test_envs": 2, "alpha": 0.1, "delta": 0.2, "gamma": 0.5, "alpha0": 0.05,
+            "label_count": 30, "ridge_grid": [0.0, 1.0], "ridge_weight": 0.25,
+            "feature_map": "constant", "clip": [-1.0, 4.0], "rule": "count", "seed": 11,
+        }
+        match = DeltaMatch(0.1, True, 0.9, ((0.05, 0.8), (0.1, 0.9)))
+        assert match.to_json_dict() == {
+            "delta": 0.1, "found": True, "baseline_fraction": 0.9,
+            "candidate_fractions": [[0.05, 0.8], [0.1, 0.9]],
+        }
 
 
 class TestRunTrials:

@@ -651,3 +651,20 @@ class TestGroupFeatureThresholds:
             else:
                 assert lp_test_reach(features, delta, -1.0) + delta > u
         assert finite >= 20
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -0.1])
+@pytest.mark.parametrize("entry", ["weighted", "randomized", "dual_eta", "fit_pinball_env"])
+def test_ridge_weight_must_be_finite_and_nonnegative(entry, weight):
+    scores = np.array([0.3, 1.2, 0.7, 2.0, 0.9])
+    features = ones_features(scores.size)
+    calls = {
+        "weighted": lambda: weighted_threshold(scores, features, 0.1, 0.2, weight),
+        "randomized": lambda: randomized_threshold(scores, features, 0.1, 0.2,
+                                                   StubRng(0.5), weight),
+        "dual_eta": lambda: dual_eta(scores, features, 0.2, weight, 1.0),
+        "fit_pinball_env": lambda: fit_pinball_env(
+            list(zip(features[:-1], scores)), 0.2, ridge_weight=weight),
+    }
+    with pytest.raises(ValueError, match="ridge_weight must be finite and nonnegative"):
+        calls[entry]()
