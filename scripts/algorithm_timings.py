@@ -7,16 +7,30 @@ consecutive ``run_trial`` calls ``--repeats`` times; the table reports the
 fastest repeat's mean time per trial, slowest algorithm first. Wall-clock
 timings on a shared machine swing, so compare rows as ratios.
 
+``--cold N`` times cold starts instead: the fastest of N fresh Python
+processes that run ``import mecp.cli``, and of N that run a 3-trial
+``mecp run`` of split conformal on the same plan, each from process start
+to exit.
+
 Usage:
     python scripts/algorithm_timings.py
     python scripts/algorithm_timings.py --trials 30 --repeats 3 --seed 0
+    python scripts/algorithm_timings.py --cold 7
 """
 
 import argparse
+import json
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 from mecp.data import HierGenConfig
 from mecp.evaluation import TrialPlan, algorithm_names, run_trial
+
+GENERATOR = {"m": 1, "n_per_env": 50, "p": 5, "outlier_frac": 0.2,
+             "outlier_noise_multiplier": 10.0, "seed": 0}
 
 
 def ms_per_trial(plan: TrialPlan, repeats: int) -> float:
@@ -29,16 +43,52 @@ def ms_per_trial(plan: TrialPlan, repeats: int) -> float:
     return 1e3 * best / plan.trials
 
 
+def fastest_process_s(argv: list[str], runs: int) -> float:
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def print_cold_starts(runs: int, seed: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        doc = {
+            "dataset": {"generator": GENERATOR},
+            "algorithm": {"name": "split_conformal", "alpha": 0.1},
+            "plan": {"trials": 3, "train_envs": 20, "test_envs": 5, "seed": seed},
+            "output": {"report": str(out / "report.json"), "sweep_csv": str(out / "sweep.csv")},
+        }
+        (out / "config.json").write_text(json.dumps(doc))
+        rows = [
+            ("import mecp.cli", fastest_process_s([sys.executable, "-c", "import mecp.cli"], runs)),
+            ("mecp run, 3 trials", fastest_process_s(
+                [sys.executable, "-m", "mecp", "run", "-c", str(out / "config.json")], runs)),
+        ]
+    print(f"cold start, min of {runs} fresh processes, split_conformal, "
+          f"outlier generator, 20+5 envs, n=50, p=5")
+    print(f"{'command':<38} {'s':>9}")
+    for name, seconds in rows:
+        print(f"{name:<38} {seconds:>9.3f}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=30)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--cold", type=int, default=None, metavar="N",
+                        help="time N fresh-process cold starts instead")
     args = parser.parse_args()
+    if args.cold is not None:
+        if args.cold < 1:
+            parser.error("--cold must be at least 1")
+        print_cold_starts(args.cold, args.seed)
+        return
 
-    generator = HierGenConfig(
-        m=1, n_per_env=50, p=5, outlier_frac=0.2, outlier_noise_multiplier=10.0, seed=0
-    )
+    generator = HierGenConfig(**GENERATOR)
     rows = []
     for name in algorithm_names():
         plan = TrialPlan(generator=generator, algorithm=name, trials=args.trials,

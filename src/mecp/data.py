@@ -177,7 +177,7 @@ class HierGenConfig:
         for name in ("env_effect_scale", "noise_scale", "outlier_frac",
                      "outlier_noise_multiplier"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not np.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.env_effect_scale < 0 or self.noise_scale < 0:
             raise ValueError("scales must be nonnegative")

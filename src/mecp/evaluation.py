@@ -296,6 +296,8 @@ class TrialPlan:
         if self.label_count < 1:
             raise ValueError("label_count must be at least 1")
         if self.ridge_grid is not None:
+            if any(isinstance(v, (bool, np.bool_)) for v in self.ridge_grid):
+                raise ValueError(f"ridge_grid entries must be numbers, got {list(self.ridge_grid)}")
             grid = tuple(float(v) for v in self.ridge_grid)
             if not grid or any(not math.isfinite(v) or v < 0.0 for v in grid):
                 raise ValueError("ridge_grid must be nonempty finite nonnegative values")

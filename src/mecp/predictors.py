@@ -2,6 +2,8 @@
 
 These are the plug-in model fitters the confidence constructions wrap.
 Every fit is deterministic given its inputs; no randomness enters here.
+scipy is imported inside the LP and softmax routes, so ridge-only runs
+never load it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import logsumexp, softmax as _softmax
 
 from mecp.quantiles import check_prob
 
@@ -26,6 +26,7 @@ __all__ = [
     "fit_ridge",
     "fit_ridge_leave_one_out",
     "fit_softmax",
+    "highs_lp",
     "multiclass_loss",
     "pinball_lp",
     "predict_logits",
@@ -249,18 +250,25 @@ class PinballModel:
         return self.theta[0] + x @ self.theta[1:]
 
 
+def highs_lp(c, bounds, tolerance: float, **constraints):
+    """scipy's HiGHS ``linprog`` result with ``tolerance`` as the primal and
+    dual feasibility tolerance, importing scipy on the first LP."""
+    from scipy.optimize import linprog
+
+    return linprog(c, bounds=bounds, method="highs", **constraints,
+                   options={"primal_feasibility_tolerance": tolerance,
+                            "dual_feasibility_tolerance": tolerance})
+
+
 def pinball_lp(design: np.ndarray, target: np.ndarray, weights: tuple[float, float],
                tolerance: float):
     """HiGHS result of min mean(weights[0] u+ + weights[1] u-) subject to
-    design @ theta + u+ - u- = target, theta (``res.x[:d]``) free, u+- >= 0;
-    ``tolerance`` is the primal and dual feasibility tolerance."""
+    design @ theta + u+ - u- = target, theta (``res.x[:d]``) free, u+- >= 0."""
     n, d = design.shape
     c = np.concatenate([np.zeros(d), np.full(n, weights[0] / n), np.full(n, weights[1] / n)])
     a_eq = np.hstack([design, np.eye(n), -np.eye(n)])
     bounds = [(None, None)] * d + [(0, None)] * (2 * n)
-    return linprog(c, A_eq=a_eq, b_eq=target, bounds=bounds, method="highs",
-                   options={"primal_feasibility_tolerance": tolerance,
-                            "dual_feasibility_tolerance": tolerance})
+    return highs_lp(c, bounds, tolerance, A_eq=a_eq, b_eq=target)
 
 
 def fit_pinball(x, y, level: float) -> PinballModel:
@@ -310,6 +318,8 @@ def multiclass_loss(y, logits) -> np.ndarray | float:
     Shift-invariant in the logits.  Accepts a single logit vector with an
     integer label, or an (n, k) batch with an (n,) label array.
     """
+    from scipy.special import logsumexp
+
     v = np.asarray(logits, dtype=float)
     if v.ndim == 1:
         return float(logsumexp(v) - v[int(y)])
@@ -331,6 +341,8 @@ def fit_softmax(
     ``tolerance``.  Divergence (non-finite or exploding loss) and hitting
     ``max_iter`` both raise :class:`FitError` with diagnostics.
     """
+    from scipy.special import softmax
+
     xt = _design(x)
     n = xt.shape[0]
     labels = np.asarray(y)
@@ -346,7 +358,7 @@ def fit_softmax(
     onehot[np.arange(n), labels] = 1.0
     loss0 = float(np.mean(multiclass_loss(labels, xt @ w.T)))
     for t in range(max_iter):
-        probs = _softmax(xt @ w.T, axis=1)
+        probs = softmax(xt @ w.T, axis=1)
         grad = (probs - onehot).T @ xt / n
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tolerance:

@@ -28,11 +28,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .data import EnvironmentSample
 from .nested_sets import NestedFamily, thresholds
-from .predictors import FitError, pinball_lp
+from .predictors import FitError, highs_lp, pinball_lp
 from .quantiles import check_prob, rank_plus
 
 __all__ = [
@@ -51,10 +50,6 @@ __all__ = [
 BOX_TOLERANCE = 1e-10
 SEARCH_TOLERANCE = 1e-8
 _LP_TOLERANCE = 1e-10
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": _LP_TOLERANCE,
-    "dual_feasibility_tolerance": _LP_TOLERANCE,
-}
 
 
 def constant_feature_map(env: EnvironmentSample) -> np.ndarray:
@@ -128,6 +123,8 @@ def _split_score_pairs(scores) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_ridge_weight(ridge_weight: float) -> float:
+    if isinstance(ridge_weight, (bool, np.bool_)):
+        raise ValueError(f"ridge_weight must be a number, got {ridge_weight!r}")
     if not math.isfinite(ridge_weight) or ridge_weight < 0.0:
         raise ValueError("ridge_weight must be finite and nonnegative")
     return float(ridge_weight)
@@ -195,7 +192,7 @@ def _solve_box_lp(full_scores: np.ndarray, phi: np.ndarray, delta: float) -> Dua
     bounds = [(-delta, 1.0 - delta)] * n
     a_eq = phi.T
     b_eq = np.zeros(phi.shape[1])
-    first = linprog(-full_scores, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs", options=_LP_OPTIONS)
+    first = highs_lp(-full_scores, bounds, _LP_TOLERANCE, A_eq=a_eq, b_eq=b_eq)
     if first.status != 0:
         raise FitError("dual LP did not reach optimality",
                        status=first.status, solver_message=first.message)
@@ -205,16 +202,8 @@ def _solve_box_lp(full_scores: np.ndarray, phi: np.ndarray, delta: float) -> Dua
     # imputed test scores probe arbitrarily close to atoms, so the cut can sit
     # inside solver noise; widen it once before settling for the stage-1 vertex
     for face_tol in (1e-8 * (1.0 + abs(value)), 1e-6 * (1.0 + abs(value))):
-        second = linprog(
-            objective_row,
-            A_ub=-full_scores[None, :],
-            b_ub=[-(value - face_tol)],
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-            options=_LP_OPTIONS,
-        )
+        second = highs_lp(objective_row, bounds, _LP_TOLERANCE, A_ub=-full_scores[None, :],
+                          b_ub=[-(value - face_tol)], A_eq=a_eq, b_eq=b_eq)
         if second.status == 0:
             eta = np.clip(second.x, -delta, 1.0 - delta)
             return DualSolution(eta=eta, objective=float(full_scores @ eta))
@@ -402,9 +391,8 @@ def _test_eta_range(phi: np.ndarray, delta: float, ridge_weight: float) -> tuple
     for sign in (1.0, -1.0):
         objective = np.zeros(n)
         objective[-1] = sign
-        res = linprog(objective, A_eq=phi.T, b_eq=np.zeros(phi.shape[1]),
-                      bounds=[(lower, upper)] * n, method="highs",
-                      options=_LP_OPTIONS)
+        res = highs_lp(objective, [(lower, upper)] * n, _LP_TOLERANCE,
+                       A_eq=phi.T, b_eq=np.zeros(phi.shape[1]))
         if res.status != 0:
             raise FitError("feasibility LP did not reach optimality",
                            status=res.status, solver_message=res.message)

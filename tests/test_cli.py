@@ -402,6 +402,19 @@ class TestConfigValidation:
         doc["dataset"] = {}
         assert run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc)).returncode == 2
 
+    @pytest.mark.parametrize("section, key", [
+        ("algorithm", "ridge_weight"), ("algorithm", "ridge_grid"), ("generator", "noise_scale"),
+        ("generator", "outlier_frac"),
+    ])
+    def test_bool_in_a_float_field_is_a_config_error(self, tmp_path, section, key):
+        doc = run_doc()
+        target = doc["algorithm"] if section == "algorithm" else doc["dataset"]["generator"]
+        target[key] = [0.5, True] if key == "ridge_grid" else True
+        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and key in proc.stderr
+        assert not (tmp_path / "report.json").exists()
+
     def test_run_requires_algorithm_section(self, tmp_path):
         doc = {"dataset": {"generator": generator_section()}}
         proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))

@@ -193,6 +193,8 @@ class TestGenerator:
             dict(env_effect_scale=np.inf), dict(noise_scale=np.nan),
             dict(outlier_noise_multiplier=np.inf), dict(beta=(1.0, np.nan)),
             dict(beta=(-np.inf, 0.0)), dict(noise_scale="1"), dict(outlier_frac="0.1"),
+            dict(noise_scale=True), dict(outlier_frac=True), dict(env_effect_scale=False),
+            dict(outlier_noise_multiplier=True),
         ):
             (name,) = bad
             with pytest.raises(ValueError, match=f"{name}.*finite"):

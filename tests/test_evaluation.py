@@ -253,6 +253,9 @@ class TestTrialPlan:
             {"test_envs": "2"},
             {"label_count": 2.7},
             {"trials": True},
+            {"ridge_weight": True},
+            {"ridge_weight": np.False_},
+            {"ridge_grid": (0.1, True)},
             {"rule": "majority"},
             {"clip": (2.0, -1.0)},
             {"clip": (0.0, math.inf)},

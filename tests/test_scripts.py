@@ -145,3 +145,11 @@ def test_algorithm_timings_lists_every_algorithm(tmp_path):
     title, header, *rows = proc.stdout.splitlines()
     assert len(rows) == 8
     assert all(float(row.split()[1]) > 0 for row in rows)
+
+
+def test_algorithm_timings_cold_starts(tmp_path):
+    out = run_script(tmp_path, "algorithm_timings.py", "--cold", "1")
+    title, header, *rows = out.splitlines()
+    assert title.startswith("cold start, min of 1 fresh processes")
+    assert [row.rsplit(None, 1)[0] for row in rows] == ["import mecp.cli", "mecp run, 3 trials"]
+    assert all(float(row.split()[-1]) > 0 for row in rows)
