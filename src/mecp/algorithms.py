@@ -661,8 +661,11 @@ def resize_for(calibration: ResizedCalibration, test_labeled: EnvironmentSample)
             f"test labeled set has {test_labeled.n} rows, calibration used "
             f"{calibration.label_count}"
         )
-    resid = thresholds(calibration.family, test_labeled.x, test_labeled.y)
-    factor = quant_plus(resid, calibration.alpha0)
+    return _resized(calibration, test_labeled.x, test_labeled.y)
+
+
+def _resized(calibration: ResizedCalibration, x, y) -> ResizedSplitConformal:
+    factor = quant_plus(thresholds(calibration.family, x, y), calibration.alpha0)
     return ResizedSplitConformal(
         calibration=calibration,
         test_factor=factor,

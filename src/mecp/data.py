@@ -248,13 +248,18 @@ def split_environments(dataset: MultiEnvDataset, gamma: float, rng: np.random.Ge
 
 def holdout_labels(sample: EnvironmentSample, count: int, rng: np.random.Generator):
     """Uniformly choose ``count`` labeled rows; returns (labeled, rest) indices."""
+    labeled, rest = _holdout_rows(sample, count, rng)
+    return tuple(labeled.tolist()), tuple(rest.tolist())
+
+
+def _holdout_rows(sample: EnvironmentSample, count: int, rng: np.random.Generator):
+    # holdout_labels as index arrays, ready for fancy indexing
     if not 1 <= count < sample.n:
         raise ValueError(f"holdout count must satisfy 1 <= count < {sample.n}, got {count}")
-    chosen = rng.choice(sample.n, size=count, replace=False)
-    labeled = np.sort(chosen)
+    labeled = np.sort(rng.choice(sample.n, size=count, replace=False))
     mask = np.ones(sample.n, dtype=bool)
     mask[labeled] = False
-    return tuple(labeled.tolist()), tuple(np.flatnonzero(mask).tolist())
+    return labeled, np.flatnonzero(mask)
 
 
 def _format_value(v: float) -> str:

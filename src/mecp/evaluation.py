@@ -25,6 +25,7 @@ import numpy as np
 
 from mecp.algorithms import (
     ResizedCalibration,
+    _resized,
     _shared_ridge_fits,
     fit_hcp,
     fit_hier_jackknife_plus,
@@ -33,7 +34,6 @@ from mecp.algorithms import (
     fit_resized_calibration,
     fit_split_conformal,
     fit_weighted_split_conformal,
-    resize_for,
     ridge_point_builder,
     ridge_symmetric_builder,
 )
@@ -41,9 +41,9 @@ from mecp.data import (
     EnvironmentSample,
     HierGenConfig,
     MultiEnvDataset,
+    _holdout_rows,
     check_integer,
     generate_hierarchical,
-    holdout_labels,
 )
 from mecp.nested_sets import bounds_measure, contains, float_to_json, measure
 from mecp.predictors import DEFAULT_LAMBDA_GRID, FitError
@@ -51,8 +51,8 @@ from mecp.quantiles import check_prob, rank_plus
 from mecp.weighted import _check_ridge_weight
 
 # Unused here: bench/tracer.py wraps these names under this module.
-from mecp.algorithms import WeightedSplitMapping  # noqa: F401
-from mecp.data import split_environments  # noqa: F401
+from mecp.algorithms import WeightedSplitMapping, resize_for  # noqa: F401
+from mecp.data import holdout_labels, split_environments  # noqa: F401
 from mecp.nested_sets import sets_at  # noqa: F401
 from mecp.weighted import env_score, randomized_threshold, weighted_threshold  # noqa: F401
 
@@ -170,23 +170,23 @@ class CoverageReport:
 
 
 def _bounds_tallies(
-    bounds: list[tuple[np.ndarray, np.ndarray]], envs: list[EnvironmentSample], clip
+    bounds: list[tuple[np.ndarray, np.ndarray]], ys: list[np.ndarray], clip
 ) -> tuple[list[int], list[float]]:
-    """(in-set count, mean measure) per environment of columnar interval sets.
+    """(in-set count, mean measure) per row block of columnar interval sets.
 
-    One whole-array ``contains`` and ``measure`` over every environment's
-    rows: rows are closed intervals, and a row with lo > hi is empty, so it
+    One whole-array ``contains`` and ``measure`` over every block's rows:
+    rows are closed intervals, and a row with lo > hi is empty, so it
     covers nothing and measures 0. Means come from a ``(k, n)`` reshape when
     sizes are equal: a row-wise mean there is bit-identical to ``np.mean``
-    of each environment's slice.
+    of each block's slice.
     """
     lo = np.concatenate([lo for lo, _ in bounds])
     hi = np.concatenate([hi for _, hi in bounds])
     if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("interval endpoints must not be NaN")
-    y = np.concatenate([env.y for env in envs])
+    y = np.concatenate(ys)
     measures = bounds_measure(lo, hi, clip)
-    sizes = [env.n for env in envs]
+    sizes = [len(v) for v in ys]
     starts = np.cumsum([0] + sizes[:-1])
     counts = np.add.reduceat(((lo <= y) & (y <= hi)).astype(np.intp), starts)
     if len(set(sizes)) == 1:
@@ -194,6 +194,42 @@ def _bounds_tallies(
     else:
         means = [np.mean(measures[a : a + n]) for a, n in zip(starts, sizes)]
     return [int(c) for c in counts], [float(v) for v in means]
+
+
+def _score_pairs(pairs, alpha: float, clip, rule: str, trial: int) -> list[EnvRecord]:
+    """One record per ``(mapping, (env, rows))`` pair, scored in one pass.
+
+    ``rows`` indexes the scored rows of ``env``. Each block ``env.x[rows]``
+    lives only while its mapping predicts on it, and ``predict_bounds`` runs
+    once per block, since x @ coef rounds differently by block shape. Every
+    block's ``(lo, hi)`` goes through one :func:`_bounds_tallies`, or all go
+    set by set if one mapping has no interval view.
+    """
+    alpha = check_prob(alpha, "alpha")
+    bounds = [
+        mapping.predict_bounds(env.x[rows]) if hasattr(mapping, "predict_bounds") else None
+        for mapping, (env, rows) in pairs
+    ]
+    ys = [env.y[rows] for _, (env, rows) in pairs]
+    if all(b is not None for b in bounds):
+        counts, means = _bounds_tallies(bounds, ys, clip)
+    else:
+        counts, means = [], []
+        for (mapping, (env, rows)), y in zip(pairs, ys):
+            sets = mapping.predict_sets(env.x[rows])
+            counts.append(sum(1 for s, v in zip(sets, y) if contains(s, v)))
+            means.append(float(np.mean([measure(s, clip) for s in sets])))
+    return [
+        EnvRecord(
+            trial=int(trial),
+            env_id=env.env_id,
+            n=len(y),
+            covered_count=covered,
+            env_covered=_env_covered(covered, len(y), alpha, rule),
+            mean_measure=mean_measure,
+        )
+        for (_, (env, _)), y, covered, mean_measure in zip(pairs, ys, counts, means)
+    ]
 
 
 def evaluate_mapping(
@@ -221,29 +257,8 @@ def evaluate_mapping(
         raise ValueError("need at least one test environment")
     if any(e.p != envs[0].p for e in envs):
         raise ValueError("test environments must share the feature dimension")
-    predict_bounds = getattr(mapping, "predict_bounds", None)
-    # one call per environment: a call on the stacked rows is not
-    # bit-identical, since x @ coef rounds differently by block shape
-    bounds = [predict_bounds(env.x) for env in envs] if predict_bounds else None
-    if bounds is not None and all(b is not None for b in bounds):
-        counts, means = _bounds_tallies(bounds, envs, clip)
-    else:
-        counts, means = [], []
-        for env in envs:
-            sets = mapping.predict_sets(env.x)
-            counts.append(sum(1 for s, y in zip(sets, env.y) if contains(s, y)))
-            means.append(float(np.mean([measure(s, clip) for s in sets])))
-    records = [
-        EnvRecord(
-            trial=int(trial),
-            env_id=env.env_id,
-            n=env.n,
-            covered_count=covered,
-            env_covered=_env_covered(covered, env.n, alpha, rule),
-            mean_measure=mean_measure,
-        )
-        for env, covered, mean_measure in zip(envs, counts, means)
-    ]
+    pairs = [(mapping, (env, slice(None))) for env in envs]
+    records = _score_pairs(pairs, alpha, clip, rule, trial)
     return CoverageReport.from_records(records, alpha, rule)
 
 
@@ -409,22 +424,17 @@ def dataset_records(
     train = dataset.subset(range(plan.train_envs))
     test_envs = dataset.environments[plan.train_envs :]
     fitted = _TRIAL_RUNNERS[plan.algorithm](train, plan, rng)
-    if isinstance(fitted, ResizedCalibration):
-        # each test environment donates label_count labeled rows to its own
-        # resizing and is scored on the rest
-        scored = []
-        for env in test_envs:
-            labeled, rest = holdout_labels(env, plan.label_count, rng)
-            scored.append((resize_for(fitted, env.take(labeled)), [env.take(rest)]))
-    else:
-        scored = [(fitted, test_envs)]
-    records = []
-    for mapping, envs in scored:
-        report = evaluate_mapping(
-            mapping, envs, plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
-        )
-        records.extend(report.records)
-    return tuple(records)
+    if not isinstance(fitted, ResizedCalibration):
+        return evaluate_mapping(
+            fitted, test_envs, plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
+        ).records
+    # each test environment donates label_count labeled rows to its own
+    # resizing and is scored on the rest, every environment in one pass
+    pairs = []
+    for env in test_envs:
+        labeled, rest = _holdout_rows(env, plan.label_count, rng)
+        pairs.append((_resized(fitted, env.x[labeled], env.y[labeled]), (env, rest)))
+    return tuple(_score_pairs(pairs, plan.alpha, plan.clip, plan.rule, trial))
 
 
 def run_trial(

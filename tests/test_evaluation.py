@@ -16,10 +16,18 @@ from mecp.algorithms import (
     fit_hcp,
     fit_hier_jackknife_plus,
     fit_jackknife_minmax,
+    resize_for,
     ridge_point_builder,
     ridge_symmetric_builder,
 )
-from mecp.data import EnvironmentSample, EnvSplit, HierGenConfig, generate_hierarchical
+from mecp.data import (
+    EnvironmentSample,
+    EnvSplit,
+    HierGenConfig,
+    MultiEnvDataset,
+    generate_hierarchical,
+    holdout_labels,
+)
 from mecp.evaluation import (
     CoverageReport,
     DeltaMatch,
@@ -436,19 +444,22 @@ class TestColumnarScoring:
 
     @pytest.mark.parametrize("name", algorithm_names())
     def test_every_algorithm_matches_per_row_oracle(self, name, monkeypatch):
-        real = evaluation.evaluate_mapping
+        # every (mapping, rows) pair the engine scores, resized ones included
+        real = evaluation._score_pairs
         scored = []
 
-        def scored_twice(mapping, envs, alpha, clip=None, rule="count", trial=0):
-            assert mapping.predict_bounds(envs[0].x) is not None
-            report = real(mapping, envs, alpha, clip=clip, rule=rule, trial=trial)
-            for env, rec in zip(envs, report.records):
-                expected = oracle_score_sets(mapping.predict_sets(env.x), env.y, clip)
+        def scored_twice(pairs, alpha, clip, rule, trial):
+            records = real(pairs, alpha, clip, rule, trial)
+            assert len(records) == len(pairs)
+            for (mapping, (env, rows)), rec in zip(pairs, records):
+                x, y = env.x[rows], env.y[rows]
+                assert mapping.predict_bounds(x) is not None
+                expected = oracle_score_sets(mapping.predict_sets(x), y, clip)
                 assert (rec.covered_count, rec.mean_measure) == expected
-            scored.extend(report.records)
-            return report
+            scored.extend(records)
+            return records
 
-        monkeypatch.setattr(evaluation, "evaluate_mapping", scored_twice)
+        monkeypatch.setattr(evaluation, "_score_pairs", scored_twice)
         for alpha, delta, clip in ((0.1, 0.2, None), (0.95, 0.9, (-1.0, 2.0))):
             plan = make_plan(
                 algorithm=name, trials=3, alpha=alpha, delta=delta, clip=clip, label_count=5
@@ -530,6 +541,90 @@ class TestColumnarScoring:
         for mapping in (centred_mapping([0.0], 1.0), ConstantMapping(Interval(-1.0, 1.0))):
             with pytest.raises(ValueError, match="clip range"):
                 evaluate_mapping(mapping, [env], 0.2, clip=(2.0, 1.0))
+
+
+def per_environment_resized_records(dataset, plan, rng, trial):
+    """Resized records scored one test environment at a time: one resize_for
+    and one evaluate_mapping each, on rows cut out by ``take``."""
+    train = dataset.subset(range(plan.train_envs))
+    calibration = evaluation._TRIAL_RUNNERS[plan.algorithm](train, plan, rng)
+    records = []
+    for env in dataset.environments[plan.train_envs :]:
+        labeled, rest = holdout_labels(env, plan.label_count, rng)
+        mapping = resize_for(calibration, env.take(labeled))
+        report = evaluate_mapping(
+            mapping, [env.take(rest)], plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
+        )
+        records.extend(report.records)
+    return tuple(records)
+
+
+class TestResizedOnePass:
+    """A resized trial scores every test environment in one columnar pass."""
+
+    @pytest.mark.parametrize("n_per_env", [20, (12, 30)])
+    @pytest.mark.parametrize("clip, rule", [(None, "count"), ((-1.0, 2.0), "fraction")])
+    def test_matches_per_environment_route_byte_for_byte(self, n_per_env, clip, rule):
+        plan = make_plan(
+            generator=HierGenConfig(m=1, n_per_env=n_per_env, p=2, seed=0),
+            algorithm="resized_split_conformal",
+            trials=3,
+            test_envs=5,
+            label_count=5,
+            clip=clip,
+            rule=rule,
+        )
+        for t in range(plan.trials):
+            dataset = trial_dataset(plan, t)
+            engine_rng, replay_rng = evaluation._trial_rng(plan, t), evaluation._trial_rng(plan, t)
+            got = evaluation.dataset_records(dataset, plan, engine_rng, t)
+            want = per_environment_resized_records(dataset, plan, replay_rng, t)
+            assert json.dumps([r.to_json_dict() for r in got]) == json.dumps(
+                [r.to_json_dict() for r in want]
+            )
+            assert got == want
+            # calibration draws, then one holdout draw per test environment
+            assert engine_rng.bit_generator.state == replay_rng.bit_generator.state
+            sizes = {r.n for r in got}
+            assert (len(sizes) > 1) == isinstance(n_per_env, tuple)
+
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_one_tally_pass_per_trial(self, name, monkeypatch):
+        real = evaluation._bounds_tallies
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_bounds_tallies", counted)
+        records = run_trial(make_plan(algorithm=name, test_envs=3, label_count=5), 0)
+        assert len(records) == 3
+        assert len(calls) == 1
+
+    @staticmethod
+    def run_sized(train_sizes, test_sizes):
+        """A resized trial with label_count 6 on environments of the given sizes."""
+        rng = np.random.default_rng(5)
+        envs = [
+            EnvironmentSample(f"env{i}", rng.normal(size=(n, 2)), rng.normal(size=n))
+            for i, n in enumerate([*train_sizes, *test_sizes])
+        ]
+        plan = make_plan(
+            generator=None,
+            algorithm="resized_split_conformal",
+            test_envs=len(test_sizes),
+            label_count=6,
+        )
+        return evaluation.dataset_records(MultiEnvDataset(tuple(envs)), plan, rng)
+
+    def test_first_too_small_test_environment_raises(self):
+        with pytest.raises(ValueError, match=r"^holdout count must satisfy 1 <= count < 6, got 6$"):
+            self.run_sized([20] * 4, [20, 6, 5, 20])
+
+    def test_calibration_size_check_comes_first(self):
+        with pytest.raises(ValueError, match="rows; resizing needs more than 6$"):
+            self.run_sized([6] * 4, [20, 6, 5, 20])
 
 
 def failing_at(plan, trial, message):
