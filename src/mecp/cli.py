@@ -124,12 +124,10 @@ def _build_generator(section: dict, m: int | None, seed: int | None) -> HierGenC
 
 
 def _floats(raw, name: str) -> tuple[float, ...]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"{name} must be a list, got {raw!r}")
-    try:
-        return tuple(float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must hold numbers, got {raw!r}") from None
+    # JSON numbers only: a bool or a numeric string is a config error
+    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
+        raise ConfigError(f"{name} must be a list of numbers, got {raw!r}")
+    return tuple(float(v) for v in raw)
 
 
 def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig:

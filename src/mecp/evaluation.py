@@ -307,15 +307,13 @@ class TrialPlan:
         if self.test_envs < 1:
             raise ValueError("need at least one test environment")
         for name in ("alpha", "delta", "gamma", "alpha0"):
-            check_prob(getattr(self, name), name)
+            object.__setattr__(self, name, check_prob(getattr(self, name), name))
         if self.label_count < 1:
             raise ValueError("label_count must be at least 1")
         if self.ridge_grid is not None:
-            if any(isinstance(v, (bool, np.bool_)) for v in self.ridge_grid):
-                raise ValueError(f"ridge_grid entries must be numbers, got {list(self.ridge_grid)}")
-            grid = tuple(float(v) for v in self.ridge_grid)
-            if not grid or any(not math.isfinite(v) or v < 0.0 for v in grid):
-                raise ValueError("ridge_grid must be nonempty finite nonnegative values")
+            grid = tuple(_check_ridge_weight(v, "ridge_grid") for v in self.ridge_grid)
+            if not grid:
+                raise ValueError("ridge_grid must be nonempty")
             object.__setattr__(self, "ridge_grid", grid)
         _check_ridge_weight(self.ridge_weight)
         if self.feature_map != "constant":

@@ -261,14 +261,19 @@ def highs_lp(c, bounds, tolerance: float, **constraints):
 
 
 def pinball_lp(design: np.ndarray, target: np.ndarray, weights: tuple[float, float],
-               tolerance: float):
-    """HiGHS result of min mean(weights[0] u+ + weights[1] u-) subject to
-    design @ theta + u+ - u- = target, theta (``res.x[:d]``) free, u+- >= 0."""
+               tolerance: float, tilt=0.0, face=None):
+    """HiGHS result of min mean(weights[0] u+ + weights[1] u-) - tilt'theta / n
+    subject to design @ theta + u+ - u- = target, theta (``res.x[:d]``) free,
+    u+- >= 0. ``face = (g, bound)`` minimizes g'theta instead, over the
+    points whose objective is at most ``bound``."""
     n, d = design.shape
-    c = np.concatenate([np.zeros(d), np.full(n, weights[0] / n), np.full(n, weights[1] / n)])
+    c = np.concatenate([np.zeros(d) - tilt / n, np.full(n, weights[0] / n), np.full(n, weights[1] / n)])
     a_eq = np.hstack([design, np.eye(n), -np.eye(n)])
     bounds = [(None, None)] * d + [(0, None)] * (2 * n)
-    return highs_lp(c, bounds, tolerance, A_eq=a_eq, b_eq=target)
+    if face is None:
+        return highs_lp(c, bounds, tolerance, A_eq=a_eq, b_eq=target)
+    return highs_lp(np.concatenate([face[0], np.zeros(2 * n)]), bounds, tolerance,
+                    A_ub=c[None, :], b_ub=[face[1]], A_eq=a_eq, b_eq=target)
 
 
 def fit_pinball(x, y, level: float) -> PinballModel:

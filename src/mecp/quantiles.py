@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 from dataclasses import dataclass
 
@@ -44,9 +45,12 @@ _WEIGHT_TOL = 1e-9
 
 
 def check_prob(value: float, name: str) -> float:
-    """``value`` as a float, after checking that it lies strictly in (0, 1)."""
-    value = float(value)
-    if math.isnan(value) or not 0.0 < value < 1.0:
+    """``value`` as a float, after checking that it is a real number (no bool) in (0, 1)."""
+    if type(value) is not float:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        value = float(value)
+    if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
     return value
 

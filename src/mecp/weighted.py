@@ -13,16 +13,19 @@ and, under a ridge penalty, a linear term in s. The threshold is then read
 off that group's sorted scores: split conformal within the group, an order
 statistic without regularization and the crossing of a piecewise-linear
 function with it. One constant column, the engine's choice, is the
-one-group case; a feature-free test row gives 0.0. Other features go
-through a general search: the test multiplier's range over all s decides
-+-inf, and otherwise a bracket and a bisection on s, one dual solve per
-probe, find the crossing.
+one-group case; a feature-free test row gives 0.0. Other features take one
+pinned solve (the quantile-regression dual of Gibbs, Cherian & Candes 2023):
+with the test multiplier fixed at its level l, the threshold is phi_t'theta*
+for theta* minimizing sum_i rho_delta(S_i - phi_i'theta) + (m+1) w |theta|^2
+- l phi_t'theta, exact from an active set under a ridge penalty and from an
+LP's optimal face without one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -48,7 +51,6 @@ __all__ = [
 ]
 
 BOX_TOLERANCE = 1e-10
-SEARCH_TOLERANCE = 1e-8
 _LP_TOLERANCE = 1e-10
 
 
@@ -122,11 +124,11 @@ def _split_score_pairs(scores) -> tuple[np.ndarray, np.ndarray]:
     return phi, s
 
 
-def _check_ridge_weight(ridge_weight: float) -> float:
-    if isinstance(ridge_weight, (bool, np.bool_)):
-        raise ValueError(f"ridge_weight must be a number, got {ridge_weight!r}")
+def _check_ridge_weight(ridge_weight: float, name: str = "ridge_weight") -> float:
+    if isinstance(ridge_weight, (bool, np.bool_)) or not isinstance(ridge_weight, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {ridge_weight!r}")
     if not math.isfinite(ridge_weight) or ridge_weight < 0.0:
-        raise ValueError("ridge_weight must be finite and nonnegative")
+        raise ValueError(f"{name} must be finite and nonnegative")
     return float(ridge_weight)
 
 
@@ -149,9 +151,8 @@ def fit_pinball_env(
 
     The loss on t = S - g(E) is (1-delta)*max(t,0) + delta*max(-t,0), plus
     ridge_weight * ||theta||^2. Zero regularization solves the exact LP;
-    positive regularization maximizes the smooth box dual and recovers theta
-    from the dual optimum, certifying the result through a primal-dual gap
-    of at most ``SEARCH_TOLERANCE``.
+    positive regularization runs the exact active-set solve of the pinned
+    route with no test row and no tilt.
     """
     delta = check_prob(delta, "delta")
     ridge_weight = _check_ridge_weight(ridge_weight)
@@ -163,17 +164,10 @@ def fit_pinball_env(
             raise FitError("score pinball LP did not reach optimality",
                            status=res.status, solver_message=res.message, objective=res.fun)
         theta = res.x[:k]
-        return PinballEnvModel(theta=theta, delta=delta, ridge_weight=0.0,
-                               objective=_primal_objective(phi, s, theta, delta, 0.0))
-    dual = _solve_box_dual(s, phi, delta, ridge_weight)
-    theta = phi.T @ dual.eta / (2.0 * ridge_weight * n)
-    objective = _primal_objective(phi, s, theta, delta, ridge_weight)
-    gap = objective - dual.objective / n
-    if not gap <= SEARCH_TOLERANCE:
-        raise FitError("regularized score fit exceeded the duality-gap tolerance",
-                       objective=objective, gap=gap)
+    else:
+        theta, _ = _pinned_solve(phi, s, delta, 2.0 * n * ridge_weight, 0.0)
     return PinballEnvModel(theta=theta, delta=delta, ridge_weight=ridge_weight,
-                           objective=objective)
+                           objective=_primal_objective(phi, s, theta, delta, ridge_weight))
 
 
 @dataclass(frozen=True)
@@ -281,15 +275,6 @@ def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float,
     return eta
 
 
-def _solve_box_dual(full_scores: np.ndarray, phi: np.ndarray, delta: float,
-                    ridge_weight: float) -> DualSolution:
-    if _group_rows(phi):
-        return _solve_box_dual_blocks(full_scores, phi, delta, ridge_weight)
-    if ridge_weight == 0.0:
-        return _solve_box_lp(full_scores, phi, delta)
-    return _solve_box_dual_ca(full_scores, phi, delta, ridge_weight)
-
-
 def _solve_box_dual_blocks(full_scores: np.ndarray, phi: np.ndarray, delta: float,
                            ridge_weight: float) -> DualSolution:
     # Rows touching at most one column (group indicators): ||phi' eta||^2 is a
@@ -312,43 +297,54 @@ def _solve_box_dual_blocks(full_scores: np.ndarray, phi: np.ndarray, delta: floa
     return DualSolution(eta=eta, objective=float(full_scores @ eta) - penalty)
 
 
-def _solve_box_dual_ca(full_scores: np.ndarray, phi: np.ndarray, delta: float,
-                       ridge_weight: float) -> DualSolution:
-    # concave quadratic: eta . scores - ||phi' eta||^2 / (4 n w) over the box.
-    # Cyclic coordinate ascent; each scalar update is the exact closed-form
-    # maximizer, so a sweep that moves nothing certifies a KKT point.
-    n = full_scores.size
-    lower, upper = -delta, 1.0 - delta
-    two_nw = 2.0 * n * ridge_weight
-    row_norms = np.einsum("ij,ij->i", phi, phi)
-    eta = np.zeros(n)
-    for _ in range(100_000):
-        q = phi.T @ eta
-        biggest_move = 0.0
-        for i in range(n):
-            if row_norms[i] == 0.0:
-                # feature-free row: the objective is linear in this entry
-                if full_scores[i] > 0.0:
-                    target = upper
-                elif full_scores[i] < 0.0:
-                    target = lower
-                else:
-                    target = eta[i]
-            else:
-                slope = full_scores[i] - phi[i] @ q / two_nw
-                target = eta[i] + slope * two_nw / row_norms[i]
-                target = min(max(target, lower), upper)
-            move = target - eta[i]
-            if move != 0.0:
-                q = q + phi[i] * move
-                eta[i] = target
-                biggest_move = max(biggest_move, abs(move))
-        if biggest_move <= 1e-14:
-            q = phi.T @ eta
-            value = float(full_scores @ eta - q @ q / (2.0 * two_nw))
-            return DualSolution(eta=eta, objective=value)
-    raise FitError("box dual coordinate ascent did not converge",
-                   sweeps=100_000)
+def _pinned_solve(phi: np.ndarray, scores: np.ndarray, delta: float, curv: float,
+                  tilt, max_iter: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact theta minimizing sum rho_delta(scores - phi theta) + curv/2 |theta|^2 - tilt'theta.
+
+    A primal active set (Goldfarb & Idnani style): held rows sit at zero
+    residual at full row rank, and every other row's sign fixes its eta at a
+    box end. Each step solves the held rows' KKT system and stops at the
+    first row that would change sign, which is then held; if none blocks,
+    the held row whose multiplier lies furthest outside the box is released
+    to that side. A feature-free row's eta follows its score's sign (0 at 0).
+    """
+    upper, lower = 1.0 - delta, -delta
+    eta = np.where(scores > 0.0, upper, np.where(scores < 0.0, lower, 0.0))
+    live = np.flatnonzero(phi.any(axis=1))
+    a, b = phi[live], scores[live]
+    norms = np.linalg.norm(a, axis=1)
+    side = np.where(b > 0.0, 1.0, -1.0)  # +1: residual >= 0 and eta = upper
+    free = np.ones(b.size, dtype=bool)
+    theta = np.zeros(phi.shape[1])
+    steps = max_iter if max_iter is not None else 10 * (b.size + theta.size)
+    for _ in range(steps):
+        held = np.flatnonzero(~free)
+        rows = a[held]
+        pull = tilt + a[free].T @ np.where(side[free] > 0.0, upper, lower)
+        lam = np.linalg.solve(rows @ rows.T, curv * b[held] - rows @ pull)
+        step = (pull + rows.T @ lam) / curv - theta
+        rate = side * (a @ step)
+        # rows in the held rows' span keep their residual along the step
+        basis = np.linalg.qr(rows.T)[0]
+        closing = (free & (rate > 1e-12 * norms * np.linalg.norm(step))
+                   & (np.linalg.norm(a - (a @ basis) @ basis.T, axis=1) > 1e-9 * norms))
+        reach = np.full(b.size, math.inf)
+        reach[closing] = np.maximum(side * (b - a @ theta), 0.0)[closing] / rate[closing]
+        if closing.any() and reach.min() < 1.0:
+            theta = theta + reach.min() * step
+            free[np.argmin(reach)] = False
+            continue
+        theta = theta + step
+        excess = np.maximum(lam - upper, lower - lam)
+        if not held.size or excess.max() <= 1e-12:
+            eta[live] = np.where(side > 0.0, upper, lower)
+            eta[live[held]] = np.clip(lam, lower, upper)
+            return theta, eta
+        i = int(np.argmax(excess))
+        free[held[i]] = True
+        side[held[i]] = 1.0 if lam[i] > upper else -1.0
+    raise FitError("pinned active set did not converge", solver="pinned active set",
+                   iterations=steps, held=live[~free].tolist())
 
 
 def _validated(scores, features) -> tuple[np.ndarray, np.ndarray]:
@@ -375,67 +371,57 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
     delta = check_prob(delta, "delta")
     ridge_weight = _check_ridge_weight(ridge_weight)
     scores, phi = _validated(scores, features)
-    return _solve_box_dual(np.append(scores, float(s)), phi, delta, ridge_weight)
+    full_scores = np.append(scores, float(s))
+    if _group_rows(phi):
+        return _solve_box_dual_blocks(full_scores, phi, delta, ridge_weight)
+    if ridge_weight == 0.0:
+        return _solve_box_lp(full_scores, phi, delta)
+    curv = 2.0 * full_scores.size * ridge_weight
+    _, eta = _pinned_solve(phi, full_scores, delta, curv, 0.0)
+    q = phi.T @ eta
+    return DualSolution(eta=eta, objective=float(full_scores @ eta - q @ q / (2.0 * curv)))
 
 
-def _test_eta_range(phi: np.ndarray, delta: float, ridge_weight: float) -> tuple[float, float]:
-    # The test multiplier's least and largest values over all imputed s, which
-    # it takes for s far enough below or above the scores. Under a ridge
-    # penalty the term s * eta_test dominates, so both box bounds are reached;
-    # without one the constraints phi' eta = 0 can cap it, and two LPs tell.
-    lower, upper = -delta, 1.0 - delta
-    if ridge_weight > 0.0:
-        return lower, upper
-    n = phi.shape[0]
-    ends = []
-    for sign in (1.0, -1.0):
-        objective = np.zeros(n)
-        objective[-1] = sign
-        res = highs_lp(objective, [(lower, upper)] * n, _LP_TOLERANCE,
-                       A_eq=phi.T, b_eq=np.zeros(phi.shape[1]))
-        if res.status != 0:
-            raise FitError("feasibility LP did not reach optimality",
-                           status=res.status, solver_message=res.message)
-        ends.append(sign * res.fun)
-    return ends[0], ends[1]
+def _rational_fit(rows: np.ndarray, values: np.ndarray, test: np.ndarray) -> float:
+    # test'theta where rows @ theta = values on the rows, taken in order, that
+    # raise the rank: Gauss-Jordan in exact rationals, rounded once
+    basis: dict[int, list[Fraction]] = {}
+    for row, value in zip(rows.tolist(), values.tolist()):
+        v = [Fraction(x) for x in row + [value]]
+        for col, b in basis.items():
+            v = [x - v[col] * y for x, y in zip(v, b)]
+        col = next((j for j, x in enumerate(v[:-1]) if x), None)
+        if col is not None:
+            v = [x / v[col] for x in v]
+            basis = {c: [x - b[col] * y for x, y in zip(b, v)] for c, b in basis.items()}
+            basis[col] = v
+            if len(basis) == test.size:
+                break
+    return float(sum(Fraction(t) * basis[c][-1] for c, t in enumerate(test.tolist()) if c in basis))
 
 
-def _search_threshold(scores: np.ndarray, phi: np.ndarray, delta, ridge_weight,
-                      level) -> float:
-    # General route for rows spanning several columns or a test group with
-    # mixed values: the multiplier's range decides +-inf, else bracket the
-    # crossing and bisect it to SEARCH_TOLERANCE, one dual solve per probe.
-    # The margin absorbs solver noise; a multiplier within it of the box top
-    # 1 - delta fails both criteria, as no level below 1 - delta admits it.
-    margin = 1e-9
-
-    def holds(eta_test: float) -> bool:
-        return eta_test < 1.0 - delta - margin and eta_test <= level + margin
-
-    def holds_at(sv: float) -> bool:
-        return holds(dual_eta(scores, phi, delta, ridge_weight, sv).eta[-1])
-
-    least, most = _test_eta_range(phi, delta, ridge_weight)
-    if holds(most):
-        return math.inf
-    if not holds(least):
-        return -math.inf
-    span = max(1.0, float(scores.max() - scores.min()))
-    lo = float(scores.min()) - span
-    hi = float(scores.max()) + span
-    while holds_at(hi):
-        lo, hi, span = hi, hi + span, 2.0 * span
-    while not holds_at(lo):
-        lo, hi, span = lo - span, lo, 2.0 * span
-    while hi - lo > SEARCH_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if holds_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def _pinned_lp(scores: np.ndarray, phi: np.ndarray, delta: float, level: float,
+               plain: bool) -> float:
+    # Ridge 0: the threshold is the least (plain) or largest (randomized) test
+    # fit on the tilted LP's optimal face, re-solved from its zero-residual
+    # rows. An unbounded LP means no feasible dual reaches the level, and the
+    # test multiplier's reach (its canonical value at zero scores) tells +-inf.
+    cal, test = phi[:-1], phi[-1]
+    weights = (1.0 - delta, delta)
+    res = pinball_lp(cal, scores, weights, _LP_TOLERANCE, tilt=level * test)
+    if res.status == 3:
+        reach = _solve_box_lp(np.zeros(phi.shape[0]), phi, delta).eta[-1]
+        return math.inf if plain or level > reach else -math.inf
+    if res.status == 0:
+        face = (test if plain else -test, res.fun + 1e-9 * (1.0 + abs(res.fun)))
+        res = pinball_lp(cal, scores, weights, _LP_TOLERANCE, tilt=level * test, face=face)
+        if res.status == 3:
+            return -math.inf if plain else math.inf
+    if res.status != 0:
+        raise FitError("pinned LP did not reach optimality",
+                       status=res.status, solver_message=res.message)
+    order = np.argsort(np.abs(scores - cal @ res.x[:test.size]), kind="stable")
+    return _rational_fit(cal[order], scores[order], test)
 
 
 def _closed_form_threshold(scores: np.ndarray, curv: float, delta: float,
@@ -488,7 +474,11 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
                 rank = math.floor((1 - Fraction(delta)) * (m + 1) + Fraction(u))
             curv = 2.0 * phi.shape[0] * ridge_weight / c / c
             return _closed_form_threshold(group, curv, delta, level, rank)
-    return _search_threshold(scores, phi, delta, ridge_weight, level)
+    if ridge_weight == 0.0:
+        return _pinned_lp(scores, phi, delta, level, u is None)
+    theta, _ = _pinned_solve(phi[:-1], scores, delta, 2.0 * phi.shape[0] * ridge_weight,
+                             level * test)
+    return float(test @ theta)
 
 
 def weighted_threshold(scores, features, alpha: float, delta: float,
@@ -503,9 +493,9 @@ def weighted_threshold(scores, features, alpha: float, delta: float,
     without regularization ``quant_plus(group, delta)``, ``+inf`` when its
     rank ``ceil((1 - delta)(m_g + 1))`` exceeds m_g; with it, the crossing
     of the piecewise-linear multiplier. A feature-free test row gives 0.0.
-    Rows spanning several columns, or a test group with mixed values, run
-    the general search (bisection to ``SEARCH_TOLERANCE``), where the test
-    multiplier's range over all s decides ``+inf`` beforehand.
+    Other features pin the test multiplier at 1 - delta and return the test
+    fit; without a ridge penalty an unbounded LP gives ``+inf`` and an
+    unbounded least test fit ``-inf``.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
@@ -523,9 +513,10 @@ def randomized_threshold(scores, features, alpha: float, delta: float,
     convention) when it is below 1; with it, the crossing of the
     piecewise-linear multiplier. A feature-free test row gives 0.0, and
     ``U >= 1`` never binds and gives ``+inf`` on every route. Other features
-    run the general search, where the test multiplier's range over all s
-    decides ``+inf`` (the constraints cap it at or below U - delta) and
-    ``-inf`` (they hold it above U - delta) beforehand.
+    pin it at U - delta, finite under a ridge penalty. Without one they give
+    ``+inf`` when U - delta tops every feasible test multiplier or the
+    largest test fit is unbounded, and ``-inf`` when U - delta lies below
+    every feasible test multiplier.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")

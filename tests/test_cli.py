@@ -204,6 +204,13 @@ class TestRun:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: sweep.values")
 
+    def test_bool_sweep_value_is_a_config_error(self, tmp_path):
+        doc = run_doc(sweep={"param": "ridge_weight", "values": [False, True]})
+        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: sweep.values")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_non_integer_counts_are_config_errors(self, tmp_path):
         doc = run_doc()
         doc["plan"]["trials"] = 2.5
@@ -353,7 +360,7 @@ class TestCompare:
         assert proc.returncode == 2
 
     def test_malformed_grid_is_a_config_error(self, tmp_path):
-        for grid in (0.3, ["x"]):
+        for grid in (0.3, ["x"], [0.1, True], ["0.3"]):
             doc = self.compare_doc(delta_grid=grid)
             proc = run_cli(tmp_path, "compare", "-c", write_config(tmp_path, doc))
             assert proc.returncode == 2
@@ -410,6 +417,15 @@ class TestConfigValidation:
         doc = run_doc()
         target = doc["algorithm"] if section == "algorithm" else doc["dataset"]["generator"]
         target[key] = [0.5, True] if key == "ridge_grid" else True
+        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and key in proc.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key", ["alpha", "delta"])
+    def test_string_probability_is_a_config_error(self, tmp_path, key):
+        doc = run_doc()
+        doc["algorithm"][key] = str(doc["algorithm"][key])
         proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and key in proc.stderr

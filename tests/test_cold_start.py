@@ -1,8 +1,8 @@
 """scipy stays off the engine's import path and loads only where a route needs it.
 
-Ridge fits, the quantile rules and the closed-form weighted threshold need
-no scipy, so ``import mecp`` and every engine run leave it unloaded. The
-LP and softmax routes import it on first use. Each case runs in a fresh
+Ridge fits, the quantile rules, the closed-form weighted threshold and the
+regularized general route need no scipy, so ``import mecp`` and every engine
+run leave it unloaded. The LP and softmax routes import it on first use. Each case runs in a fresh
 interpreter, because other test modules import scipy into this one.
 """
 
@@ -79,6 +79,23 @@ def test_weighted_compare_loads_no_scipy(tmp_path, method, ridge_weight):
     """
     assert not scipy_loaded_after(tmp_path, code)
     assert "match" in json.loads((tmp_path / "report.json").read_text())
+
+
+def test_regularized_general_route_loads_no_scipy(tmp_path):
+    # [1, x_e] features at ridge 0.3 take the active set, not an LP
+    code = """
+        import numpy as np
+        from mecp.weighted import dual_eta, fit_pinball_env, randomized_threshold, weighted_threshold
+        rng = np.random.default_rng(4)
+        features = np.column_stack([np.ones(7), rng.normal(size=7)])
+        scores = rng.normal(size=6)
+        values = [weighted_threshold(scores, features, 0.1, 0.4, 0.3),
+                  randomized_threshold(scores, features, 0.1, 0.4, rng, 0.3),
+                  dual_eta(scores, features, 0.4, 0.3, 0.5).objective,
+                  *fit_pinball_env(list(zip(features, rng.normal(size=7))), 0.2, 0.3).theta]
+        assert np.isfinite(values).all()
+    """
+    assert not scipy_loaded_after(tmp_path, code)
 
 
 # each route leaves its answer in ``values``; the random [1, x_e] features

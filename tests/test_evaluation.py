@@ -264,12 +264,23 @@ class TestTrialPlan:
             {"ridge_weight": True},
             {"ridge_weight": np.False_},
             {"ridge_grid": (0.1, True)},
+            {"alpha": "0.1"},
+            {"delta": "0.3"},
+            {"ridge_weight": "0.5"},
+            {"ridge_grid": ("0.1",)},
+            {"gamma": True},
+            {"alpha0": np.True_},
             {"rule": "majority"},
             {"clip": (2.0, -1.0)},
             {"clip": (0.0, math.inf)},
         ):
             with pytest.raises(ValueError):
                 make_plan(**overrides)
+
+    def test_probability_fields_are_stored_as_checked_floats(self):
+        plan = make_plan(alpha=np.float64(0.1), delta=Fraction(3, 10))
+        assert [type(getattr(plan, name)) for name in ("alpha", "delta", "gamma", "alpha0")] == [float] * 4
+        assert (plan.alpha, plan.delta) == (0.1, 0.3)
 
     def test_seed_must_be_a_nonnegative_integer(self):
         for seed in (-1, 1.5, "x", True, None):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mecp.quantiles import (
     DiscreteDistribution,
+    check_prob,
     column_quant_bounds,
     left_quantile,
     mixture_quantile_rows,
@@ -30,6 +31,24 @@ from oracles import (
 
 
 RANK_ALPHAS = (0.1, 0.2, 0.3, 0.7, 0.9, 1 / 3, 1e-9, 1 - 1e-9)
+
+
+class TestCheckProb:
+    def test_returns_a_float_for_real_numbers(self):
+        for value in (0.25, np.float64(0.25), np.float32(0.25), Fraction(1, 4)):
+            got = check_prob(value, "p")
+            assert type(got) is float and got == 0.25
+
+    @pytest.mark.parametrize("value", ["0.1", b"0.1", True, False, np.True_, None, [0.1],
+                                       np.array([0.1])])
+    def test_refuses_what_is_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match="p must be a number"):
+            check_prob(value, "p")
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 2.0, math.nan, math.inf, 0, 1])
+    def test_refuses_values_outside_the_open_unit_interval(self, value):
+        with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
+            check_prob(value, "p")
 
 
 class TestCachedRanks:

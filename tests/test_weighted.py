@@ -1,6 +1,7 @@
 """Hand-computed thresholds, dual certificates, and quantile equivalences."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,11 @@ from scipy.optimize import linprog
 from mecp.data import EnvironmentSample
 from mecp.nested_sets import SymmetricFamily
 from mecp.quantiles import quant_plus
+from mecp.predictors import FitError
 from mecp.weighted import (
     BOX_TOLERANCE,
-    _search_threshold,
-    _test_eta_range,
-    _solve_box_dual,
-    _solve_box_dual_ca,
+    DualSolution,
+    _pinned_solve,
     _solve_box_lp,
     constant_feature_map,
     dual_eta,
@@ -27,7 +27,13 @@ from mecp.weighted import (
     score_from_thresholds,
     weighted_threshold,
 )
-from oracles import oracle_env_score, oracle_weighted_threshold
+from oracles import (
+    oracle_env_score,
+    oracle_pinned_kkt,
+    oracle_pinned_threshold,
+    oracle_test_multiplier,
+    oracle_weighted_threshold,
+)
 
 
 class StubRng:
@@ -503,7 +509,10 @@ class TestClosedFormThreshold:
                 tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u),
                                            ridge_weight=weight)
                 level = u - delta
-            want = _search_threshold(scores, features, delta, weight, level)
+            # the general route's pinned solve on the same one-column rows
+            theta, _ = _pinned_solve(features[:-1], scores, delta, 2.0 * (m + 1) * weight,
+                                     level * features[-1])
+            want = float(features[-1] @ theta)
             assert math.isfinite(tau)
             assert abs(tau - want) <= 1e-7 * max(1.0, abs(want))
             assert straddles(scores, features, delta, weight, tau, u, 1e-9)
@@ -517,6 +526,8 @@ class TestClosedFormThreshold:
 
 class TestBlockDual:
     def test_block_indicators_match_lp_and_coordinate_ascent(self):
+        # the per-block scans against the dual LP at ridge 0 and against the
+        # general route's exact active set under a ridge penalty
         rng = np.random.default_rng(515)
         for case in range(80):
             k = int(rng.integers(2, 5))
@@ -530,19 +541,23 @@ class TestBlockDual:
             scores = rng.normal(size=n)
             delta = float(rng.uniform(0.05, 0.95))
             weight = 0.0 if case % 2 == 0 else float(rng.choice([0.01, 0.3, 2.0]))
-            got = _solve_box_dual(scores, phi, delta, weight)
+            got = dual_eta(scores[:-1], phi, delta, weight, scores[-1])
             if weight == 0.0:
                 ref = _solve_box_lp(scores, phi, delta)
             else:
-                ref = _solve_box_dual_ca(scores, phi, delta, weight)
+                curv = 2.0 * n * weight
+                eta = _pinned_solve(phi, scores, delta, curv, 0.0)[1]
+                q = phi.T @ eta
+                ref = DualSolution(eta=eta, objective=float(scores @ eta - q @ q / (2.0 * curv)))
             assert (got.eta >= -delta).all() and (got.eta <= 1.0 - delta).all()
             assert got.eta[-1] == pytest.approx(ref.eta[-1], abs=1e-6)
             assert got.objective >= ref.objective - 1e-9
 
     def test_test_multiplier_range_is_reached_far_out(self):
-        # the range that decides +-inf before a search: its ends are the
-        # multipliers the exact block dual returns at imputed scores far below
-        # and far above every score (HiGHS vs the per-block 1-d solves)
+        # the reach that decides the sign of an unbounded pinned LP: HiGHS's
+        # canonical test multiplier at zero scores is the one the exact block
+        # dual returns far above every score, and its mirror (delta -> 1 -
+        # delta) the one far below; under a ridge penalty they are the box ends
         rng = np.random.default_rng(516)
         free_test_rows = 0
         for case in range(80):
@@ -560,7 +575,11 @@ class TestBlockDual:
             scores = rng.normal(size=n - 1)
             delta = float(rng.uniform(0.05, 0.95))
             weight = 0.0 if case % 2 == 0 else 0.3
-            least, most = _test_eta_range(phi, delta, weight)
+            if weight == 0.0:
+                reach = lambda d: _solve_box_lp(np.zeros(n), phi, d).eta[-1]
+                least, most = -reach(1.0 - delta), reach(delta)
+            else:
+                least, most = -delta, 1.0 - delta
             far = 1e6 * (1.0 + float(np.abs(scores).max()))
             assert dual_eta(scores, phi, delta, weight, -far).eta[-1] == pytest.approx(least, abs=1e-9)
             assert dual_eta(scores, phi, delta, weight, far).eta[-1] == pytest.approx(most, abs=1e-9)
@@ -630,8 +649,9 @@ class TestGroupFeatureThresholds:
             assert straddles(scores, features, delta, weight, tau, u, 1e-9)
 
     def test_two_column_features_randomized_without_regularization(self):
-        # [1, x_e] rows run the general search. It raises no solver error; a
-        # finite threshold straddles the level within the search tolerance,
+        # [1, x_e] rows run the pinned LP. It raises no solver error; a finite
+        # threshold straddles the level, read on the exact largest test
+        # multiplier (the HiGHS dual_eta blurs it within about 1e-7 of a jump),
         # and an infinite one means the constraints hold every feasible test
         # multiplier on one side of U - delta (HiGHS reach of the test entry).
         rng = np.random.default_rng(1416)
@@ -645,12 +665,131 @@ class TestGroupFeatureThresholds:
             tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u))
             if math.isfinite(tau):
                 finite += 1
-                assert straddles(scores, features, delta, 0.0, tau, u, 1e-8)
+                eps = Fraction(1e-8) * (1 + abs(Fraction(tau)))
+                level = Fraction(u) - Fraction(delta)
+                below = oracle_test_multiplier(scores, features, delta, Fraction(tau) - eps)
+                above = oracle_test_multiplier(scores, features, delta, Fraction(tau) + eps)
+                assert below <= level < above
             elif tau > 0.0:
                 assert lp_test_reach(features, delta, 1.0) + delta <= u + 1e-9
             else:
                 assert lp_test_reach(features, delta, -1.0) + delta > u
         assert finite >= 20
+
+
+def feature_columns(rng, rows, k):
+    """[1, x_e] (k = 2) or [1, x_e, z_e] (k = 3) rows of normal draws."""
+    return np.column_stack([np.ones(rows)] + [rng.normal(size=rows) for _ in range(k - 1)])
+
+
+def pinned_threshold(scores, features, delta, weight, u):
+    if u is None:
+        return weighted_threshold(scores, features, 0.1, delta, ridge_weight=weight)
+    return randomized_threshold(scores, features, 0.1, delta, StubRng(u), ridge_weight=weight)
+
+
+class TestPinnedGeneralRoute:
+    def test_two_columns_without_regularization_equal_the_rational_oracle(self):
+        # the threshold is rounded once from the exact vertex, so it equals the
+        # rational answer rounded to the nearest float; +-inf follows the sign
+        # rule of the largest and least feasible test multipliers
+        rng = np.random.default_rng(1417)
+        finite = infinite = 0
+        for case in range(120):
+            m = int(rng.integers(2, 10))
+            features = feature_columns(rng, m + 1, 2)
+            scores = rng.normal(size=m) * 10.0 ** float(rng.uniform(-1.0, 1.0))
+            delta = float(rng.uniform(0.05, 0.95))
+            for u in (None, float(rng.uniform())):
+                got = pinned_threshold(scores, features, delta, 0.0, u)
+                want = oracle_pinned_threshold(scores, features, delta, u)
+                if math.isinf(want):
+                    infinite += 1
+                    assert got == want
+                else:
+                    finite += 1
+                    assert got == float(want)
+                    assert abs(Fraction(got) - want) <= 1e-15 * abs(want)
+        assert finite >= 100 and infinite >= 20
+
+    def test_regularized_thresholds_equal_the_kkt_oracle(self):
+        rng = np.random.default_rng(1418)
+        for case in range(80):
+            k = 2 + case % 2
+            m = int(rng.integers(2, 6))
+            features = feature_columns(rng, m + 1, k)
+            scores = rng.normal(size=m)
+            delta = float(rng.uniform(0.05, 0.95))
+            weight = float(rng.choice([5e-3, 0.3, 2.0]))
+            u = None if case % 3 == 0 else float(rng.uniform())
+            level = 1.0 - delta if u is None else u - delta
+            theta = oracle_pinned_kkt(features[:-1], scores, delta, 2.0 * (m + 1) * weight,
+                                      level * features[-1])
+            want = float(features[-1] @ theta)
+            got = pinned_threshold(scores, features, delta, weight, u)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_regularized_columns_straddle_the_level(self, k):
+        # the [1, x_e] case at ridge 0.3, and one more column: every threshold
+        # is finite, raises no solver error and straddles the level on the
+        # exact active-set dual_eta
+        rng = np.random.default_rng(1419 + k)
+        for case in range(60):
+            m = int(rng.integers(2, 10))
+            features = feature_columns(rng, m + 1, k)
+            scores = rng.normal(size=m)
+            delta = float(rng.uniform(0.05, 0.95))
+            u = None if case % 2 == 0 else float(rng.choice([0.0, rng.uniform()]))
+            tau = pinned_threshold(scores, features, delta, 0.3, u)
+            assert math.isfinite(tau)
+            assert straddles(scores, features, delta, 0.3, tau, u, 1e-9)
+
+    def test_degenerate_rows_match_the_kkt_oracle(self):
+        # tied scores, repeated feature rows and feature-free rows; a
+        # feature-free row with score 0 gets eta 0, as in the block dual
+        rng = np.random.default_rng(1420)
+        zero_rows = 0
+        for case in range(60):
+            k = 2 + case % 2
+            n = int(rng.integers(3, 7))
+            pool = np.round(rng.normal(size=(3, k)), 1)
+            phi = pool[rng.integers(0, 3, size=n)]
+            phi[rng.random(n) < 0.2] = 0.0
+            scores = rng.choice([0.0, 0.5, -1.0, 1.5], size=n)
+            delta = float(rng.choice([0.1, 0.25, 0.5]))
+            curv = float(rng.choice([0.1, 1.0, 8.0]))
+            tilt = 0.5 * np.round(rng.normal(size=k), 1) * (case % 3 != 0)
+            theta, eta = _pinned_solve(phi, scores, delta, curv, tilt)
+            want = oracle_pinned_kkt(phi, scores, delta, curv, tilt)
+            assert np.abs(theta - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+            assert np.abs(curv * theta - tilt - phi.T @ eta).max() <= 1e-12 * (1.0 + n)
+            assert ((eta >= -delta) & (eta <= 1.0 - delta)).all()
+            free = ~phi.any(axis=1)
+            zero_rows += (free & (scores == 0.0)).sum()
+            assert (eta[free & (scores == 0.0)] == 0.0).all()
+            assert (eta[free & (scores > 0.0)] == 1.0 - delta).all()
+            assert (eta[free & (scores < 0.0)] == -delta).all()
+        assert zero_rows >= 5
+
+    def test_iteration_cap_names_the_solver_and_the_held_rows(self):
+        rng = np.random.default_rng(1421)
+        features = feature_columns(rng, 8, 2)
+        with pytest.raises(FitError, match="pinned active set did not converge") as err:
+            _pinned_solve(features, rng.normal(size=8), 0.3, 1.0, 0.0, max_iter=2)
+        assert err.value.details["solver"] == "pinned active set"
+        assert err.value.details["iterations"] == 2
+        assert all(0 <= i < 8 for i in err.value.details["held"])
+
+    def test_regularized_env_fit_equals_the_kkt_oracle(self):
+        # fit_pinball_env: the same solve with no test row and no tilt
+        rng = np.random.default_rng(1422)
+        for k in (2, 3):
+            features = feature_columns(rng, 6, k)
+            scores = rng.normal(size=6)
+            model = fit_pinball_env(list(zip(features, scores)), 0.3, ridge_weight=0.2)
+            want = oracle_pinned_kkt(features, scores, 0.3, 2.0 * 6 * 0.2, np.zeros(k))
+            assert np.abs(model.theta - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -0.1])
