@@ -250,12 +250,8 @@ class JackknifeMinmax:
     delta: float
     mode: str = "hull"
 
-    def component_sets(self, x) -> list[list[PredictionSet]]:
-        """Per-family materializations at the shared threshold, one list per family."""
-        return [sets_at(fam, x, self.tau_hat) for fam in self.families]
-
     def predict_unions(self, x) -> list[PredictionSet]:
-        per_family = self.component_sets(x)
+        per_family = [sets_at(fam, x, self.tau_hat) for fam in self.families]
         return [union_sets(components) for components in zip(*per_family)]
 
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
@@ -634,11 +630,11 @@ def fit_resized_calibration(
     for env in cal_envs:
         resid = thresholds(family, env.x, env.y)
         labeled, rest = holdout_labels(env, label_count, rng)
-        factor = quant_plus(resid[list(labeled)], alpha0)
+        factor = quant_plus(resid[labeled], alpha0)
         if factor == 0.0:
             degenerate.append(env.env_id)
         factors.append(factor)
-        scores.append(quant_plus(_resized_ratios(resid[list(rest)], factor), alpha))
+        scores.append(quant_plus(_resized_ratios(resid[rest], factor), alpha))
     return ResizedCalibration(
         family=family,
         score_quantile=quant_plus(scores, delta),
@@ -654,17 +650,13 @@ def fit_resized_calibration(
     )
 
 
-def resize_for(calibration: ResizedCalibration, test_labeled: EnvironmentSample) -> ResizedSplitConformal:
-    """Scale the calibrated score quantile by the test environment's own factor."""
-    if test_labeled.n != calibration.label_count:
+def resize_for(calibration: ResizedCalibration, x, y) -> ResizedSplitConformal:
+    """Scale the calibrated score quantile by the factor of the labeled test rows x, y."""
+    if len(y) != calibration.label_count:
         raise ValueError(
-            f"test labeled set has {test_labeled.n} rows, calibration used "
+            f"test labeled set has {len(y)} rows, calibration used "
             f"{calibration.label_count}"
         )
-    return _resized(calibration, test_labeled.x, test_labeled.y)
-
-
-def _resized(calibration: ResizedCalibration, x, y) -> ResizedSplitConformal:
     factor = quant_plus(thresholds(calibration.family, x, y), calibration.alpha0)
     return ResizedSplitConformal(
         calibration=calibration,
@@ -684,12 +676,10 @@ def fit_resized_split_conformal(
     rng: np.random.Generator,
 ) -> ResizedSplitConformal:
     """Calibrate with rescaled scores, then resize to the labeled test rows."""
-    if test_labeled.n < 1:
-        raise ValueError("the labeled test sample must be nonempty")
     calibration = fit_resized_calibration(
         dataset, family_builder, alpha, delta, gamma, alpha0, test_labeled.n, rng
     )
-    return resize_for(calibration, test_labeled)
+    return resize_for(calibration, test_labeled.x, test_labeled.y)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ __all__ = [
     "HierGenConfig",
     "MultiEnvDataset",
     "ParseError",
+    "check_finite",
     "check_integer",
     "generate_hierarchical",
     "holdout_labels",
@@ -129,6 +130,13 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_finite(value, name: str) -> float:
+    """``value`` as a float, after checking that it is a finite real number and not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class HierGenConfig:
     """Synthetic hierarchical regression generator settings.
@@ -171,14 +179,10 @@ class HierGenConfig:
         if self.beta is not None:
             if len(self.beta) != self.p:
                 raise ValueError("beta must have length p")
-            object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-            if not np.isfinite(self.beta).all():
-                raise ValueError(f"beta entries must be finite, got {list(self.beta)}")
+            object.__setattr__(self, "beta", tuple(check_finite(b, "beta") for b in self.beta))
         for name in ("env_effect_scale", "noise_scale", "outlier_frac",
                      "outlier_noise_multiplier"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not np.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            check_finite(getattr(self, name), name)
         if self.env_effect_scale < 0 or self.noise_scale < 0:
             raise ValueError("scales must be nonnegative")
         if not 0.0 <= self.outlier_frac <= 1.0:
@@ -247,13 +251,7 @@ def split_environments(dataset: MultiEnvDataset, gamma: float, rng: np.random.Ge
 
 
 def holdout_labels(sample: EnvironmentSample, count: int, rng: np.random.Generator):
-    """Uniformly choose ``count`` labeled rows; returns (labeled, rest) indices."""
-    labeled, rest = _holdout_rows(sample, count, rng)
-    return tuple(labeled.tolist()), tuple(rest.tolist())
-
-
-def _holdout_rows(sample: EnvironmentSample, count: int, rng: np.random.Generator):
-    # holdout_labels as index arrays, ready for fancy indexing
+    """Uniformly choose ``count`` labeled rows; returns sorted (labeled, rest) index arrays."""
     if not 1 <= count < sample.n:
         raise ValueError(f"holdout count must satisfy 1 <= count < {sample.n}, got {count}")
     labeled = np.sort(rng.choice(sample.n, size=count, replace=False))

@@ -25,7 +25,6 @@ import numpy as np
 
 from mecp.algorithms import (
     ResizedCalibration,
-    _resized,
     _shared_ridge_fits,
     fit_hcp,
     fit_hier_jackknife_plus,
@@ -34,6 +33,7 @@ from mecp.algorithms import (
     fit_resized_calibration,
     fit_split_conformal,
     fit_weighted_split_conformal,
+    resize_for,
     ridge_point_builder,
     ridge_symmetric_builder,
 )
@@ -41,9 +41,10 @@ from mecp.data import (
     EnvironmentSample,
     HierGenConfig,
     MultiEnvDataset,
-    _holdout_rows,
+    check_finite,
     check_integer,
     generate_hierarchical,
+    holdout_labels,
 )
 from mecp.nested_sets import bounds_measure, contains, float_to_json, measure
 from mecp.predictors import DEFAULT_LAMBDA_GRID, FitError
@@ -51,8 +52,8 @@ from mecp.quantiles import check_prob, rank_plus
 from mecp.weighted import _check_ridge_weight
 
 # Unused here: bench/tracer.py wraps these names under this module.
-from mecp.algorithms import WeightedSplitMapping, resize_for  # noqa: F401
-from mecp.data import holdout_labels, split_environments  # noqa: F401
+from mecp.algorithms import WeightedSplitMapping  # noqa: F401
+from mecp.data import split_environments  # noqa: F401
 from mecp.nested_sets import sets_at  # noqa: F401
 from mecp.weighted import env_score, randomized_threshold, weighted_threshold  # noqa: F401
 
@@ -324,8 +325,8 @@ class TrialPlan:
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
         if self.clip is not None:
-            lo, hi = (float(v) for v in self.clip)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+            lo, hi = (check_finite(v, "clip") for v in self.clip)
+            if lo >= hi:
                 raise ValueError("clip must be a finite (lo, hi) pair with lo < hi")
             object.__setattr__(self, "clip", (lo, hi))
 
@@ -430,8 +431,8 @@ def dataset_records(
     # resizing and is scored on the rest, every environment in one pass
     pairs = []
     for env in test_envs:
-        labeled, rest = _holdout_rows(env, plan.label_count, rng)
-        pairs.append((_resized(fitted, env.x[labeled], env.y[labeled]), (env, rest)))
+        labeled, rest = holdout_labels(env, plan.label_count, rng)
+        pairs.append((resize_for(fitted, env.x[labeled], env.y[labeled]), (env, rest)))
     return tuple(_score_pairs(pairs, plan.alpha, plan.clip, plan.rule, trial))
 
 

@@ -120,11 +120,10 @@ class BandFamily:
 
 @dataclass(frozen=True)
 class LossSublevelFamily:
-    """Label sets {c : loss(c, logits(x)) <= tau} over classes 0..n_classes-1."""
+    """Label sets {c < n_classes : multiclass_loss(c, logits(x)) <= tau}."""
 
     logits: Callable[[np.ndarray], np.ndarray]
     n_classes: int
-    loss: Callable = multiclass_loss
 
     def __post_init__(self) -> None:
         if self.n_classes < 1:
@@ -146,17 +145,9 @@ def thresholds(family: NestedFamily, x: np.ndarray, y) -> np.ndarray:
         high = np.asarray(family.upper(x), dtype=float)
         return np.maximum(low - out, out - high)
     if isinstance(family, LossSublevelFamily):
-        labels = np.asarray(y)
         logits = np.asarray(family.logits(x), dtype=float)
-        if family.loss is multiclass_loss:
-            return np.atleast_1d(np.asarray(multiclass_loss(labels, logits), dtype=float))
-        return np.array([float(family.loss(int(c), row)) for c, row in zip(labels, logits)])
+        return np.atleast_1d(np.asarray(multiclass_loss(np.asarray(y), logits), dtype=float))
     raise TypeError(f"not a nested family: {type(family).__name__}")
-
-
-def _sublevel_labels(family: LossSublevelFamily, logits: np.ndarray, tau: float) -> LabelSet:
-    keep = tuple(c for c in range(family.n_classes) if float(family.loss(c, logits)) <= tau)
-    return LabelSet(keep)
 
 
 def set_at(family: NestedFamily, x, tau: float) -> PredictionSet:
@@ -169,8 +160,13 @@ def sets_at(family: NestedFamily, x: np.ndarray, tau: float) -> list[PredictionS
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
     if isinstance(family, LossSublevelFamily):
+        # one batch loss per class, the same numbers thresholds compares
         logits = np.asarray(family.logits(np.asarray(x, dtype=float)), dtype=float)
-        return [_sublevel_labels(family, row, tau) for row in logits]
+        t = logits.shape[0]
+        keep = np.column_stack(
+            [multiclass_loss(np.full(t, c), logits) <= tau for c in range(family.n_classes)]
+        )
+        return [LabelSet(tuple(np.flatnonzero(row).tolist())) for row in keep]
     return sets_from_bounds(*bounds_at(family, x, tau))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -336,7 +335,7 @@ def fit_softmax(
     x,
     y,
     n_classes: int,
-    step_schedule: float | Callable[[int], float] = 1.0,
+    step_schedule: float = 1.0,
     tolerance: float = 1e-6,
     max_iter: int = 20_000,
 ) -> SoftmaxModel:
@@ -356,7 +355,6 @@ def fit_softmax(
     labels = labels.astype(int)
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
-    step_at = step_schedule if callable(step_schedule) else (lambda _t, s=step_schedule: s)
 
     w = np.zeros((n_classes, xt.shape[1]))
     onehot = np.zeros((n, n_classes))
@@ -368,7 +366,7 @@ def fit_softmax(
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tolerance:
             return SoftmaxModel(weights=w)
-        w = w - step_at(t) * grad
+        w = w - step_schedule * grad
         loss = float(np.mean(multiclass_loss(labels, xt @ w.T)))
         if not math.isfinite(loss) or loss > 10.0 * loss0 + 10.0:
             raise FitError("softmax descent diverged", iteration=t, loss=loss, grad_norm=gnorm)

@@ -246,6 +246,18 @@ def oracle_score_sets(sets, y, clip=None) -> tuple[int, float]:
     return covered, float(np.mean(measures))
 
 
+def oracle_label_sets(logit_rows, n_classes: int, tau: float, loss) -> list[tuple[int, ...]]:
+    """Sublevel label sets row by row: class c is kept when ``loss(c, row) <= tau``.
+
+    ``loss`` is called once per row and class on a single logit vector, so
+    a batched route must reproduce the scalar losses bit for bit to match.
+    """
+    return [
+        tuple(c for c in range(n_classes) if float(loss(c, row)) <= tau)
+        for row in np.asarray(logit_rows, dtype=float)
+    ]
+
+
 def oracle_weighted_threshold(scores, test_multiplier, delta: float, u=None) -> float:
     """Supremum of imputed test scores s whose dual multiplier meets the level.
 

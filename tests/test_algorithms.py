@@ -635,8 +635,10 @@ class TestResizedSplitConformal:
             ds, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0, 0.5, 2,
             np.random.default_rng(7),
         )
-        base = resize_for(cal, env_from_y("t1", [1.0, -1.0]))
-        doubled = resize_for(cal, env_from_y("t2", [2.0, -2.0]))
+        t1 = env_from_y("t1", [1.0, -1.0])
+        t2 = env_from_y("t2", [2.0, -2.0])
+        base = resize_for(cal, t1.x, t1.y)
+        doubled = resize_for(cal, t2.x, t2.y)
         assert doubled.test_factor == 2.0 * base.test_factor
         assert doubled.tau_hat == 2.0 * base.tau_hat
 
@@ -700,7 +702,8 @@ class TestResizedSplitConformal:
             ds, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0, 0.5, 2,
             np.random.default_rng(7),
         )
-        zero = resize_for(cal, env_from_y("t", [0.0, 0.0]))
+        zeros = env_from_y("t", [0.0, 0.0])
+        zero = resize_for(cal, zeros.x, zeros.y)
         assert zero.test_factor == 0.0
         assert zero.tau_hat == 0.0
         sparse = fit_resized_calibration(
@@ -709,7 +712,7 @@ class TestResizedSplitConformal:
         )
         assert sparse.score_quantile == math.inf
         # 0 * inf stays conservative
-        assert resize_for(sparse, env_from_y("t", [0.0, 0.0])).tau_hat == math.inf
+        assert resize_for(sparse, zeros.x, zeros.y).tau_hat == math.inf
 
     def test_validation(self):
         def refuse(envs):
@@ -725,7 +728,11 @@ class TestResizedSplitConformal:
             np.random.default_rng(7),
         )
         with pytest.raises(ValueError, match="labeled"):
-            resize_for(cal, env_from_y("t", [0.0, 0.0, 0.0]))
+            three = env_from_y("t", [0.0, 0.0, 0.0])
+            resize_for(cal, three.x, three.y)
+        one = env_from_y("t", [0.0])
+        with pytest.raises(ValueError, match="^test labeled set has 1 rows, calibration used 2$"):
+            resize_for(cal, one.x, one.y)
 
     def test_metadata_serializes(self):
         ds = self.unit_residual_dataset()

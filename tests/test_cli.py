@@ -411,12 +411,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section, key", [
         ("algorithm", "ridge_weight"), ("algorithm", "ridge_grid"), ("generator", "noise_scale"),
-        ("generator", "outlier_frac"),
+        ("generator", "outlier_frac"), ("plan", "clip"), ("generator", "beta"),
     ])
     def test_bool_in_a_float_field_is_a_config_error(self, tmp_path, section, key):
         doc = run_doc()
-        target = doc["algorithm"] if section == "algorithm" else doc["dataset"]["generator"]
-        target[key] = [0.5, True] if key == "ridge_grid" else True
+        target = doc["dataset"]["generator"] if section == "generator" else doc[section]
+        bad = {"ridge_grid": [0.5, True], "clip": ["-1", True], "beta": [True, "2.5"]}
+        target[key] = bad.get(key, True)
         proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and key in proc.stderr

@@ -194,7 +194,8 @@ class TestGenerator:
             dict(outlier_noise_multiplier=np.inf), dict(beta=(1.0, np.nan)),
             dict(beta=(-np.inf, 0.0)), dict(noise_scale="1"), dict(outlier_frac="0.1"),
             dict(noise_scale=True), dict(outlier_frac=True), dict(env_effect_scale=False),
-            dict(outlier_noise_multiplier=True),
+            dict(outlier_noise_multiplier=True), dict(beta=(True, 2.5)), dict(beta=(1.0, "2.5")),
+            dict(beta=(np.True_, 1.0)),
         ):
             (name,) = bad
             with pytest.raises(ValueError, match=f"{name}.*finite"):
@@ -236,8 +237,30 @@ class TestSplits:
         env = _toy_dataset(m=1, n=10).environments[0]
         labeled, rest = holdout_labels(env, 4, np.random.default_rng(3))
         assert len(labeled) == 4 and len(rest) == 6
-        assert sorted(labeled + rest) == list(range(10))
+        assert sorted(np.concatenate([labeled, rest]).tolist()) == list(range(10))
         with pytest.raises(ValueError):
             holdout_labels(env, 10, np.random.default_rng(3))
         with pytest.raises(ValueError):
             holdout_labels(env, 0, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("seed, n, count, labeled, state", [
+        (0, 10, 4, [2, 4, 5, 7], (45622952943019519016089485487844936367, 70985654)),
+        (1, 7, 1, [3], (183275694112599655215491715457714976113, 2198257139)),
+        (2, 12, 11, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11],
+         (58260785093730483622811694239692271413, 2414912633)),
+    ])
+    def test_holdout_is_one_frozen_draw_as_index_arrays(self, seed, n, count, labeled, state):
+        env = EnvironmentSample("e", np.zeros((n, 1)), np.zeros(n))
+        rng = np.random.default_rng(seed)
+        got, rest = holdout_labels(env, count, rng)
+        for part in (got, rest):
+            assert isinstance(part, np.ndarray) and part.dtype.kind == "i"
+            assert np.all(np.diff(part) > 0)
+        assert not set(got.tolist()) & set(rest.tolist())
+        assert sorted(np.concatenate([got, rest]).tolist()) == list(range(n))
+        # indices and generator state frozen from a reference run: the same
+        # single rng.choice draw, whatever container the indices come in
+        assert got.tolist() == labeled
+        assert rest.tolist() == sorted(set(range(n)) - set(labeled))
+        after = rng.bit_generator.state
+        assert (after["state"]["state"], after["uinteger"]) == state

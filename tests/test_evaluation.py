@@ -273,6 +273,10 @@ class TestTrialPlan:
             {"rule": "majority"},
             {"clip": (2.0, -1.0)},
             {"clip": (0.0, math.inf)},
+            {"clip": ("-1", 2.0)},
+            {"clip": (-1.0, True)},
+            {"clip": (True, 2.0)},
+            {"clip": (np.False_, 1.0)},
         ):
             with pytest.raises(ValueError):
                 make_plan(**overrides)
@@ -562,7 +566,8 @@ def per_environment_resized_records(dataset, plan, rng, trial):
     records = []
     for env in dataset.environments[plan.train_envs :]:
         labeled, rest = holdout_labels(env, plan.label_count, rng)
-        mapping = resize_for(calibration, env.take(labeled))
+        held = env.take(labeled)
+        mapping = resize_for(calibration, held.x, held.y)
         report = evaluate_mapping(
             mapping, [env.take(rest)], plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
         )
@@ -612,6 +617,24 @@ class TestResizedOnePass:
         records = run_trial(make_plan(algorithm=name, test_envs=3, label_count=5), 0)
         assert len(records) == 3
         assert len(calls) == 1
+
+    def test_resizes_through_the_public_holdout_and_resize_calls(self, monkeypatch):
+        calls = {"holdout_labels": 0, "resize_for": 0}
+
+        def counted(name):
+            inner = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, wrapper)
+
+        counted("holdout_labels")
+        counted("resize_for")
+        plan = make_plan(algorithm="resized_split_conformal", test_envs=3, label_count=5)
+        assert len(run_trial(plan, 0)) == 3
+        assert calls == {"holdout_labels": 3, "resize_for": 3}
 
     @staticmethod
     def run_sized(train_sizes, test_sizes):

@@ -25,7 +25,8 @@ from mecp.nested_sets import (
     thresholds,
     union_sets,
 )
-from oracles import oracle_interval_measure, oracle_union_measure_exact
+from mecp.predictors import multiclass_loss
+from oracles import oracle_interval_measure, oracle_label_sets, oracle_union_measure_exact
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -123,6 +124,29 @@ class TestSetAt:
         assert set_at(fam, x, 0.1) == LabelSet(())
         assert set_at(fam, x, 1.0) == LabelSet((0,))
         assert set_at(fam, x, math.inf) == LabelSet((0, 1, 2))
+
+    def test_label_sets_match_per_class_scalar_oracle(self):
+        rng = np.random.default_rng(4)
+        for draw in range(30):
+            k = int(rng.integers(1, 6))
+            w = rng.normal(size=(k, 3))
+            if draw % 2 == 0:
+                # integer logits: classes tie and taus land exactly on losses
+                w = np.round(2.0 * w)
+            # some classes at -inf logit, so their loss is +inf (never class 0)
+            dead = rng.random((9, k)) < 0.2 * (draw % 3 == 0)
+            dead[:, 0] = False
+
+            def logits(xs, w=w, dead=dead):
+                return np.where(dead, -math.inf, np.column_stack([np.ones(len(xs)), xs]) @ w.T)
+
+            fam = LossSublevelFamily(logits=logits, n_classes=k)
+            xs = np.round(rng.normal(size=(9, 2)))
+            ys = rng.integers(0, k, size=9)
+            taus = [0.0, -1.0, math.inf, *thresholds(fam, xs, ys).tolist()]
+            for tau in taus:
+                want = oracle_label_sets(logits(xs), k, tau, multiclass_loss)
+                assert sets_at(fam, xs, tau) == [LabelSet(labels) for labels in want]
 
     def test_sets_at_matches_pointwise(self):
         # predictor evaluates row by row so its rounding cannot differ by shape
