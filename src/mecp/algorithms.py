@@ -367,6 +367,12 @@ def fit_split_conformal(
     )
 
 
+def _reserved_mixture_weights(sizes) -> np.ndarray:
+    """Weight 1/((k+1) n_i) on each atom of k blocks of ``sizes`` n_i, then 1/(k+1) reserved."""
+    sizes = np.asarray(sizes)
+    return np.append(np.repeat(1.0 / ((sizes.size + 1) * sizes), sizes), 1.0 / (sizes.size + 1))
+
+
 @dataclass(frozen=True)
 class HierJackknifePlus:
     """Leave-one-environment-out point predictors with residual-atom mixtures.
@@ -381,14 +387,6 @@ class HierJackknifePlus:
     predictors: tuple[Callable, ...]
     residuals: tuple[np.ndarray, ...]
     alpha: float
-
-    def _atom_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        m = len(self.predictors)
-        sizes = np.array([len(r) for r in self.residuals])
-        weights = np.append(
-            np.repeat(1.0 / ((m + 1) * sizes), sizes), 1.0 / (m + 1)
-        )
-        return np.repeat(np.arange(m), sizes), weights
 
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The alpha and 1-alpha mixture quantiles per row of ``x``.
@@ -416,10 +414,10 @@ class HierJackknifePlus:
 
     def _sorted_side(self, preds, op, reserved, level) -> np.ndarray:
         """One endpoint per column of ``preds`` from its atom row, by sort."""
-        env_idx, weights = self._atom_weights()
-        rows = op(preds[env_idx, :].T, np.concatenate(self.residuals))
+        sizes = [len(r) for r in self.residuals]
+        rows = op(np.repeat(preds, sizes, axis=0).T, np.concatenate(self.residuals))
         rows = np.hstack([rows, np.full((rows.shape[0], 1), reserved)])
-        return mixture_quantile_rows(rows, weights, level)
+        return mixture_quantile_rows(rows, _reserved_mixture_weights(sizes), level)
 
     def _selected_bounds(self, preds, res) -> tuple[np.ndarray, np.ndarray]:
         """Both endpoints by in-place selection in one ``(t, m*n)`` atom buffer.
@@ -434,7 +432,7 @@ class HierJackknifePlus:
         """
         t = preds.shape[1]
         m, n = res.shape
-        _, weights = self._atom_weights()
+        weights = _reserved_mixture_weights([n] * m)
         centres = preds.T[:, :, None]
         buf = np.empty((t, m * n))
 
@@ -522,12 +520,9 @@ def fit_hcp(
         raise ValueError("this construction requires a regression outcome")
     split, fit_envs, cal_envs = _split_envs(dataset, gamma, rng)
     family = SymmetricFamily(predict=predictor_builder(fit_envs))
-    k = len(cal_envs)
-    locations = [thresholds(family, env.x, env.y) for env in cal_envs]
-    weights = [np.full(env.n, 1.0 / ((k + 1) * env.n)) for env in cal_envs]
-    locations.append(np.array([math.inf]))
-    weights.append(np.array([1.0 / (k + 1)]))
-    mixture = DiscreteDistribution(np.concatenate(locations), np.concatenate(weights))
+    locations = [thresholds(family, env.x, env.y) for env in cal_envs] + [[math.inf]]
+    weights = _reserved_mixture_weights([env.n for env in cal_envs])
+    mixture = DiscreteDistribution(np.concatenate(locations), weights)
     tau_hat = left_quantile(mixture, 1.0 - alpha)
     return Hcp(family=family, tau_hat=tau_hat, alpha=alpha, gamma=float(gamma), split=split)
 

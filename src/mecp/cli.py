@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mecp.data import HierGenConfig, generate_hierarchical, load_csv, write_csv
+from mecp.data import HierGenConfig, check_integer, generate_hierarchical, load_csv, write_csv
 from mecp.evaluation import (
     CoverageReport,
     TrialPlan,
@@ -37,6 +37,7 @@ from mecp.evaluation import (
     trial_data_seed,
 )
 from mecp.predictors import FitError
+from mecp.quantiles import check_real
 
 SWEEP_HEADER = "param,value,emp_one_minus_delta,emp_one_minus_alpha,emp_set_length"
 SWEEPABLE = ("alpha", "delta", "gamma", "alpha0", "label_count", "ridge_weight")
@@ -124,10 +125,9 @@ def _build_generator(section: dict, m: int | None, seed: int | None) -> HierGenC
 
 
 def _floats(raw, name: str) -> tuple[float, ...]:
-    # JSON numbers only: a bool or a numeric string is a config error
-    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
+    if not isinstance(raw, list):
         raise ConfigError(f"{name} must be a list of numbers, got {raw!r}")
-    return tuple(float(v) for v in raw)
+    return tuple(check_real(v, name) for v in raw)
 
 
 def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig:
@@ -155,7 +155,7 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
     workers = getattr(args, "workers", None)
     if workers is None:
         workers = plan_sec.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+    if check_integer(workers, "workers") < 1:
         raise ConfigError("workers must be a positive integer")
 
     sweep = _section(doc, "sweep")
@@ -179,11 +179,9 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
         if "alpha" not in alg:
             raise ConfigError("algorithm.alpha is required")
         template = None
-        train_envs = plan_sec.get("train_envs", 2)
-        test_envs = plan_sec.get("test_envs", 1)
+        train_envs = check_integer(plan_sec.get("train_envs", 2), "train_envs")
+        test_envs = check_integer(plan_sec.get("test_envs", 1), "test_envs")
         if gen_sec is not None:
-            if not isinstance(train_envs, int) or not isinstance(test_envs, int):
-                raise ConfigError("plan.train_envs and plan.test_envs must be integers")
             template = _build_generator(gen_sec, m=train_envs + test_envs, seed=None)
         # only the keys the config holds: TrialPlan's defaults are the only ones
         options = {k: v for k, v in alg.items() if k != "name"}
@@ -202,7 +200,7 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
             # cmd_run builds one plan per sweep value; reject bad values up front
             for value in sweep_values or ():
                 replace(plan, **{sweep_param: value})
-        except (TypeError, ValueError) as err:
+        except TypeError as err:
             raise ConfigError(str(err)) from None
 
     generator = None
@@ -385,7 +383,7 @@ def main(argv=None) -> int:
     try:
         doc = _load_document(args.config)
         config = build_config(doc, args, args.command)
-    except ConfigError as err:
+    except ValueError as err:  # a ConfigError, or a checked value's own message
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

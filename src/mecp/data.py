@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mecp.quantiles import check_prob
+from mecp.quantiles import check_nonnegative, check_prob, check_real
 
 __all__ = [
     "EnvironmentSample",
@@ -22,7 +22,6 @@ __all__ = [
     "HierGenConfig",
     "MultiEnvDataset",
     "ParseError",
-    "check_finite",
     "check_integer",
     "generate_hierarchical",
     "holdout_labels",
@@ -130,13 +129,6 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
-def check_finite(value, name: str) -> float:
-    """``value`` as a float, after checking that it is a finite real number and not a bool."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not np.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class HierGenConfig:
     """Synthetic hierarchical regression generator settings.
@@ -179,12 +171,11 @@ class HierGenConfig:
         if self.beta is not None:
             if len(self.beta) != self.p:
                 raise ValueError("beta must have length p")
-            object.__setattr__(self, "beta", tuple(check_finite(b, "beta") for b in self.beta))
-        for name in ("env_effect_scale", "noise_scale", "outlier_frac",
-                     "outlier_noise_multiplier"):
-            check_finite(getattr(self, name), name)
-        if self.env_effect_scale < 0 or self.noise_scale < 0:
-            raise ValueError("scales must be nonnegative")
+            object.__setattr__(self, "beta", tuple(check_real(b, "beta") for b in self.beta))
+        for name in ("env_effect_scale", "noise_scale"):
+            object.__setattr__(self, name, check_nonnegative(getattr(self, name), name))
+        for name in ("outlier_frac", "outlier_noise_multiplier"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not 0.0 <= self.outlier_frac <= 1.0:
             raise ValueError("outlier_frac must lie in [0, 1]")
         if self.outlier_noise_multiplier <= 0:

@@ -41,15 +41,13 @@ from mecp.data import (
     EnvironmentSample,
     HierGenConfig,
     MultiEnvDataset,
-    check_finite,
     check_integer,
     generate_hierarchical,
     holdout_labels,
 )
 from mecp.nested_sets import bounds_measure, contains, float_to_json, measure
 from mecp.predictors import DEFAULT_LAMBDA_GRID, FitError
-from mecp.quantiles import check_prob, rank_plus
-from mecp.weighted import _check_ridge_weight
+from mecp.quantiles import check_nonnegative, check_prob, check_real, rank_plus
 
 # Unused here: bench/tracer.py wraps these names under this module.
 from mecp.algorithms import WeightedSplitMapping  # noqa: F401
@@ -312,11 +310,12 @@ class TrialPlan:
         if self.label_count < 1:
             raise ValueError("label_count must be at least 1")
         if self.ridge_grid is not None:
-            grid = tuple(_check_ridge_weight(v, "ridge_grid") for v in self.ridge_grid)
+            grid = tuple(check_nonnegative(v, "ridge_grid") for v in self.ridge_grid)
             if not grid:
                 raise ValueError("ridge_grid must be nonempty")
             object.__setattr__(self, "ridge_grid", grid)
-        _check_ridge_weight(self.ridge_weight)
+        weight = check_nonnegative(self.ridge_weight, "ridge_weight")
+        object.__setattr__(self, "ridge_weight", weight)
         if self.feature_map != "constant":
             raise ValueError(
                 "only the 'constant' feature map runs inside the trial engine; "
@@ -325,7 +324,7 @@ class TrialPlan:
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
         if self.clip is not None:
-            lo, hi = (check_finite(v, "clip") for v in self.clip)
+            lo, hi = (check_real(v, "clip") for v in self.clip)
             if lo >= hi:
                 raise ValueError("clip must be a finite (lo, hi) pair with lo < hi")
             object.__setattr__(self, "clip", (lo, hi))

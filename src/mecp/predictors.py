@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mecp.quantiles import check_prob
+from mecp.quantiles import check_nonnegative, check_prob
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
@@ -96,18 +96,21 @@ class RidgeModel:
         return x @ self.coef + self.intercept
 
 
-def _select_ridge(lambda_grid, s, v, zy, x_mean, y_mean, scan) -> RidgeModel:
-    """The penalty rules both ridge routes share, applied to one centred fit.
-
-    ``V diag(s) V^T`` is the centred Gram matrix and ``zy = V^T x_c^T y_c``;
-    ``scan(inv)`` maps the (p, L) inverse shifted spectra of L penalties to
-    their leave-one-out mean squared errors and smallest ``1 - h_ii``.
-    """
-    grid = sorted(float(l) for l in lambda_grid)
+def _penalties(lambda_grid) -> list[float]:
+    """The checked penalties of ``lambda_grid`` in ascending order."""
+    grid = sorted(check_nonnegative(l, "lambda_grid") for l in lambda_grid)
     if not grid:
         raise ValueError("lambda_grid must be nonempty")
-    if grid[0] < 0:
-        raise ValueError("penalties must be nonnegative")
+    return grid
+
+
+def _select_ridge(grid, s, v, zy, x_mean, y_mean, scan) -> RidgeModel:
+    """The penalty rules both ridge routes share, applied to one centred fit.
+
+    ``grid`` is :func:`_penalties`, ``V diag(s) V^T`` the centred Gram matrix
+    and ``zy = V^T x_c^T y_c``; ``scan(inv)`` maps the (p, L) inverse shifted
+    spectra of L penalties to their leave-one-out errors and least ``1 - h_ii``.
+    """
 
     def mse_at(lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
         shifted = s[:, None] + np.asarray(lams)
@@ -176,7 +179,7 @@ def fit_ridge(x, y, lambda_grid=DEFAULT_LAMBDA_GRID) -> RidgeModel:
         loo = (yc[:, None] - z @ (zy[:, None] * inv)) / np.maximum(denom, _LEVERAGE_FLOOR)
         return np.einsum("ij,ij->j", loo, loo) / n, denom.min(axis=0)
 
-    return _select_ridge(lambda_grid, s, v, zy, x_mean, y_mean, scan)
+    return _select_ridge(_penalties(lambda_grid), s, v, zy, x_mean, y_mean, scan)
 
 
 def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> list[RidgeModel]:
@@ -195,7 +198,7 @@ def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> lis
     sizes = np.asarray(sizes, dtype=int)
     if sizes.ndim != 1 or (sizes < 1).any() or sizes.sum() != len(y):
         raise ValueError("sizes must be positive block sizes summing to the row count")
-    m, p, lambda_grid = len(sizes), x.shape[1], tuple(lambda_grid)
+    m, p, grid = len(sizes), x.shape[1], _penalties(lambda_grid)
     starts = np.concatenate(([0], np.cumsum(sizes)))
     means = np.add.reduceat(np.column_stack([x, y]), starts[:-1]) / sizes[:, None]
     dev = x - np.repeat(means[:, :p], sizes, axis=0)
@@ -224,7 +227,7 @@ def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> lis
             return np.einsum("ij,ij->i", loo, loo) / n, denom.min(axis=1)
 
         try:
-            models.append(_select_ridge(lambda_grid, spectra[i], bases[i], zy, mu[i, :p],
+            models.append(_select_ridge(grid, spectra[i], bases[i], zy, mu[i, :p],
                                         float(mu[i, p]), scan))
         except FitError as err:
             raise FitError(str(err), **err.details, left_out=i) from err

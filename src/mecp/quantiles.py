@@ -28,7 +28,9 @@ import numpy as np
 
 __all__ = [
     "DiscreteDistribution",
+    "check_nonnegative",
     "check_prob",
+    "check_real",
     "column_quant_bounds",
     "cumsum_rank",
     "left_quantile",
@@ -44,15 +46,40 @@ __all__ = [
 _WEIGHT_TOL = 1e-9
 
 
-def check_prob(value: float, name: str) -> float:
+def _number(value, name: str, rule: str, in_range) -> float:
+    """``value`` as a float, the one gate of the scalar checks below.
+
+    Any ``numbers.Real`` but a bool passes the type gate; one too large for
+    a float reads as +-inf. ``in_range`` then decides, and ``rule`` says why not.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf if value > 0 else -math.inf
+    if not in_range(v):
+        # an infinity the input does not equal is an overflow: say so, not its digits
+        got = "a number too large for a float" if math.isinf(v) and v != value else v
+        raise ValueError(f"{name} {rule}, got {got}")
+    return v
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float, after checking that it is a finite real number (no bool)."""
+    return _number(value, name, "must be a finite number", math.isfinite)
+
+
+def check_prob(value, name: str) -> float:
     """``value`` as a float, after checking that it is a real number (no bool) in (0, 1)."""
-    if type(value) is not float:
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-    return value
+    if type(value) is float and 0.0 < value < 1.0:
+        return value
+    return _number(value, name, "must lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
+
+
+def check_nonnegative(value, name: str) -> float:
+    """``value`` as a float, after checking that it is a finite real number (no bool) >= 0."""
+    return _number(value, name, "must be finite and nonnegative", lambda v: 0.0 <= v < math.inf)
 
 
 # Ranks are exact rational arithmetic, slow next to a sort of a few dozen
@@ -165,12 +192,6 @@ class DiscreteDistribution:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", w)
-
-    def left_quantile(self, alpha: float) -> float:
-        return left_quantile(self, alpha)
-
-    def right_quantile(self, alpha: float) -> float:
-        return right_quantile(self, alpha)
 
 
 def left_quantile(dist: DiscreteDistribution, alpha: float) -> float:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,7 +34,7 @@ import numpy as np
 from .data import EnvironmentSample
 from .nested_sets import NestedFamily, thresholds
 from .predictors import FitError, highs_lp, pinball_lp
-from .quantiles import check_prob, rank_plus
+from .quantiles import check_nonnegative, check_prob, rank_plus
 
 __all__ = [
     "constant_feature_map",
@@ -124,14 +123,6 @@ def _split_score_pairs(scores) -> tuple[np.ndarray, np.ndarray]:
     return phi, s
 
 
-def _check_ridge_weight(ridge_weight: float, name: str = "ridge_weight") -> float:
-    if isinstance(ridge_weight, (bool, np.bool_)) or not isinstance(ridge_weight, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {ridge_weight!r}")
-    if not math.isfinite(ridge_weight) or ridge_weight < 0.0:
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return float(ridge_weight)
-
-
 def _group_rows(phi: np.ndarray) -> bool:
     # group features: each row nonzero in at most one column
     return phi.shape[1] == 1 or bool(((phi != 0.0).sum(axis=1) <= 1).all())
@@ -155,7 +146,7 @@ def fit_pinball_env(
     route with no test row and no tilt.
     """
     delta = check_prob(delta, "delta")
-    ridge_weight = _check_ridge_weight(ridge_weight)
+    ridge_weight = check_nonnegative(ridge_weight, "ridge_weight")
     phi, s = _split_score_pairs(scores)
     n, k = phi.shape
     if ridge_weight == 0.0:
@@ -235,15 +226,11 @@ def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float,
             if curv * b + cum[t] <= 0.0 <= curv * b + cum[t + 1]:
                 theta = b
                 break
-        else:
-            if cum[t] == 0.0 and lo_edge < b:
-                # flat stretch of the subgradient: any interior point works
-                # and the sign pattern there is a unique vertex, no ties
-                theta = b - 1.0 if t == 0 else 0.5 * (lo_edge + b)
-                break
-            if cum[t] <= 0.0 <= cum[t + 1]:
-                theta = b
-                break
+        elif cum[t] <= 0.0 <= cum[t + 1]:
+            # cum[0] < 0 and cum never falls, so a flat stretch (cum == 0)
+            # starts at this kink; the tie fill settles its one vertex
+            theta = b
+            break
     else:
         theta = -cum[-1] / curv if curv > 0.0 else float(sorted_breaks[-1]) + 1.0
     resid = full_scores - h * theta
@@ -369,7 +356,7 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
     multiplier; it is non-decreasing in s.
     """
     delta = check_prob(delta, "delta")
-    ridge_weight = _check_ridge_weight(ridge_weight)
+    ridge_weight = check_nonnegative(ridge_weight, "ridge_weight")
     scores, phi = _validated(scores, features)
     full_scores = np.append(scores, float(s))
     if _group_rows(phi):
@@ -450,7 +437,7 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
                u: float | None) -> float:
     # u is None for the plain threshold (eta_test < 1 - delta), else the
     # randomized draw (eta_test <= u - delta)
-    ridge_weight = _check_ridge_weight(ridge_weight)
+    ridge_weight = check_nonnegative(ridge_weight, "ridge_weight")
     scores, phi = _validated(scores, features)
     if u is not None and u >= 1.0:
         return math.inf

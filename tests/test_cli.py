@@ -423,6 +423,55 @@ class TestConfigValidation:
         assert proc.stderr.startswith("error: ") and key in proc.stderr
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command, section, key, field", [
+        ("run", "algorithm", "alpha", "alpha"), ("run", "algorithm", "delta", "delta"),
+        ("run", "algorithm", "gamma", "gamma"), ("run", "algorithm", "alpha0", "alpha0"),
+        ("run", "algorithm", "ridge_weight", "ridge_weight"),
+        ("run", "algorithm", "ridge_grid", "ridge_grid"), ("run", "plan", "clip", "clip"),
+        ("run", "sweep", "values", "sweep.values"), ("run", "generator", "beta", "beta"),
+        ("run", "generator", "env_effect_scale", "env_effect_scale"),
+        ("run", "generator", "noise_scale", "noise_scale"),
+        ("run", "generator", "outlier_frac", "outlier_frac"),
+        ("run", "generator", "outlier_noise_multiplier", "outlier_noise_multiplier"),
+        ("compare", "compare", "delta_grid", "compare.delta_grid"),
+    ])
+    def test_number_too_large_for_a_float_is_a_config_error(
+        self, tmp_path, command, section, key, field
+    ):
+        huge = 10**400
+        doc = run_doc(sweep={"param": "delta", "values": [0.1]},
+                      compare={"method_a": "hcp", "method_b": "hcp", "delta_grid": [0.1]})
+        if command == "compare":
+            del doc["sweep"]
+        else:
+            del doc["compare"]
+        target = doc["dataset"]["generator"] if section == "generator" else doc[section]
+        lists = {"ridge_grid": [0.5, huge], "clip": [-1.0, huge], "beta": [huge, 1.0],
+                 "values": [0.1, huge], "delta_grid": [0.1, huge]}
+        target[key] = lists.get(key, huge)
+        proc = run_cli(tmp_path, command, "-c", write_config(tmp_path, doc))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and field in proc.stderr
+        assert "too large for a float" in proc.stderr and len(proc.stderr) < 200
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_integer_and_float_values_write_the_same_report(self, tmp_path):
+        def doc(one, zero):
+            d = run_doc(dataset={"generator": generator_section(
+                beta=[one, 2 * one], env_effect_scale=one, noise_scale=one, outlier_frac=zero,
+                outlier_noise_multiplier=3 * one)})
+            d["algorithm"].update(name="weighted_split_conformal", ridge_weight=one,
+                                  ridge_grid=[one, 10 * one])
+            d["plan"]["clip"] = [-10 * one, 10 * one]
+            return d
+
+        for name, one, zero in (("int.json", 1, 0), ("float.json", 1.0, 0.0)):
+            cfg = write_config(tmp_path, doc(one, zero), name)
+            proc = run_cli(tmp_path, "run", "-c", cfg, "--report", "r_" + name)
+            assert proc.returncode == 0, proc.stderr
+        assert sha(tmp_path / "r_int.json") == sha(tmp_path / "r_float.json")
+
     @pytest.mark.parametrize("key", ["alpha", "delta"])
     def test_string_probability_is_a_config_error(self, tmp_path, key):
         doc = run_doc()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -200,6 +202,19 @@ class TestGenerator:
             (name,) = bad
             with pytest.raises(ValueError, match=f"{name}.*finite"):
                 HierGenConfig(**{"m": 2, "n_per_env": 3, "p": 2, **bad})
+
+
+    def test_float_fields_store_the_checked_float(self):
+        # Fraction is a real number like any other; ints are stored as floats
+        cfg = HierGenConfig(m=2, n_per_env=3, p=2, beta=(1, Fraction(1, 2)),
+                            env_effect_scale=2, noise_scale=Fraction(1, 4), outlier_frac=0,
+                            outlier_noise_multiplier=np.int64(3))
+        fields = (*cfg.beta, cfg.env_effect_scale, cfg.noise_scale, cfg.outlier_frac,
+                  cfg.outlier_noise_multiplier)
+        assert all(type(v) is float for v in fields)
+        assert fields == (1.0, 0.5, 2.0, 0.25, 0.0, 3.0)
+        with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
+            HierGenConfig(m=2, n_per_env=3, p=1, noise_scale=-1)
 
 
 class TestSplits:

@@ -16,9 +16,11 @@ from mecp.algorithms import (
     fit_hcp,
     fit_hier_jackknife_plus,
     fit_jackknife_minmax,
+    fit_split_conformal,
     resize_for,
     ridge_point_builder,
     ridge_symmetric_builder,
+    softmax_sublevel_builder,
 )
 from mecp.data import (
     EnvironmentSample,
@@ -304,6 +306,11 @@ class TestTrialPlan:
         assert plan.clip == (0.0, 4.0)
         assert all(isinstance(v, float) for v in plan.clip)
 
+    def test_ridge_fields_store_the_checked_float(self):
+        plan = make_plan(ridge_weight=1, ridge_grid=[0, Fraction(1, 2)])
+        assert type(plan.ridge_weight) is float and plan.ridge_weight == 1.0
+        assert plan.ridge_grid == (0.0, 0.5) and all(type(v) is float for v in plan.ridge_grid)
+
     def test_json_echo_round_trips_through_dumps(self):
         plan = make_plan(clip=(0.0, 4.0))
         doc = plan.to_json_dict()
@@ -538,6 +545,27 @@ class TestColumnarScoring:
                 assert (rec.covered_count, rec.mean_measure) == expected
                 bar = (1 - Fraction(0.25)) * (env.n + (rule == "count"))
                 assert rec.env_covered == (rec.covered_count >= bar)
+
+    def test_label_set_split_mapping_is_scored_set_by_set(self):
+        rng = np.random.default_rng(8)
+        envs = []
+        for i in range(10):
+            x = rng.normal(size=(15, 2))
+            logits = x @ [[1.5, -1.5, 0.0], [0.0, 1.5, -1.5]] + rng.normal(size=(15, 3))
+            envs.append(EnvironmentSample(f"c{i}", x, np.argmax(logits, axis=1).astype(float)))
+        data = MultiEnvDataset(tuple(envs), outcome="classification", n_classes=3)
+        mapping = fit_split_conformal(data.subset(range(8)), softmax_sublevel_builder(3),
+                                      0.2, 0.3, 0.5, np.random.default_rng(0))
+        test = envs[8:]
+        assert mapping.predict_bounds(test[0].x) is None
+        report = evaluate_mapping(mapping, test, 0.2)
+        sizes = set()
+        for env, rec in zip(test, report.records):
+            sets = mapping.predict_sets(env.x)
+            assert rec.covered_count == sum(int(y) in s.labels for s, y in zip(sets, env.y))
+            assert rec.mean_measure == np.mean([len(s.labels) for s in sets])
+            sizes.update(len(s.labels) for s in sets)
+        assert len(sizes) > 1
 
     def test_nan_endpoint_raises_on_both_routes(self):
         env = width_env("a", (0.0, 1.0), (0.0, 1.0))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mecp.algorithms import ridge_point_builder
+from mecp.data import EnvironmentSample
 from mecp.predictors import (
     DEFAULT_LAMBDA_GRID,
     FitError,
@@ -190,6 +192,23 @@ class TestRidge:
             fit_ridge(np.zeros((5, 2)), np.zeros(4))
         with pytest.raises(ValueError):
             fit_ridge(np.zeros((5, 2)), np.zeros(5), lambda_grid=(-1.0,))
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, 10**400])
+def test_every_ridge_route_refuses_a_penalty_that_is_no_finite_number(bad):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(12, 2))
+    y = rng.normal(size=12)
+    envs = [EnvironmentSample(f"e{i}", x[6 * i : 6 * i + 6], y[6 * i : 6 * i + 6])
+            for i in range(2)]
+    for fit in (
+        lambda: fit_ridge(x, y, [bad]),
+        lambda: fit_ridge_leave_one_out(x, y, (6, 6), [0.1, bad]),
+        lambda: ridge_point_builder([bad])(envs),
+        lambda: ridge_point_builder([bad]).leave_one_out(envs),
+    ):
+        with pytest.raises(ValueError, match="lambda_grid"):
+            fit()
 
 
 class TestRidgeLeaveOneOut:

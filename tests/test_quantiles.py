@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from mecp.quantiles import (
     DiscreteDistribution,
+    check_nonnegative,
     check_prob,
+    check_real,
     column_quant_bounds,
     left_quantile,
     mixture_quantile_rows,
@@ -42,13 +44,63 @@ class TestCheckProb:
     @pytest.mark.parametrize("value", ["0.1", b"0.1", True, False, np.True_, None, [0.1],
                                        np.array([0.1])])
     def test_refuses_what_is_not_a_real_number(self, value):
-        with pytest.raises(ValueError, match="p must be a number"):
+        with pytest.raises(ValueError, match="p must be a finite number"):
             check_prob(value, "p")
 
     @pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 2.0, math.nan, math.inf, 0, 1])
     def test_refuses_values_outside_the_open_unit_interval(self, value):
         with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
             check_prob(value, "p")
+
+
+HUGE = 10**400  # 401 digits: a JSON integer no float can hold
+
+
+class TestScalarRule:
+    """The three scalar checks share one type gate and differ only in range."""
+
+    CHECKS = (check_real, check_prob, check_nonnegative)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), np.float64(0.5)])
+    def test_accept_real_numbers_as_floats(self, check, value):
+        got = check(value, "v")
+        assert type(got) is float and got == 0.5
+
+    @pytest.mark.parametrize("value", [3, np.int64(3)])
+    def test_accept_integers_and_apply_only_their_range(self, value):
+        for check in (check_real, check_nonnegative):
+            got = check(value, "v")
+            assert type(got) is float and got == 3.0
+        with pytest.raises(ValueError, match="v must lie strictly between 0 and 1, got 3.0"):
+            check_prob(value, "v")
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.5", b"0.5", None, [0.5]])
+    def test_refuse_what_is_not_a_real_number(self, check, value):
+        with pytest.raises(ValueError, match="v must be a finite number, got "):
+            check(value, "v")
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("value", [HUGE, -HUGE, Fraction(HUGE, 7)])
+    def test_refuse_a_number_too_large_for_a_float_by_saying_so(self, check, value):
+        with pytest.raises(ValueError, match="got a number too large for a float$") as info:
+            check(value, "v")
+        assert len(str(info.value)) < 100
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32(math.inf)])
+    def test_non_finite_values_fail_each_range(self, value):
+        with pytest.raises(ValueError, match="v must be a finite number, got (nan|-?inf)$"):
+            check_real(value, "v")
+        with pytest.raises(ValueError, match="v must be finite and nonnegative"):
+            check_nonnegative(value, "v")
+        with pytest.raises(ValueError, match="v must lie strictly between 0 and 1"):
+            check_prob(value, "v")
+
+    def test_nonnegative_takes_zero_and_refuses_below(self):
+        assert check_nonnegative(0, "v") == 0.0
+        with pytest.raises(ValueError, match="v must be finite and nonnegative, got -0.5"):
+            check_nonnegative(-0.5, "v")
 
 
 class TestCachedRanks:

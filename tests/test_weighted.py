@@ -284,6 +284,20 @@ class TestDualEta:
                 for s in grid]
         assert (np.diff(etas) >= -1e-12).all()
 
+    @pytest.mark.parametrize("m", [1, 3, 5, 9])
+    def test_integer_rank_splits_the_scores_at_the_median(self, m):
+        # ridge 0, delta 0.5 and odd m make (m + 1)(1 - delta) an integer: the
+        # subgradient reaches zero at the lower middle score, where the tie
+        # fill leaves one vertex, the upper half at 1 - delta, the rest at -delta
+        rng = np.random.default_rng(m)
+        for _ in range(75):
+            scores = rng.normal(size=m)
+            s = float(rng.normal())
+            eta = dual_eta(scores, ones_features(m), 0.5, 0.0, s).eta
+            upper = np.sum(np.append(scores, s) > s) < (m + 1) // 2
+            assert eta[-1] == (0.5 if upper else -0.5)
+            assert eta.sum() == 0.0
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             dual_eta(np.array([1.0]), np.ones((1, 1)), 0.5, 0.0, 0.0)
