@@ -31,13 +31,14 @@ from mecp.evaluation import (
     CoverageReport,
     TrialPlan,
     algorithm_names,
+    check_delta_grid,
     dataset_records,
     match_delta,
     run_plans,
     trial_data_seed,
 )
 from mecp.predictors import FitError
-from mecp.quantiles import check_real
+from mecp.quantiles import check_reals
 
 SWEEP_HEADER = "param,value,emp_one_minus_delta,emp_one_minus_alpha,emp_set_length"
 SWEEPABLE = ("alpha", "delta", "gamma", "alpha0", "label_count", "ridge_weight")
@@ -124,12 +125,6 @@ def _build_generator(section: dict, m: int | None, seed: int | None) -> HierGenC
         raise ConfigError(f"bad generator config: {err}") from None
 
 
-def _floats(raw, name: str) -> tuple[float, ...]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"{name} must be a list of numbers, got {raw!r}")
-    return tuple(check_real(v, name) for v in raw)
-
-
 def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig:
     dataset_sec = _section(doc, "dataset")
     csv_path = dataset_sec.get("csv")
@@ -146,7 +141,9 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
 
     method_a = comp.get("method_a")
     method_b = comp.get("method_b")
-    delta_grid = _floats(comp.get("delta_grid", []), "compare.delta_grid")
+    delta_grid = ()
+    if "delta_grid" in comp:
+        delta_grid = check_delta_grid(comp["delta_grid"], "compare.delta_grid")
     for name in (method_a, method_b):
         if name is not None and name not in algorithm_names():
             raise ConfigError(f"unknown method {name!r}; choose from {list(algorithm_names())}")
@@ -167,7 +164,7 @@ def build_config(doc: dict, args: argparse.Namespace, command: str) -> RunConfig
         raw = sweep.get("values")
         if not isinstance(raw, list) or not raw:
             raise ConfigError("sweep.values must be a non-empty list")
-        sweep_values = tuple(raw) if sweep_param == "label_count" else _floats(raw, "sweep.values")
+        sweep_values = tuple(raw) if sweep_param == "label_count" else check_reals(raw, "sweep.values")
 
     plan = None
     if alg:
@@ -311,12 +308,8 @@ def cmd_compare(config: RunConfig) -> int:
     plan = config.plan
     if plan is None:
         raise ConfigError("compare needs an algorithm section")
-    if config.method_a is None or config.method_b is None:
-        raise ConfigError("compare needs compare.method_a and compare.method_b")
-    if not config.delta_grid:
-        raise ConfigError("compare.delta_grid must be non-empty")
-    if any(b <= a for a, b in zip(config.delta_grid, config.delta_grid[1:])):
-        raise ConfigError("compare.delta_grid must be sorted ascending without repeats")
+    if config.method_a is None or config.method_b is None or not config.delta_grid:
+        raise ConfigError("compare needs compare.method_a, compare.method_b and compare.delta_grid")
     if config.dataset_csv is not None:
         raise ConfigError("compare needs a generator dataset source")
     result = match_delta(

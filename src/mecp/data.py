@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mecp.quantiles import check_nonnegative, check_prob, check_real
+from mecp.quantiles import check_nonnegative, check_prob, check_real, check_reals
 
 __all__ = [
     "EnvironmentSample",
@@ -169,9 +169,10 @@ class HierGenConfig:
                 raise ValueError("n_per_env must be >= 1")
             object.__setattr__(self, "n_per_env", n)
         if self.beta is not None:
-            if len(self.beta) != self.p:
+            beta = check_reals(self.beta, "beta")
+            if len(beta) != self.p:
                 raise ValueError("beta must have length p")
-            object.__setattr__(self, "beta", tuple(check_real(b, "beta") for b in self.beta))
+            object.__setattr__(self, "beta", beta)
         for name in ("env_effect_scale", "noise_scale"):
             object.__setattr__(self, name, check_nonnegative(getattr(self, name), name))
         for name in ("outlier_frac", "outlier_noise_multiplier"):

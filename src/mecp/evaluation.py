@@ -2,23 +2,20 @@
 
 Every (trial, test environment) pair yields one record: how many outcomes
 landed inside their prediction sets, whether that count clears the
-per-environment bar ceil((1-alpha)(n+1)), and the mean set measure. Reports
-aggregate three ways: the fraction of pairs clearing the bar, the mean
-within-environment coverage fraction taken over clearing pairs only, and the
-grand mean measure. A seeded engine repeats generate/fit/score cycles, one
-trial after another on the calling thread, so the aggregates are
-reproducible; plans that see the same data run paired, generating and
-fitting once per trial. A grid search finds the largest miscoverage level at
-which one method still covers as large a share of test outcomes as a
-baseline.
+per-environment bar (the "count" or "fraction" rule of the README's rank
+table), and the mean set measure. Reports aggregate three ways: the fraction
+of pairs clearing the bar, the mean within-environment coverage fraction
+taken over clearing pairs only, and the grand mean measure. A seeded engine
+repeats generate/fit/score cycles, one trial after another on the calling
+thread, so the aggregates are reproducible; plans that see the same data run
+paired, generating and fitting once per trial. A grid search finds the
+largest miscoverage level at which one method still covers as large a share
+of test outcomes as a baseline.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +44,7 @@ from mecp.data import (
 )
 from mecp.nested_sets import bounds_measure, contains, float_to_json, measure
 from mecp.predictors import DEFAULT_LAMBDA_GRID, FitError
-from mecp.quantiles import check_nonnegative, check_prob, check_real, rank_plus
+from mecp.quantiles import check_nonnegative, check_prob, check_reals, rank_fraction, rank_plus
 
 # Unused here: bench/tracer.py wraps these names under this module.
 from mecp.algorithms import WeightedSplitMapping  # noqa: F401
@@ -61,8 +58,8 @@ RULES = ("count", "fraction")
 def covered_env_threshold(n: int, alpha: float) -> int:
     """Smallest in-set count at which a size-n environment counts as covered.
 
-    Exact rational arithmetic; the bar can exceed n for tiny environments,
-    which then can never count as covered.
+    The count rule's bar ``rank_plus(n, alpha)``; it can exceed n for tiny
+    environments, which then can never count as covered.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -70,16 +67,9 @@ def covered_env_threshold(n: int, alpha: float) -> int:
 
 
 def _env_covered(covered_count: int, n: int, alpha: float, rule: str) -> bool:
-    if rule == "count":
-        return covered_count >= covered_env_threshold(n, alpha)
-    # fraction rule: the within-environment coverage rate itself reaches 1-alpha
-    return covered_count >= _fraction_bar(n, alpha)
-
-
-@functools.lru_cache(maxsize=1024)
-def _fraction_bar(n: int, alpha: float) -> int:
-    # least integer count c with c / n >= 1 - alpha, in exact arithmetic
-    return math.ceil((1 - Fraction(alpha)) * n)
+    # the count rule's bar is covered_env_threshold's; under the fraction
+    # rule the within-environment coverage rate itself reaches 1-alpha
+    return covered_count >= (rank_plus if rule == "count" else rank_fraction)(n, alpha)
 
 
 def _json_value(value):
@@ -245,8 +235,8 @@ def evaluate_mapping(
     from them; other mappings, label sets and unions are scored set by set.
     ``clip`` intersects interval sets with a reporting range before
     measuring. ``rule`` selects how a pair counts as covered: "count"
-    requires the in-set count to reach ceil((1-alpha)(n+1)), "fraction"
-    requires the in-set fraction to reach 1-alpha.
+    requires the in-set count to reach ``rank_plus(n, alpha)``, "fraction"
+    the in-set fraction to reach 1-alpha, i.e. ``rank_fraction(n, alpha)``.
     """
     alpha = check_prob(alpha, "alpha")
     if rule not in RULES:
@@ -310,7 +300,7 @@ class TrialPlan:
         if self.label_count < 1:
             raise ValueError("label_count must be at least 1")
         if self.ridge_grid is not None:
-            grid = tuple(check_nonnegative(v, "ridge_grid") for v in self.ridge_grid)
+            grid = check_reals(self.ridge_grid, "ridge_grid", check_nonnegative)
             if not grid:
                 raise ValueError("ridge_grid must be nonempty")
             object.__setattr__(self, "ridge_grid", grid)
@@ -324,10 +314,10 @@ class TrialPlan:
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
         if self.clip is not None:
-            lo, hi = (check_real(v, "clip") for v in self.clip)
-            if lo >= hi:
-                raise ValueError("clip must be a finite (lo, hi) pair with lo < hi")
-            object.__setattr__(self, "clip", (lo, hi))
+            clip = check_reals(self.clip, "clip")
+            if len(clip) != 2 or clip[0] >= clip[1]:
+                raise ValueError(f"clip must be a finite (lo, hi) pair with lo < hi, got {clip}")
+            object.__setattr__(self, "clip", clip)
 
     def to_json_dict(self) -> dict:
         return _json_dict(self)
@@ -507,6 +497,14 @@ def run_trials(plan: TrialPlan) -> CoverageReport:
     return run_plans([plan])[0]
 
 
+def check_delta_grid(values, name: str = "delta_grid") -> tuple[float, ...]:
+    """``values`` as a non-empty, strictly ascending tuple of probabilities."""
+    grid = check_reals(values, name, check_prob)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be a non-empty, strictly ascending list, got {list(grid)}")
+    return grid
+
+
 @dataclass(frozen=True)
 class DeltaMatch:
     """Outcome of matching a method's covered-sample share to a baseline's."""
@@ -534,11 +532,7 @@ def match_delta(
     comparison is paired; each dataset is generated and fitted once. When
     no grid value qualifies, the smallest is returned with ``found=False``.
     """
-    grid = [check_prob(d, "delta") for d in delta_grid]
-    if not grid:
-        raise ValueError("delta_grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("delta_grid must be sorted ascending without repeats")
+    grid = check_delta_grid(delta_grid)
     base = replace(plan, alpha=check_prob(alpha, "alpha"))
     baseline, *candidates = run_plans(
         [replace(base, algorithm=method_b)]

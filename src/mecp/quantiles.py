@@ -3,10 +3,10 @@
 Two kinds of quantiles drive every prediction-set construction in this
 package:
 
-* inflated order-statistic quantiles of a finite sample (``quant_plus``,
-  ``quant_minus``), which index into the sorted sample at position
-  ``ceil((1 - alpha) * (n + 1))`` / ``floor(alpha * (n + 1))`` and overflow
-  to ``+inf`` / ``-inf`` instead of raising;
+* order statistics of a finite sample at an exact rational rank: every
+  coverage rank lives here (``rank_*``, tabulated in the README), read by
+  the one ``order_statistic``, which overflows to ``+-inf`` instead of
+  raising; ``quant_plus`` and ``quant_minus`` read the inflated ranks;
 * left and right quantiles of finitely supported distributions
   (``DiscreteDistribution``, ``left_quantile``, ``right_quantile``) whose
   atoms may sit at ``+-inf``.
@@ -31,14 +31,20 @@ __all__ = [
     "check_nonnegative",
     "check_prob",
     "check_real",
+    "check_reals",
+    "check_sample",
     "column_quant_bounds",
     "cumsum_rank",
     "left_quantile",
     "mixture_quantile_rows",
+    "order_statistic",
     "quant_minus",
     "quant_plus",
+    "rank_fraction",
     "rank_minus",
     "rank_plus",
+    "rank_randomized",
+    "rank_score",
     "right_quantile",
 ]
 
@@ -82,25 +88,60 @@ def check_nonnegative(value, name: str) -> float:
     return _number(value, name, "must be finite and nonnegative", lambda v: 0.0 <= v < math.inf)
 
 
+def check_reals(values, name: str, check=check_real) -> tuple[float, ...]:
+    """``values``, a list, tuple or 1-D array, as a tuple of ``check``-ed floats."""
+    if not (isinstance(values, (list, tuple)) or getattr(values, "ndim", 0) == 1):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(check(v, name) for v in values)
+
+
 # Ranks are exact rational arithmetic, slow next to a sort of a few dozen
-# values, and asked for again and again at the same (n, level) pairs.
+# values, and asked for again and again at the same (n, level) pairs. A float
+# product can round across an integer, so each takes its level as a Fraction.
 @functools.lru_cache(maxsize=1024)
 def rank_plus(n: int, alpha: float) -> int:
-    """1-based rank ``ceil((1 - alpha)(n + 1))`` read by :func:`quant_plus`."""
-    # exact rational index: a float product can round across an integer
+    """Inflated upper rank ``ceil((1 - alpha)(n + 1))``."""
     return math.ceil((1 - Fraction(alpha)) * (n + 1))
 
 
 @functools.lru_cache(maxsize=1024)
 def rank_minus(n: int, alpha: float) -> int:
-    """1-based rank ``floor(alpha (n + 1))`` read by :func:`quant_minus`."""
+    """Inflated lower rank ``floor(alpha (n + 1))``."""
     return math.floor(Fraction(alpha) * (n + 1))
 
 
-def _as_sample(values) -> np.ndarray:
+@functools.lru_cache(maxsize=1024)
+def rank_fraction(n: int, alpha: float) -> int:
+    """Fraction bar ``ceil((1 - alpha) n)``: the least count c with c/n >= 1 - alpha."""
+    return math.ceil((1 - Fraction(alpha)) * n)
+
+
+@functools.lru_cache(maxsize=1024)
+def rank_score(n: int, alpha: float) -> int:
+    """Score rank ``floor((1 - alpha) n) + 1``: the least k with k/n > 1 - alpha."""
+    return math.floor((1 - Fraction(alpha)) * n) + 1
+
+
+def rank_randomized(m: int, delta: float, u: float) -> int:
+    """Randomized rank ``floor((1 - delta)(m + 1) + u)``, exact in ``u`` too."""
+    return math.floor((1 - Fraction(delta)) * (m + 1) + Fraction(u))
+
+
+def order_statistic(values: np.ndarray, k: int):
+    """The k-th smallest of ``values`` along the first axis; ``-inf`` for k < 1
+    and ``+inf`` for k past the end, filled over the other axes, with no sort."""
+    n = values.shape[0]
+    if 1 <= k <= n:
+        return np.sort(values, axis=0)[k - 1]
+    fill = -math.inf if k < 1 else math.inf
+    return np.full(values.shape[1:], fill) if values.ndim > 1 else fill
+
+
+def check_sample(values, ndim: int = 1) -> np.ndarray:
+    """``values`` as a float array: ``ndim``-D, nonempty along axis 0, no NaN."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a nonempty one-dimensional collection")
+    if v.ndim != ndim or v.shape[0] == 0:
+        raise ValueError(f"values must be a nonempty {ndim}-dimensional sample")
     if np.isnan(v).any():
         raise ValueError("sample values must not be NaN")
     return v
@@ -109,8 +150,8 @@ def _as_sample(values) -> np.ndarray:
 def quant_plus(values, alpha: float) -> float:
     """Upper sample quantile inflated by one phantom observation.
 
-    Returns the ``ceil((1 - alpha) * (n + 1))``-th smallest of the ``n``
-    values, or ``+inf`` when that index exceeds ``n``.
+    Returns the ``rank_plus(n, alpha)``-th smallest of the ``n`` values, or
+    ``+inf`` when that rank exceeds ``n``.
 
     Parameters
     ----------
@@ -119,27 +160,21 @@ def quant_plus(values, alpha: float) -> float:
     alpha : float in (0, 1)
         Tail mass; smaller ``alpha`` moves the quantile up.
     """
-    v = _as_sample(values)
+    v = check_sample(values)
     check_prob(alpha, "level")
-    k = rank_plus(v.size, alpha)
-    if k > v.size:
-        return math.inf
-    return float(np.sort(v)[k - 1])
+    return float(order_statistic(v, rank_plus(v.size, alpha)))
 
 
 def quant_minus(values, alpha: float) -> float:
     """Lower sample quantile, the mirror image of :func:`quant_plus`.
 
-    Returns the ``floor(alpha * (n + 1))``-th smallest value, or ``-inf``
-    when the index is zero.  Satisfies
+    Returns the ``rank_minus(n, alpha)``-th smallest value, or ``-inf`` when
+    that rank is zero.  Satisfies
     ``quant_minus(v, a) == -quant_plus(-v, a)`` exactly.
     """
-    v = _as_sample(values)
+    v = check_sample(values)
     check_prob(alpha, "level")
-    k = rank_minus(v.size, alpha)
-    if k < 1:
-        return -math.inf
-    return float(np.sort(v)[k - 1])
+    return float(order_statistic(v, rank_minus(v.size, alpha)))
 
 
 def column_quant_bounds(lows, highs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -150,18 +185,12 @@ def column_quant_bounds(lows, highs, alpha: float) -> tuple[np.ndarray, np.ndarr
     exactly, from one sort of each array along its first axis.
     """
     check_prob(alpha, "level")
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    if lows.ndim != 2 or lows.shape[0] == 0 or highs.shape != lows.shape:
-        raise ValueError("lows and highs must be matching nonempty (n, t) arrays")
-    if np.isnan(lows).any() or np.isnan(highs).any():
-        raise ValueError("sample values must not be NaN")
-    n, t = lows.shape
-    k_lo = rank_minus(n, alpha)
-    k_hi = rank_plus(n, alpha)
-    lo = np.sort(lows, axis=0)[k_lo - 1] if k_lo >= 1 else np.full(t, -math.inf)
-    hi = np.sort(highs, axis=0)[k_hi - 1] if k_hi <= n else np.full(t, math.inf)
-    return lo, hi
+    lows, highs = check_sample(lows, 2), check_sample(highs, 2)
+    if highs.shape != lows.shape:
+        raise ValueError("lows and highs must have the same (n, t) shape")
+    n = lows.shape[0]
+    return (order_statistic(lows, rank_minus(n, alpha)),
+            order_statistic(highs, rank_plus(n, alpha)))
 
 
 @dataclass(frozen=True)
@@ -177,14 +206,10 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        locs = np.asarray(self.locations, dtype=float)
+        locs = check_sample(self.locations)
         w = np.asarray(self.weights, dtype=float)
-        if locs.ndim != 1 or locs.size == 0:
-            raise ValueError("locations must be a nonempty one-dimensional array")
         if w.shape != locs.shape:
             raise ValueError("weights must match locations in shape")
-        if np.isnan(locs).any():
-            raise ValueError("atom locations must not be NaN")
         if (w < 0).any() or not np.isfinite(w).all():
             raise ValueError("weights must be finite and nonnegative")
         total = float(w.sum())

@@ -10,20 +10,20 @@ Group features (each row nonzero in at most one column, the test row's
 column one value c on its group) decouple by group, and the test multiplier
 depends on s only through the number j of the test group's scores below s
 and, under a ridge penalty, a linear term in s. The threshold is then read
-off that group's sorted scores: split conformal within the group, an order
-statistic without regularization and the crossing of a piecewise-linear
-function with it. One constant column, the engine's choice, is the
-one-group case; a feature-free test row gives 0.0. Other features take one
-pinned solve (the quantile-regression dual of Gibbs, Cherian & Candes 2023):
-with the test multiplier fixed at its level l, the threshold is phi_t'theta*
-for theta* minimizing sum_i rho_delta(S_i - phi_i'theta) + (m+1) w |theta|^2
-- l phi_t'theta, exact from an active set under a ridge penalty and from an
-LP's optimal face without one.
+off that group's sorted scores: without regularization the order statistic
+at a rank of the README's rank table (split conformal within the group),
+with it the crossing of a piecewise-linear function. One constant column,
+the engine's choice, is the one-group case; a feature-free test row gives
+0.0. Other features take one pinned solve (the quantile-regression dual of
+Gibbs, Cherian & Candes 2023): with the test multiplier fixed at its level
+l, the threshold is phi_t'theta* for theta* minimizing
+sum_i rho_delta(S_i - phi_i'theta) + (m+1) w |theta|^2 - l phi_t'theta,
+exact from an active set under a ridge penalty and from an LP's optimal face
+without one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +34,8 @@ import numpy as np
 from .data import EnvironmentSample
 from .nested_sets import NestedFamily, thresholds
 from .predictors import FitError, highs_lp, pinball_lp
-from .quantiles import check_nonnegative, check_prob, rank_plus
+from .quantiles import check_nonnegative, check_prob, check_sample, order_statistic
+from .quantiles import rank_plus, rank_randomized, rank_score
 
 __all__ = [
     "constant_feature_map",
@@ -70,21 +71,12 @@ def feature_matrix(envs: Sequence[EnvironmentSample], phi=constant_feature_map) 
 def score_from_thresholds(values, alpha: float) -> float:
     """Smallest value covering strictly more than a 1-alpha fraction.
 
-    The index is the least k with k/n > 1-alpha, computed in exact rational
-    arithmetic; k is always within bounds for alpha in (0, 1).
+    The order statistic at ``rank_score`` (the README's rank table), always
+    within the sample for alpha in (0, 1).
     """
     alpha = check_prob(alpha, "alpha")
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("need a one-dimensional, nonempty threshold sample")
-    if np.isnan(v).any():
-        raise ValueError("thresholds must not contain NaN")
-    return float(v[_score_rank(v.size, alpha) - 1])
-
-
-@functools.lru_cache(maxsize=1024)
-def _score_rank(n: int, alpha: float) -> int:
-    return math.floor((1 - Fraction(alpha)) * n) + 1
+    v = check_sample(values)
+    return float(order_statistic(v, rank_score(v.size, alpha)))
 
 
 def env_score(env: EnvironmentSample, family: NestedFamily, alpha: float) -> float:
@@ -419,14 +411,10 @@ def _closed_form_threshold(scores: np.ndarray, curv: float, delta: float,
     # alone, so the threshold is the order statistic ``rank``; with it, the
     # level is met in the first gap [v_j, v_{j+1}] that contains the crossing
     # (level + A_j) / curv, or at v_j when the crossing lies below that gap.
+    if curv == 0.0:
+        return float(order_statistic(scores, rank))
     v = np.sort(scores)
     m = v.size
-    if curv == 0.0:
-        if rank > m:
-            return math.inf
-        if rank < 1:
-            return -math.inf
-        return float(v[rank - 1])
     j = np.arange(m + 1)
     cross = (level + (1.0 - delta) * (m - j) - delta * j) / curv
     first = int(np.argmax(cross <= np.append(v, math.inf)))
@@ -455,10 +443,7 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
         if (in_group | (h == 0.0)).all():
             group = scores[in_group]
             m = group.size
-            if u is None:
-                rank = rank_plus(m, delta)
-            else:
-                rank = math.floor((1 - Fraction(delta)) * (m + 1) + Fraction(u))
+            rank = rank_plus(m, delta) if u is None else rank_randomized(m, delta, u)
             curv = 2.0 * phi.shape[0] * ridge_weight / c / c
             return _closed_form_threshold(group, curv, delta, level, rank)
     if ridge_weight == 0.0:
@@ -477,9 +462,9 @@ def weighted_threshold(scores, features, alpha: float, delta: float,
     Group features (every row nonzero in at most one column, the test row's
     column one value c on all its group's rows; one constant column is the
     one-group case) are read exactly from the test group's m_g scores:
-    without regularization ``quant_plus(group, delta)``, ``+inf`` when its
-    rank ``ceil((1 - delta)(m_g + 1))`` exceeds m_g; with it, the crossing
-    of the piecewise-linear multiplier. A feature-free test row gives 0.0.
+    without regularization ``quant_plus(group, delta)`` (rank ``rank_plus``
+    in the README's rank table); with it, the crossing of the
+    piecewise-linear multiplier. A feature-free test row gives 0.0.
     Other features pin the test multiplier at 1 - delta and return the test
     fit; without a ridge penalty an unbounded LP gives ``+inf`` and an
     unbounded least test fit ``-inf``.
@@ -495,9 +480,9 @@ def randomized_threshold(scores, features, alpha: float, delta: float,
 
     U is drawn once, before the scores are checked. Group features, as in
     :func:`weighted_threshold`, are read exactly from the test group's m_g
-    scores: without regularization the ``floor((1 - delta)(m_g + 1) + U)``-th
-    smallest, ``+inf`` when that rank exceeds m_g and ``-inf`` (the empty-set
-    convention) when it is below 1; with it, the crossing of the
+    scores: without regularization the order statistic at
+    ``rank_randomized(m_g, delta, U)`` (README rank table), ``-inf`` below
+    rank 1 being the empty-set convention; with it, the crossing of the
     piecewise-linear multiplier. A feature-free test row gives 0.0, and
     ``U >= 1`` never binds and gives ``+inf`` on every route. Other features
     pin it at U - delta, finite under a ridge penalty. Without one they give

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from mecp.cli import ConfigError, build_config
+from mecp.cli import ConfigError, build_config, main
 from mecp.data import HierGenConfig
 from mecp.evaluation import TrialPlan, run_trials
 
@@ -23,6 +23,12 @@ def run_cli(tmp_path, *argv):
         capture_output=True,
         text=True,
     )
+
+
+def main_in_process(capsys, *argv):
+    """``mecp`` run by ``cli.main`` in the current directory: (exit code, stderr)."""
+    code = main(list(argv))
+    return code, capsys.readouterr().err
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -354,17 +360,22 @@ class TestCompare:
         assert report["match"]["found"] is True
         assert report["match"]["delta"] == 0.6
 
-    def test_empty_grid_is_a_config_error(self, tmp_path):
+    def test_empty_grid_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = self.compare_doc(delta_grid=[])
-        proc = run_cli(tmp_path, "compare", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
+        code, _ = main_in_process(capsys, "compare", "-c", write_config(tmp_path, doc))
+        assert code == 2
 
-    def test_malformed_grid_is_a_config_error(self, tmp_path):
-        for grid in (0.3, ["x"], [0.1, True], ["0.3"]):
+    def test_malformed_grid_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # out of (0, 1) or not strictly ascending: the grid check, not a run, refuses it
+        for grid in (0.3, ["x"], [0.1, True], ["0.3"], [0.1, 1.5], [0.0, 0.5], [0.3, 0.3],
+                     [0.6, 0.1]):
             doc = self.compare_doc(delta_grid=grid)
-            proc = run_cli(tmp_path, "compare", "-c", write_config(tmp_path, doc))
-            assert proc.returncode == 2
-            assert proc.stderr.startswith("error: compare.delta_grid")
+            code, err = main_in_process(capsys, "compare", "-c", write_config(tmp_path, doc))
+            assert code == 2
+            assert err.startswith("error: compare.delta_grid")
+            assert not (tmp_path / "cmp.json").exists()
 
     def test_paired_trial_seeds_are_identical(self, tmp_path):
         doc = self.compare_doc()
@@ -436,8 +447,9 @@ class TestConfigValidation:
         ("compare", "compare", "delta_grid", "compare.delta_grid"),
     ])
     def test_number_too_large_for_a_float_is_a_config_error(
-        self, tmp_path, command, section, key, field
+        self, tmp_path, monkeypatch, capsys, command, section, key, field
     ):
+        monkeypatch.chdir(tmp_path)
         huge = 10**400
         doc = run_doc(sweep={"param": "delta", "values": [0.1]},
                       compare={"method_a": "hcp", "method_b": "hcp", "delta_grid": [0.1]})
@@ -449,10 +461,10 @@ class TestConfigValidation:
         lists = {"ridge_grid": [0.5, huge], "clip": [-1.0, huge], "beta": [huge, 1.0],
                  "values": [0.1, huge], "delta_grid": [0.1, huge]}
         target[key] = lists.get(key, huge)
-        proc = run_cli(tmp_path, command, "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ") and field in proc.stderr
-        assert "too large for a float" in proc.stderr and len(proc.stderr) < 200
+        code, err = main_in_process(capsys, command, "-c", write_config(tmp_path, doc))
+        assert code == 2, err
+        assert err.startswith("error: ") and field in err
+        assert "too large for a float" in err and len(err) < 200
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "sweep.csv").exists()
 
@@ -471,6 +483,19 @@ class TestConfigValidation:
             proc = run_cli(tmp_path, "run", "-c", cfg, "--report", "r_" + name)
             assert proc.returncode == 0, proc.stderr
         assert sha(tmp_path / "r_int.json") == sha(tmp_path / "r_float.json")
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("plan", "clip", 5, "clip must be a list of numbers, got 5"),
+        ("algorithm", "ridge_grid", 5, "ridge_grid must be a list of numbers, got 5"),
+        ("generator", "beta", 5, "beta must be a list of numbers, got 5"),
+        ("plan", "clip", [1, 2, 3], r"clip must be a finite \(lo, hi\) pair"),
+    ])
+    def test_a_field_of_the_wrong_shape_is_named(self, section, key, value, message):
+        doc = run_doc()
+        target = doc["dataset"]["generator"] if section == "generator" else doc[section]
+        target[key] = value
+        with pytest.raises(ValueError, match=message):
+            build_plan(doc)
 
     @pytest.mark.parametrize("key", ["alpha", "delta"])
     def test_string_probability_is_a_config_error(self, tmp_path, key):

@@ -15,10 +15,14 @@ from mecp.quantiles import (
     column_quant_bounds,
     left_quantile,
     mixture_quantile_rows,
+    order_statistic,
     quant_minus,
     quant_plus,
+    rank_fraction,
     rank_minus,
     rank_plus,
+    rank_randomized,
+    rank_score,
     right_quantile,
 )
 from mecp.evaluation import _env_covered
@@ -33,6 +37,9 @@ from oracles import (
 
 
 RANK_ALPHAS = (0.1, 0.2, 0.3, 0.7, 0.9, 1 / 3, 1e-9, 1 - 1e-9)
+# randomized-rank draws: 0.0, tiny draws on either side of the shortfall of
+# (1 - 0.1) * 10 below 9 in exact arithmetic, and ordinary draws
+RANK_US = (0.0, 2.0**-60, 2.0**-50, 0.25, 0.5, 1 - 2.0**-53)
 
 
 class TestCheckProb:
@@ -114,16 +121,33 @@ class TestCachedRanks:
                 minus = math.floor(a * (n + 1))
                 score = math.floor((1 - a) * n) + 1
                 bar = math.ceil((1 - a) * n)
+                randomized = [math.floor((1 - a) * (n + 1) + Fraction(u)) for u in RANK_US]
                 values = np.arange(1.0, n + 1)
                 # twice: a fresh computation, then the cached value
                 for _ in range(2):
                     assert rank_plus(n, alpha) == plus
                     assert rank_minus(n, alpha) == minus
+                    assert rank_score(n, alpha) == score
+                    assert rank_fraction(n, alpha) == bar
+                    assert [rank_randomized(n, alpha, u) for u in RANK_US] == randomized
                     assert quant_plus(values, alpha) == (plus if plus <= n else math.inf)
                     assert quant_minus(values, alpha) == (minus if minus >= 1 else -math.inf)
                     assert score_from_thresholds(values, alpha) == score
                     assert _env_covered(bar, n, alpha, "fraction")
                     assert not _env_covered(bar - 1, n, alpha, "fraction")
+        # the double nearest 0.1 lies above it, so (1 - alpha) * 10 falls just
+        # short of 9: the exact rank at U = 0 is 8, where the float sum reads 9,
+        # and only a draw past the shortfall reaches 9
+        assert math.floor((1 - 0.1) * 10 + 0.0) == 9
+        assert [rank_randomized(9, 0.1, u) for u in RANK_US[:3]] == [8, 8, 9]
+        # the one read overflows on both sides, in 1-D and column-wise in 2-D
+        for values in (np.array([3.0, 1.0, 2.0]), np.array([[3.0, -1.0], [1.0, 5.0], [2.0, 0.0]])):
+            assert np.all(order_statistic(values, 0) == -math.inf)
+            assert np.all(order_statistic(values, -4) == -math.inf)
+            assert np.all(order_statistic(values, 4) == math.inf)
+            assert np.shape(order_statistic(values, 4)) == values.shape[1:]
+            for k in (1, 2, 3):
+                assert np.all(order_statistic(values, k) == np.sort(values, axis=0)[k - 1])
 
     def test_decimal_boundary(self):
         # the double nearest 0.3 lies below it, so (1 - alpha) * 10 exceeds 7
