@@ -12,10 +12,18 @@ processes that run ``import mecp.cli``, and of N that run a 3-trial
 ``mecp run`` of split conformal on the same plan, each from process start
 to exit.
 
+``--primitives`` times the ridge primitives instead, on the 20 training
+environments of the plan's first trial (1000 rows, p=5): the leave-one-out
+pass ``fit_ridge_leave_one_out`` that the jackknife algorithms make once per
+trial, and one pooled ``fit_ridge`` on all 1000 rows, the size of the fit
+in the benchmark's ``split_wide`` workload. Each runs ``--trials`` calls ``--repeats`` times; the fastest repeat's
+mean time per call is reported.
+
 Usage:
     python scripts/algorithm_timings.py
     python scripts/algorithm_timings.py --trials 30 --repeats 3 --seed 0
     python scripts/algorithm_timings.py --cold 7
+    python scripts/algorithm_timings.py --primitives --trials 200
 """
 
 import argparse
@@ -26,21 +34,45 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from mecp.data import HierGenConfig
-from mecp.evaluation import TrialPlan, algorithm_names, run_trial
+from mecp.evaluation import TrialPlan, algorithm_names, run_trial, trial_dataset
+from mecp.predictors import fit_ridge, fit_ridge_leave_one_out
 
 GENERATOR = {"m": 1, "n_per_env": 50, "p": 5, "outlier_frac": 0.2,
              "outlier_noise_multiplier": 10.0, "seed": 0}
 
 
-def ms_per_trial(plan: TrialPlan, repeats: int) -> float:
+def ms_per_call(call, calls: int, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        for t in range(plan.trials):
-            run_trial(plan, t)
+        for t in range(calls):
+            call(t)
         best = min(best, time.perf_counter() - start)
-    return 1e3 * best / plan.trials
+    return 1e3 * best / calls
+
+
+def ms_per_trial(plan: TrialPlan, repeats: int) -> float:
+    return ms_per_call(lambda t: run_trial(plan, t), plan.trials, repeats)
+
+
+def print_primitives(plan: TrialPlan, repeats: int) -> None:
+    envs = trial_dataset(plan, 0).environments[: plan.train_envs]
+    x = np.vstack([env.x for env in envs])
+    y = np.concatenate([env.y for env in envs])
+    sizes = [env.n for env in envs]
+    rows = [
+        (f"fit_ridge_leave_one_out, {len(envs)} refits",
+         ms_per_call(lambda t: fit_ridge_leave_one_out(x, y, sizes), plan.trials, repeats)),
+        ("fit_ridge, pooled", ms_per_call(lambda t: fit_ridge(x, y), plan.trials, repeats)),
+    ]
+    print(f"ms per call, min of {repeats} x {plan.trials} calls, outlier generator, "
+          f"{len(envs)} envs x {GENERATOR['n_per_env']} rows, p={x.shape[1]}, default ridge grid")
+    print(f"{'primitive':<38} {'ms/call':>9}")
+    for name, ms in rows:
+        print(f"{name:<38} {ms:>9.3f}")
 
 
 def fastest_process_s(argv: list[str], runs: int) -> float:
@@ -81,6 +113,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cold", type=int, default=None, metavar="N",
                         help="time N fresh-process cold starts instead")
+    parser.add_argument("--primitives", action="store_true",
+                        help="time the ridge primitives instead")
     args = parser.parse_args()
     if args.cold is not None:
         if args.cold < 1:
@@ -89,6 +123,11 @@ def main() -> None:
         return
 
     generator = HierGenConfig(**GENERATOR)
+    if args.primitives:
+        print_primitives(TrialPlan(generator=generator, algorithm="jackknife_minmax",
+                                   trials=args.trials, train_envs=20, test_envs=5,
+                                   alpha=0.1, seed=args.seed), args.repeats)
+        return
     rows = []
     for name in algorithm_names():
         plan = TrialPlan(generator=generator, algorithm=name, trials=args.trials,

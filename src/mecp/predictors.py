@@ -96,45 +96,58 @@ class RidgeModel:
         return x @ self.coef + self.intercept
 
 
-def _penalties(lambda_grid) -> list[float]:
-    """The checked penalties of ``lambda_grid`` in ascending order."""
+def _screen(spectra: np.ndarray, lambda_grid) -> tuple[list[float], list[tuple]]:
+    """The checked penalties of ``lambda_grid``, ascending, screened on m spectra (m, p): per
+    fit, the singular mask (L,) and scan rows ``[-1 / (s + lambda), 1]``, 1 where singular."""
     grid = sorted(check_nonnegative(l, "lambda_grid") for l in lambda_grid)
     if not grid:
         raise ValueError("lambda_grid must be nonempty")
-    return grid
+    shifted = spectra[:, None, :] + np.asarray(grid)[:, None]
+    top = shifted.max(axis=2, initial=1.0)
+    singular = shifted.min(axis=2, initial=np.inf) <= _SINGULAR_RTOL * top
+    lead = np.ones((len(spectra), len(grid), spectra.shape[1] + 1))
+    np.divide(-1.0, np.where(singular[:, :, None], 1.0, shifted), out=lead[:, :, :-1])
+    return grid, list(zip(singular, lead))
 
 
-def _select_ridge(grid, s, v, zy, x_mean, y_mean, scan) -> RidgeModel:
+def _select_ridge(grid, screen, s, v, zt, yc, mean) -> RidgeModel:
     """The penalty rules both ridge routes share, applied to one centred fit.
 
-    ``grid`` is :func:`_penalties`, ``V diag(s) V^T`` the centred Gram matrix
-    and ``zy = V^T x_c^T y_c``; ``scan(inv)`` maps the (p, L) inverse shifted
-    spectra of L penalties to their leave-one-out errors and least ``1 - h_ii``.
+    ``grid, [screen]`` is the :func:`_screen` for the centred Gram matrix ``V diag(s) V^T``,
+    ``zt = V^T x_c^T`` and ``mean`` the means of x and then y. With ``zy = zt @ y_c``, a scan
+    takes the (L, n) hat denominators ``lead @ [Z^2; 1 - 1/n]`` and leave-one-out residuals
+    ``(lead * [zy; 1]) @ [Z; y_c]`` from one matrix product each.
     """
+    n = zt.shape[1]
+    zy = zt @ yc
+    fused = np.concatenate((zt, yc[None]))
+    squares = np.square(fused)
+    squares[-1] = 1.0 - 1.0 / n
 
-    def mse_at(lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
-        shifted = s[:, None] + np.asarray(lams)
-        top = shifted.max(axis=0, initial=1.0)
-        singular = shifted.min(axis=0, initial=np.inf) <= _SINGULAR_RTOL * top
-        mse, denom_min = scan(1.0 / np.where(singular, 1.0, shifted))
-        mse[singular | (denom_min <= _LEVERAGE_FLOOR)] = math.inf
-        return mse, singular
+    def scan(singular: np.ndarray, lead: np.ndarray) -> list[float]:
+        denom = lead @ squares
+        loo = (lead * np.concatenate((zy, [1.0]))) @ fused
+        unusable = singular | (denom.min(axis=1) <= _LEVERAGE_FLOOR)
+        if unusable.any():  # clamp only when some penalty is unusable
+            np.maximum(denom, _LEVERAGE_FLOOR, out=denom)
+        loo /= denom
+        mse = np.einsum("ij,ij->i", loo, loo) / n
+        mse[unusable] = math.inf
+        return mse.tolist()
 
-    mse, singular = mse_at(grid)
-    singular_zero = bool(singular[np.asarray(grid) == 0.0].any())
-    table = list(zip(grid, mse.tolist()))
-    if np.isfinite(mse).any():
-        lam = grid[int(np.argmin(mse))]
-    elif singular_zero and grid[-1] == 0.0:
+    singular_zero = grid[0] == 0.0 and bool(screen[0][0])
+    table = list(zip(grid, scan(*screen)))
+    lam, best = min(table, key=lambda row: row[1])
+    if not math.isfinite(best):
+        if not singular_zero or grid[-1] != 0.0:
+            raise FitError("no usable penalty in grid", grid=tuple(grid))
         lam = min(DEFAULT_LAMBDA_GRID)
-        mse_fb, _ = mse_at([lam])
-        if not math.isfinite(mse_fb[0]):
+        (best,) = scan(*_screen(s[None], [lam])[1][0])
+        if not math.isfinite(best):
             raise FitError("ridge fallback penalty also unusable", lam=lam)
-        table.append((lam, float(mse_fb[0])))
-    else:
-        raise FitError("no usable penalty in grid", grid=tuple(grid))
+        table.append((lam, best))
     coef = v @ (zy / (s + lam))
-    return RidgeModel(coef=coef, intercept=y_mean - float(x_mean @ coef), lam=lam,
+    return RidgeModel(coef=coef, intercept=float(mean[-1]) - float(mean[:-1] @ coef), lam=lam,
                       loocv_mse=tuple(table), singular_fallback=singular_zero)
 
 
@@ -166,20 +179,13 @@ def fit_ridge(x, y, lambda_grid=DEFAULT_LAMBDA_GRID) -> RidgeModel:
     y = _check_outcomes(y, n)
     if n < 2:
         raise ValueError("ridge LOOCV needs n >= 2")
-    x_mean = x.mean(axis=0)
-    y_mean = float(y.mean())
-    xc = x - x_mean
-    yc = y - y_mean
+    mean = np.append(x.mean(axis=0), y.mean())
+    xc = x - mean[:-1]
+    yc = y - mean[-1]
     s, v = np.linalg.eigh(xc.T @ xc)
     z = xc @ v
-    zy = z.T @ yc
-
-    def scan(inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        denom = 1.0 - (1.0 / n + (z * z) @ inv)
-        loo = (yc[:, None] - z @ (zy[:, None] * inv)) / np.maximum(denom, _LEVERAGE_FLOOR)
-        return np.einsum("ij,ij->j", loo, loo) / n, denom.min(axis=0)
-
-    return _select_ridge(_penalties(lambda_grid), s, v, zy, x_mean, y_mean, scan)
+    grid, (screen,) = _screen(s[None], lambda_grid)
+    return _select_ridge(grid, screen, s, v, z.T, yc, mean)
 
 
 def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> list[RidgeModel]:
@@ -195,10 +201,11 @@ def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> lis
     """
     x = _features(x)
     y = _check_outcomes(y, x.shape[0])
-    sizes = np.asarray(sizes, dtype=int)
-    if sizes.ndim != 1 or (sizes < 1).any() or sizes.sum() != len(y):
+    if np.ndim(sizes) != 1 or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                                      and k > 0 for k in sizes) or sum(sizes) != len(y):
         raise ValueError("sizes must be positive block sizes summing to the row count")
-    m, p, grid = len(sizes), x.shape[1], _penalties(lambda_grid)
+    sizes = np.asarray(sizes, dtype=int)
+    m, p = len(sizes), x.shape[1]
     starts = np.concatenate(([0], np.cumsum(sizes)))
     means = np.add.reduceat(np.column_stack([x, y]), starts[:-1]) / sizes[:, None]
     dev = x - np.repeat(means[:, :p], sizes, axis=0)
@@ -210,25 +217,18 @@ def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> lis
     mu = weights @ means / weights.sum(axis=1)[:, None]
     gap = means[None, :, :p] - mu[:, None, :p]
     spectra, bases = np.linalg.eigh(within + np.einsum("ij,ijk,ijl->ikl", weights, gap, gap))
+    grid, screens = _screen(spectra, lambda_grid)
+    rows = np.vstack((x.T, y))
 
     models = []
     for i in range(m):
-        n = len(y) - sizes[i]
-        if n < 2:
+        if len(y) - sizes[i] < 2:
             raise FitError("ridge LOOCV needs n >= 2", left_out=i)
-        a, b = starts[i], starts[i + 1]
-        zt = bases[i].T @ (np.concatenate((x[:a], x[b:])) - mu[i, :p]).T
-        yc = np.concatenate((y[:a], y[b:])) - mu[i, p]
-        zy = zt @ yc
-
-        def scan(inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            denom = 1.0 - (1.0 / n + inv.T @ (zt * zt))
-            loo = (yc - (inv * zy[:, None]).T @ zt) / np.maximum(denom, _LEVERAGE_FLOOR)
-            return np.einsum("ij,ij->i", loo, loo) / n, denom.min(axis=1)
-
+        kept = np.concatenate((rows[:, :starts[i]], rows[:, starts[i + 1]:]), axis=1)
+        kept -= mu[i, :, None]
         try:
-            models.append(_select_ridge(grid, spectra[i], bases[i], zy, mu[i, :p],
-                                        float(mu[i, p]), scan))
+            models.append(_select_ridge(grid, screens[i], spectra[i], bases[i],
+                                        bases[i].T @ kept[:p], kept[p], mu[i]))
         except FitError as err:
             raise FitError(str(err), **err.details, left_out=i) from err
     return models

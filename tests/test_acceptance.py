@@ -27,7 +27,7 @@ from mecp.algorithms import (
     ridge_symmetric_builder,
 )
 from mecp.data import HierGenConfig, generate_hierarchical
-from mecp.evaluation import TrialPlan, run_trials
+from mecp.evaluation import TrialPlan, run_plans, run_trials
 from mecp.nested_sets import IntervalUnion, contains
 from mecp.quantiles import (
     DiscreteDistribution,
@@ -199,15 +199,13 @@ def test_fresh_observation_coverage_of_hierarchical_baselines():
 
 
 def test_pointwise_quantile_shortcut_misses_its_nominal_level():
-    # all three mappings see identical per-trial datasets: the engine derives
-    # data seeds from (plan seed, trial) alone
+    # all three mappings see identical per-trial datasets: one paired run
+    # generates each trial's dataset once, and the two jackknife mappings
+    # share its leave-one-environment-out ridge pass
     shared = dict(generator=OUTLIER_GEN, trials=500, train_envs=20,
                   test_envs=5, alpha=0.1, delta=0.1, gamma=0.5, seed=13)
-    reports = {
-        name: run_trials(TrialPlan(algorithm=name, **shared))
-        for name in ("jackknife_minmax", "split_conformal",
-                     "jackknife_plus_quantile")
-    }
+    names = ("jackknife_minmax", "split_conformal", "jackknife_plus_quantile")
+    reports = dict(zip(names, run_plans([TrialPlan(algorithm=name, **shared) for name in names])))
     tol = three_se(0.1, 500 * 5)
     assert reports["jackknife_minmax"].empirical_one_minus_delta >= 0.9 - tol
     upper = 0.9 + 1.0 / (20 * (1.0 - 0.5) + 1.0)

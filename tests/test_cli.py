@@ -394,44 +394,51 @@ class TestCompare:
 
 
 class TestConfigValidation:
-    def test_missing_config_file(self, tmp_path):
-        proc = run_cli(tmp_path, "run", "-c", "nope.json")
-        assert proc.returncode == 2
-        assert "cannot read config" in proc.stderr
+    def test_missing_config_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, err = main_in_process(capsys, "run", "-c", "nope.json")
+        assert code == 2
+        assert "cannot read config" in err
 
-    def test_invalid_json(self, tmp_path):
+    def test_invalid_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "broken.json").write_text("{not json")
-        proc = run_cli(tmp_path, "run", "-c", "broken.json")
-        assert proc.returncode == 2
-        assert "not valid JSON" in proc.stderr
+        code, err = main_in_process(capsys, "run", "-c", "broken.json")
+        assert code == 2
+        assert "not valid JSON" in err
 
-    def test_unknown_section_and_key(self, tmp_path):
+    def test_unknown_section_and_key(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         doc["extras"] = {}
-        assert run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc)).returncode == 2
+        assert main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))[0] == 2
         doc = run_doc()
         doc["algorithm"]["alpha_level"] = 0.1
-        assert run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc)).returncode == 2
+        assert main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))[0] == 2
 
-    def test_exactly_one_dataset_source(self, tmp_path):
+    def test_exactly_one_dataset_source(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         doc["dataset"] = {"csv": "x.csv", "generator": generator_section()}
-        assert run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc)).returncode == 2
+        assert main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))[0] == 2
         doc["dataset"] = {}
-        assert run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc)).returncode == 2
+        assert main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))[0] == 2
 
     @pytest.mark.parametrize("section, key", [
         ("algorithm", "ridge_weight"), ("algorithm", "ridge_grid"), ("generator", "noise_scale"),
         ("generator", "outlier_frac"), ("plan", "clip"), ("generator", "beta"),
     ])
-    def test_bool_in_a_float_field_is_a_config_error(self, tmp_path, section, key):
+    def test_bool_in_a_float_field_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, section, key
+    ):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         target = doc["dataset"]["generator"] if section == "generator" else doc[section]
         bad = {"ridge_grid": [0.5, True], "clip": ["-1", True], "beta": [True, "2.5"]}
         target[key] = bad.get(key, True)
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ") and key in proc.stderr
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2, err
+        assert err.startswith("error: ") and key in err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command, section, key, field", [
@@ -498,19 +505,21 @@ class TestConfigValidation:
             build_plan(doc)
 
     @pytest.mark.parametrize("key", ["alpha", "delta"])
-    def test_string_probability_is_a_config_error(self, tmp_path, key):
+    def test_string_probability_is_a_config_error(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         doc["algorithm"][key] = str(doc["algorithm"][key])
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ") and key in proc.stderr
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2, err
+        assert err.startswith("error: ") and key in err
         assert not (tmp_path / "report.json").exists()
 
-    def test_run_requires_algorithm_section(self, tmp_path):
+    def test_run_requires_algorithm_section(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = {"dataset": {"generator": generator_section()}}
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
-        assert "algorithm" in proc.stderr
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2
+        assert "algorithm" in err
 
     def test_generator_takes_every_config_field(self):
         section = {

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -240,6 +241,13 @@ class TestRidgeLeaveOneOut:
         np.testing.assert_allclose(model.coef, ref.coef, rtol=1e-12, atol=0)
         assert model.intercept == pytest.approx(ref.intercept, rel=1e-12, abs=0)
 
+    @staticmethod
+    def assert_table_matches_oracle(model, xk, yk):
+        for lam, mse in model.loocv_mse:
+            if math.isfinite(mse):
+                brute = float(np.mean(oracle_ridge_loo_errors(xk, yk, lam) ** 2))
+                assert mse == pytest.approx(brute, rel=1e-8)
+
     @pytest.mark.parametrize("grid", [DEFAULT_LAMBDA_GRID, (0.0, 0.1, 1.0, 10.0)])
     @pytest.mark.parametrize("sizes", [(30,) * 6, (12, 40, 7, 25, 31)], ids=["equal", "ragged"])
     def test_matches_pooled_fit_ridge(self, sizes, grid):
@@ -248,8 +256,33 @@ class TestRidgeLeaveOneOut:
         assert len(models) == len(sizes)
         for model, (xk, yk, ref) in zip(models, self.pooled_refits(x, y, sizes, grid)):
             self.assert_same_fit(model, ref)
-            brute = float(np.mean(oracle_ridge_loo_errors(xk, yk, model.lam) ** 2))
-            assert dict(model.loocv_mse)[model.lam] == pytest.approx(brute, rel=1e-8)
+            self.assert_table_matches_oracle(model, xk, yk)
+
+    # sha256 of the float.hex of every refit's coefficients, intercept and
+    # penalty, then of the pooled fit_ridge on all rows; a faster scan must
+    # not move one bit of a fit
+    PINNED_BITS = {
+        "equal": ((50,) * 20, 5, DEFAULT_LAMBDA_GRID, [1.0] * 20,
+                  "52593729416d225111a0eae38893ab7dc61c18bcc7e6a04bc26a2316a862dc6f",
+                  "893ed9c7a346a975fbf85a1548df72b3f2bc4e9b09ff6585239b0c57997d24b9"),
+        "ragged": ((12, 40, 7, 25, 31), 4, (0.0, 0.1, 1.0, 10.0), [10.0, 10.0, 1.0, 10.0, 10.0],
+                   "64d27b597aa9c46042ad9edf9163c911f6ce6c75405bb5bb7ccb86d99f0d1b5e",
+                   "b34573fb4f286c7a204c2fdc30b0093b58e36991f1f9862f76dbc116f22da10d"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_BITS))
+    def test_fits_are_bit_identical_to_the_pinned_pass(self, case):
+        sizes, p, grid, lams, loo_digest, pooled_digest = self.PINNED_BITS[case]
+        x, y = self.blocks(len(sizes), sizes, p=p)
+
+        def digest(models):
+            text = " ".join(float(v).hex() for m in models for v in (*m.coef, m.intercept, m.lam))
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        models = fit_ridge_leave_one_out(x, y, sizes, grid)
+        assert [m.lam for m in models] == lams
+        assert digest(models) == loo_digest
+        assert digest([fit_ridge(x, y, grid)]) == pooled_digest
 
     def test_offset_environment_costs_no_precision(self):
         # a total-minus-block Gram downdate loses ~1e-4 here when block 2 is left out
@@ -265,9 +298,38 @@ class TestRidgeLeaveOneOut:
         x, y = self.blocks(10, sizes, p=2)
         x = np.column_stack([x, x[:, 1]])
         models = fit_ridge_leave_one_out(x, y, sizes, grid)
-        for model, (_, _, ref) in zip(models, self.pooled_refits(x, y, sizes, grid)):
+        for model, (xk, yk, ref) in zip(models, self.pooled_refits(x, y, sizes, grid)):
             assert model.singular_fallback and ref.singular_fallback
             assert model.lam == ref.lam == (0.7 if 0.7 in grid else min(DEFAULT_LAMBDA_GRID))
+            assert model.loocv_mse[0] == (0.0, math.inf)
+            # the fallback penalty is scanned on this refit's own rows
+            scanned = list(grid) if 0.7 in grid else [0.0, min(DEFAULT_LAMBDA_GRID)]
+            assert [lam for lam, _ in model.loocv_mse] == scanned
+            self.assert_table_matches_oracle(model, xk, yk)
+
+    def test_unusable_fallback_names_its_block(self):
+        # block 0's rows are huge, so every refit holding them is singular at
+        # the fallback penalty too; refit 0 leaves them out and falls back
+        sizes = (15, 20, 18)
+        x, y = self.blocks(10, sizes, p=2)
+        x = np.column_stack([x, x[:, 1]])
+        x[:15] *= 1e5
+        with pytest.raises(FitError, match="fallback penalty also unusable") as info:
+            fit_ridge_leave_one_out(x, y, sizes, (0.0,))
+        assert info.value.details == {"lam": min(DEFAULT_LAMBDA_GRID), "left_out": 1}
+        refit_0 = fit_ridge(x[15:], y[15:], (0.0,))
+        assert refit_0.singular_fallback and refit_0.lam == min(DEFAULT_LAMBDA_GRID)
+
+    def test_interpolating_refits_hit_the_hat_cut(self):
+        # p = 3 and four kept rows: lambda=0 interpolates every refit
+        sizes = (4, 4)
+        x, y = self.blocks(13, sizes, p=3)
+        models = fit_ridge_leave_one_out(x, y, sizes, (0.0, 1.0))
+        for model, (xk, yk, ref) in zip(models, self.pooled_refits(x, y, sizes, (0.0, 1.0))):
+            assert not model.singular_fallback and model.lam == 1.0
+            assert model.loocv_mse[0] == (0.0, math.inf)
+            self.assert_same_fit(model, ref)
+            self.assert_table_matches_oracle(model, xk, yk)
 
     def test_failed_refit_names_its_block(self):
         x, y = self.blocks(11, (1, 1, 1), p=1)
@@ -281,9 +343,12 @@ class TestRidgeLeaveOneOut:
 
     def test_input_validation(self):
         x, y = self.blocks(12, (5, 5))
-        for sizes in [(5, 4), (10, 0), (2, 3, 5, -1)]:
-            with pytest.raises(ValueError, match="sizes"):
+        for sizes in [(5, 4), (10, 0), (2, 3, 5, -1), (5.9, 5.0), (5.0, 5.0), np.array([5.0, 5.0]),
+                      (True, True, 8), (np.True_, 9), [[5, 5]], 10]:
+            with pytest.raises(ValueError, match="sizes must be positive block sizes"):
                 fit_ridge_leave_one_out(x, y, sizes)
+        for sizes in [(5, 5), np.array([5, 5]), (np.int64(5), 5)]:
+            assert len(fit_ridge_leave_one_out(x, y, sizes)) == 2
         with pytest.raises(ValueError, match="nonnegative"):
             fit_ridge_leave_one_out(x, y, (5, 5), (-1.0,))
 

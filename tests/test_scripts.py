@@ -153,3 +153,12 @@ def test_algorithm_timings_cold_starts(tmp_path):
     assert title.startswith("cold start, min of 1 fresh processes")
     assert [row.rsplit(None, 1)[0] for row in rows] == ["import mecp.cli", "mecp run, 3 trials"]
     assert all(float(row.split()[-1]) > 0 for row in rows)
+
+
+def test_algorithm_timings_primitives(tmp_path):
+    out = run_script(tmp_path, "algorithm_timings.py", "--primitives", "--trials", "2", "--repeats", "1")
+    title, header, *rows = out.splitlines()
+    assert title.startswith("ms per call, min of 1 x 2 calls")
+    assert [row.rsplit(None, 1)[0] for row in rows] == [
+        "fit_ridge_leave_one_out, 20 refits", "fit_ridge, pooled"]
+    assert all(float(row.split()[-1]) > 0 for row in rows)
