@@ -1,13 +1,13 @@
 """Prediction-set constructions for grouped (multi-environment) data.
 
-Every ``fit_*`` function returns a frozen mapping with two methods:
-``predict_sets(x)`` gives one prediction set per input row, and
-``metadata()`` gives a JSON-ready summary of the fitted state. Mappings
-whose sets are single intervals also have ``predict_bounds(x)``: the same
-sets as ``(lo, hi)`` arrays, a row being empty when lo > hi, or None when
-the sets are label sets or unions. Leave-one-out refits always drop a
-whole environment, never single rows, so the guarantees target fresh
-environments rather than fresh observations from known ones.
+Every ``fit_*`` function returns a frozen mapping that gives its sets as
+columns: ``predict_bounds(x)`` as ``(lo, hi)`` arrays, a row being empty
+when lo > hi, or None for label sets, which ``predict_mask(x)`` gives as a
+``(t, n_classes)`` bool mask. ``predict_sets(x)`` builds the per-row sets
+from those when asked, and ``metadata()`` gives a JSON-ready summary of
+the fitted state. Leave-one-out refits always drop a whole environment,
+never single rows, so the guarantees target fresh environments rather
+than fresh observations from known ones.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ from .nested_sets import (
     SymmetricFamily,
     bounds_at,
     float_to_json,
+    mask_at,
     sets_at,
     sets_from_bounds,
+    sets_from_mask,
     thresholds,
     union_sets,
 )
@@ -183,7 +185,17 @@ def softmax_sublevel_builder(
 _INTERVAL_FAMILIES = (SymmetricFamily, BandFamily)
 
 
-class _FamilyAtThreshold:
+class _ColumnarSets:
+    """The per-row view of a mapping's columnar sets."""
+
+    def predict_sets(self, x) -> list[PredictionSet]:
+        bounds = self.predict_bounds(x)
+        if bounds is None:
+            return sets_from_mask(self.predict_mask(x))
+        return sets_from_bounds(*bounds)
+
+
+class _FamilyAtThreshold(_ColumnarSets):
     """Sets of a fitted ``family`` at its calibrated threshold ``tau_hat``."""
 
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
@@ -192,8 +204,8 @@ class _FamilyAtThreshold:
             return None
         return bounds_at(self.family, x, self.tau_hat)
 
-    def predict_sets(self, x) -> list[PredictionSet]:
-        return sets_at(self.family, x, self.tau_hat)
+    def predict_mask(self, x) -> np.ndarray:
+        return mask_at(self.family, x, self.tau_hat)
 
 
 def _split_envs(
@@ -234,13 +246,13 @@ def _leave_one_env_out(dataset: MultiEnvDataset, builder: Callable) -> list[tupl
 
 
 @dataclass(frozen=True)
-class JackknifeMinmax:
+class JackknifeMinmax(_ColumnarSets):
     """Leave-one-environment-out families sharing one calibrated threshold.
 
-    ``mode`` selects the deployed shape: "hull" spans the leave-one-out
-    components with a single interval (the min/max form), "union" keeps the
-    exact union of components. Label-set components have no hull other
-    than their union.
+    The deployed set spans the leave-one-out components: a single interval
+    (the min/max hull) for interval families, the label union for label
+    families, which have no other hull. ``predict_unions`` keeps the exact
+    union of components as a reference view.
     """
 
     families: tuple[NestedFamily, ...]
@@ -248,16 +260,13 @@ class JackknifeMinmax:
     tau_hat: float
     alpha: float
     delta: float
-    mode: str = "hull"
 
     def predict_unions(self, x) -> list[PredictionSet]:
         per_family = [sets_at(fam, x, self.tau_hat) for fam in self.families]
         return [union_sets(components) for components in zip(*per_family)]
 
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.mode == "union" or not all(
-            isinstance(f, _INTERVAL_FAMILIES) for f in self.families
-        ):
+        if not all(isinstance(f, _INTERVAL_FAMILIES) for f in self.families):
             return None
         # min/max over the nonempty components: bit for bit the hull of the
         # union, and (+inf, -inf) when every component is empty
@@ -270,16 +279,12 @@ class JackknifeMinmax:
             np.where(empty, -math.inf, highs).max(axis=0),
         )
 
-    def predict_sets(self, x) -> list[PredictionSet]:
-        bounds = self.predict_bounds(x)
-        if bounds is None:
-            return self.predict_unions(x)
-        return sets_from_bounds(*bounds)
+    def predict_mask(self, x) -> np.ndarray:
+        return np.logical_or.reduce([mask_at(f, x, self.tau_hat) for f in self.families])
 
     def metadata(self) -> dict:
         return {
             "algorithm": "jackknife_minmax",
-            "mode": self.mode,
             "alpha": self.alpha,
             "delta": self.delta,
             "tau_hat": float_to_json(self.tau_hat),
@@ -292,7 +297,6 @@ def fit_jackknife_minmax(
     family_builder: Callable,
     alpha: float,
     delta: float,
-    mode: str = "hull",
 ) -> JackknifeMinmax:
     """Fit one family per left-out environment and calibrate a shared threshold.
 
@@ -302,8 +306,6 @@ def fit_jackknife_minmax(
     """
     alpha = check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
-    if mode not in ("hull", "union"):
-        raise ValueError(f"mode must be 'hull' or 'union', got {mode!r}")
     fits = _leave_one_env_out(dataset, family_builder)
     scores = [quant_plus(thresholds(fam, env.x, env.y), alpha) for fam, env in fits]
     tau_hat = quant_plus(scores, delta)
@@ -313,7 +315,6 @@ def fit_jackknife_minmax(
         tau_hat=tau_hat,
         alpha=alpha,
         delta=delta,
-        mode=mode,
     )
 
 
@@ -374,7 +375,7 @@ def _reserved_mixture_weights(sizes) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HierJackknifePlus:
+class HierJackknifePlus(_ColumnarSets):
     """Leave-one-environment-out point predictors with residual-atom mixtures.
 
     Evaluation places every leave-one-out residual around the matching
@@ -451,9 +452,6 @@ class HierJackknifePlus:
             return out
 
         return side(np.subtract, -math.inf, self.alpha), side(np.add, math.inf, 1.0 - self.alpha)
-
-    def predict_sets(self, x) -> list[PredictionSet]:
-        return sets_from_bounds(*self.predict_bounds(x))
 
     def metadata(self) -> dict:
         return {
@@ -678,7 +676,7 @@ def fit_resized_split_conformal(
 
 
 @dataclass(frozen=True)
-class JackknifePlusQuantile:
+class JackknifePlusQuantile(_ColumnarSets):
     """Per-environment quantile shifts combined by lower/upper sample quantiles.
 
     At each point the endpoints are ``quant_minus`` of the shifted-down and
@@ -699,9 +697,6 @@ class JackknifePlusQuantile:
         preds = np.stack([np.asarray(f(x), dtype=float) for f in self.predictors])
         s = np.asarray(self.env_scores, dtype=float)[:, None]
         return column_quant_bounds(preds - s, preds + s, self.delta)
-
-    def predict_sets(self, x) -> list[PredictionSet]:
-        return sets_from_bounds(*self.predict_bounds(x))
 
     def metadata(self) -> dict:
         return {

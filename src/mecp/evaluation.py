@@ -42,7 +42,7 @@ from mecp.data import (
     generate_hierarchical,
     holdout_labels,
 )
-from mecp.nested_sets import bounds_measure, contains, float_to_json, measure
+from mecp.nested_sets import bounds_measure, float_to_json
 from mecp.predictors import DEFAULT_LAMBDA_GRID, FitError
 from mecp.quantiles import check_nonnegative, check_prob, check_reals, rank_fraction, rank_plus
 
@@ -158,31 +158,24 @@ class CoverageReport:
         }
 
 
-def _bounds_tallies(
-    bounds: list[tuple[np.ndarray, np.ndarray]], ys: list[np.ndarray], clip
-) -> tuple[list[int], list[float]]:
-    """(in-set count, mean measure) per row block of columnar interval sets.
-
-    One whole-array ``contains`` and ``measure`` over every block's rows:
-    rows are closed intervals, and a row with lo > hi is empty, so it
-    covers nothing and measures 0. Means come from a ``(k, n)`` reshape when
-    sizes are equal: a row-wise mean there is bit-identical to ``np.mean``
-    of each block's slice.
-    """
+def _bounds_tallies(bounds: list[tuple[np.ndarray, np.ndarray]], y: np.ndarray, clip):
+    """(hit, measure) per row of every block's closed intervals; a row with lo > hi is empty."""
     lo = np.concatenate([lo for lo, _ in bounds])
     hi = np.concatenate([hi for _, hi in bounds])
     if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("interval endpoints must not be NaN")
-    y = np.concatenate(ys)
-    measures = bounds_measure(lo, hi, clip)
-    sizes = [len(v) for v in ys]
-    starts = np.cumsum([0] + sizes[:-1])
-    counts = np.add.reduceat(((lo <= y) & (y <= hi)).astype(np.intp), starts)
-    if len(set(sizes)) == 1:
-        means = measures.reshape(len(sizes), sizes[0]).mean(axis=1)
-    else:
-        means = [np.mean(measures[a : a + n]) for a, n in zip(starts, sizes)]
-    return [int(c) for c in counts], [float(v) for v in means]
+    return (lo <= y) & (y <= hi), bounds_measure(lo, hi, clip)
+
+
+def _mask_tallies(masks: list[np.ndarray], y: np.ndarray):
+    """(hit, label count) per row of every block's label mask. Outcome y names
+    label ``int(y)``; one outside ``[0, n_classes)``, NaN included, is in no set."""
+    mask = np.concatenate(masks)
+    labels = np.trunc(y)
+    inside = (labels >= 0) & (labels < mask.shape[1])
+    # a label of -1 must not wrap round to the last class
+    picked = mask[np.arange(len(y)), np.where(inside, labels, 0).astype(np.intp)]
+    return inside & picked, mask.sum(axis=1).astype(float)
 
 
 def _score_pairs(pairs, alpha: float, clip, rule: str, trial: int) -> list[EnvRecord]:
@@ -190,34 +183,36 @@ def _score_pairs(pairs, alpha: float, clip, rule: str, trial: int) -> list[EnvRe
 
     ``rows`` indexes the scored rows of ``env``. Each block ``env.x[rows]``
     lives only while its mapping predicts on it, and ``predict_bounds`` runs
-    once per block, since x @ coef rounds differently by block shape. Every
-    block's ``(lo, hi)`` goes through one :func:`_bounds_tallies`, or all go
-    set by set if one mapping has no interval view.
+    once per block, since x @ coef rounds differently by block shape. All
+    blocks' ``(lo, hi)`` go through one :func:`_bounds_tallies`, or all label
+    masks through one :func:`_mask_tallies`. Means come from a ``(k, n)``
+    reshape when sizes are equal, bit-identical to ``np.mean`` of each block.
     """
     alpha = check_prob(alpha, "alpha")
-    bounds = [
-        mapping.predict_bounds(env.x[rows]) if hasattr(mapping, "predict_bounds") else None
-        for mapping, (env, rows) in pairs
-    ]
+    bounds = [mapping.predict_bounds(env.x[rows]) for mapping, (env, rows) in pairs]
     ys = [env.y[rows] for _, (env, rows) in pairs]
     if all(b is not None for b in bounds):
-        counts, means = _bounds_tallies(bounds, ys, clip)
+        hits, measures = _bounds_tallies(bounds, np.concatenate(ys), clip)
     else:
-        counts, means = [], []
-        for (mapping, (env, rows)), y in zip(pairs, ys):
-            sets = mapping.predict_sets(env.x[rows])
-            counts.append(sum(1 for s, v in zip(sets, y) if contains(s, v)))
-            means.append(float(np.mean([measure(s, clip) for s in sets])))
+        masks = [mapping.predict_mask(env.x[rows]) for mapping, (env, rows) in pairs]
+        hits, measures = _mask_tallies(masks, np.concatenate(ys))
+    sizes = [len(v) for v in ys]
+    starts = np.cumsum([0] + sizes[:-1])
+    counts = np.add.reduceat(hits.astype(np.intp), starts)
+    if len(set(sizes)) == 1:
+        means = measures.reshape(len(sizes), sizes[0]).mean(axis=1)
+    else:
+        means = [np.mean(measures[a : a + n]) for a, n in zip(starts, sizes)]
     return [
         EnvRecord(
             trial=int(trial),
             env_id=env.env_id,
-            n=len(y),
-            covered_count=covered,
-            env_covered=_env_covered(covered, len(y), alpha, rule),
-            mean_measure=mean_measure,
+            n=n,
+            covered_count=int(covered),
+            env_covered=_env_covered(int(covered), n, alpha, rule),
+            mean_measure=float(mean_measure),
         )
-        for (_, (env, _)), y, covered, mean_measure in zip(pairs, ys, counts, means)
+        for (_, (env, _)), n, covered, mean_measure in zip(pairs, sizes, counts, means)
     ]
 
 
@@ -231,12 +226,13 @@ def evaluate_mapping(
 ) -> CoverageReport:
     """Score a fitted set-valued mapping on held-out environments.
 
-    A mapping whose ``predict_bounds`` gives ``(lo, hi)`` arrays is scored
-    from them; other mappings, label sets and unions are scored set by set.
-    ``clip`` intersects interval sets with a reporting range before
-    measuring. ``rule`` selects how a pair counts as covered: "count"
-    requires the in-set count to reach ``rank_plus(n, alpha)``, "fraction"
-    the in-set fraction to reach 1-alpha, i.e. ``rank_fraction(n, alpha)``.
+    Interval sets are scored from the ``(lo, hi)`` arrays of
+    ``predict_bounds``, label sets from the bool mask of ``predict_mask``;
+    no per-row set is built. ``clip`` intersects interval sets with a
+    reporting range before measuring; label counts are not clipped.
+    ``rule`` selects how a pair counts as covered: "count" requires the
+    in-set count to reach ``rank_plus(n, alpha)``, "fraction" the in-set
+    fraction to reach 1-alpha, i.e. ``rank_fraction(n, alpha)``.
     """
     alpha = check_prob(alpha, "alpha")
     if rule not in RULES:

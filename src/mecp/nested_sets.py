@@ -4,9 +4,10 @@ A family maps a threshold tau to a set-valued prediction that grows with tau:
 symmetric intervals around a point predictor, bands between a lower and an
 upper fit, or sublevel sets of a classification loss. The coverage threshold
 of an outcome is the smallest tau whose set contains it, so membership at tau
-and a threshold comparison are two views of the same relation. Interval
-families also give their sets as columns, ``(lo, hi)`` arrays, through
-``bounds_at``; ``sets_from_bounds`` turns those into per-row sets.
+and a threshold comparison are two views of the same relation. Every family
+gives its sets as columns, ``(lo, hi)`` arrays through ``bounds_at`` or a
+bool label mask through ``mask_at``; ``sets_from_bounds`` and
+``sets_from_mask`` turn those into per-row sets.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ __all__ = [
     "set_at",
     "sets_at",
     "bounds_at",
+    "mask_at",
     "sets_from_bounds",
+    "sets_from_mask",
     "contains",
     "measure",
     "bounds_measure",
@@ -157,16 +160,8 @@ def set_at(family: NestedFamily, x, tau: float) -> PredictionSet:
 
 def sets_at(family: NestedFamily, x: np.ndarray, tau: float) -> list[PredictionSet]:
     """Materialize sets at one threshold for every row of x, batching the fits."""
-    if math.isnan(tau):
-        raise ValueError("tau must not be NaN")
     if isinstance(family, LossSublevelFamily):
-        # one batch loss per class, the same numbers thresholds compares
-        logits = np.asarray(family.logits(np.asarray(x, dtype=float)), dtype=float)
-        t = logits.shape[0]
-        keep = np.column_stack(
-            [multiclass_loss(np.full(t, c), logits) <= tau for c in range(family.n_classes)]
-        )
-        return [LabelSet(tuple(np.flatnonzero(row).tolist())) for row in keep]
+        return sets_from_mask(mask_at(family, x, tau))
     return sets_from_bounds(*bounds_at(family, x, tau))
 
 
@@ -193,9 +188,27 @@ def bounds_at(family: NestedFamily, x: np.ndarray, tau: float) -> tuple[np.ndarr
     raise TypeError(f"not an interval family: {type(family).__name__}")
 
 
+def mask_at(family: LossSublevelFamily, x: np.ndarray, tau: float) -> np.ndarray:
+    """Columnar label sets at one threshold: a ``(t, n_classes)`` bool mask, from
+    one batch loss per class, the same numbers ``thresholds`` compares."""
+    if math.isnan(tau):
+        raise ValueError("tau must not be NaN")
+    if not isinstance(family, LossSublevelFamily):
+        raise TypeError(f"not a label family: {type(family).__name__}")
+    logits = np.asarray(family.logits(np.asarray(x, dtype=float)), dtype=float)
+    return np.column_stack(
+        [multiclass_loss(np.full(len(logits), c), logits) <= tau for c in range(family.n_classes)]
+    )
+
+
 def sets_from_bounds(lo: np.ndarray, hi: np.ndarray) -> list[PredictionSet]:
     """Per-row view of columnar bounds: an Interval, or EMPTY_SET where lo > hi."""
     return [EMPTY_SET if a > b else Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def sets_from_mask(mask: np.ndarray) -> list[LabelSet]:
+    """Per-row view of a label mask: the LabelSet of each row's kept classes."""
+    return [LabelSet(tuple(np.flatnonzero(row).tolist())) for row in mask]
 
 
 def contains(pred_set: PredictionSet, y) -> bool:

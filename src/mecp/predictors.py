@@ -28,8 +28,6 @@ __all__ = [
     "highs_lp",
     "multiclass_loss",
     "pinball_lp",
-    "predict_logits",
-    "predict_ridge",
 ]
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(10.0**j for j in range(-4, 5))
@@ -205,6 +203,9 @@ def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> lis
                                       and k > 0 for k in sizes) or sum(sizes) != len(y):
         raise ValueError("sizes must be positive block sizes summing to the row count")
     sizes = np.asarray(sizes, dtype=int)
+    short = np.flatnonzero(len(y) - sizes < 2)
+    if short.size:
+        raise FitError("ridge LOOCV needs n >= 2", left_out=int(short[0]))
     m, p = len(sizes), x.shape[1]
     starts = np.concatenate(([0], np.cumsum(sizes)))
     means = np.add.reduceat(np.column_stack([x, y]), starts[:-1]) / sizes[:, None]
@@ -222,8 +223,6 @@ def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> lis
 
     models = []
     for i in range(m):
-        if len(y) - sizes[i] < 2:
-            raise FitError("ridge LOOCV needs n >= 2", left_out=i)
         kept = np.concatenate((rows[:, :starts[i]], rows[:, starts[i + 1]:]), axis=1)
         kept -= mu[i, :, None]
         try:
@@ -232,10 +231,6 @@ def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> lis
         except FitError as err:
             raise FitError(str(err), **err.details, left_out=i) from err
     return models
-
-
-def predict_ridge(model: RidgeModel, x) -> np.ndarray | float:
-    return model.predict(x)
 
 
 @dataclass(frozen=True)
@@ -313,10 +308,6 @@ class SoftmaxModel:
         xt = np.column_stack([np.ones(1 if single else x.shape[0]), np.atleast_2d(x)])
         out = xt @ self.weights.T
         return out[0] if single else out
-
-
-def predict_logits(model: SoftmaxModel, x) -> np.ndarray:
-    return model.logits(x)
 
 
 def multiclass_loss(y, logits) -> np.ndarray | float:

@@ -40,14 +40,19 @@ from mecp.nested_sets import (
     Interval,
     IntervalUnion,
     LabelSet,
+    LossSublevelFamily,
     SymmetricFamily,
     contains,
     thresholds,
 )
-from mecp.predictors import FitError
+from mecp.predictors import FitError, multiclass_loss
 from mecp.quantiles import quant_minus, quant_plus
 
-from oracles import oracle_float_cumsum_quantile_rows, oracle_jackknife_plus_interval
+from oracles import (
+    oracle_float_cumsum_quantile_rows,
+    oracle_jackknife_plus_interval,
+    oracle_label_sets,
+)
 
 
 def mean_builder(envs):
@@ -136,7 +141,7 @@ class TestJackknifeMinmax:
         assert got == Interval(-math.inf, math.inf)
         assert mapping.metadata()["tau_hat"] == "inf"
 
-    def test_union_mode_keeps_disconnected_components(self):
+    def test_unions_keep_disconnected_components_the_hull_spans(self):
         far = JackknifeMinmax(
             families=(
                 SymmetricFamily(predict=lambda xs: np.zeros(len(xs))),
@@ -146,11 +151,10 @@ class TestJackknifeMinmax:
             tau_hat=1.0,
             alpha=0.5,
             delta=0.5,
-            mode="union",
         )
-        (got,) = far.predict_sets(np.array([[0.0]]))
+        (got,) = far.predict_unions(np.array([[0.0]]))
         assert got == IntervalUnion((Interval(-1.0, 1.0), Interval(99.0, 101.0)))
-        (hull,) = replace(far, mode="hull").predict_sets(np.array([[0.0]]))
+        (hull,) = far.predict_sets(np.array([[0.0]]))
         assert hull == Interval(-1.0, 101.0)
 
     def test_union_envelope_matches_hull_bitwise(self):
@@ -218,8 +222,6 @@ class TestJackknifeMinmax:
         ds = MultiEnvDataset(environments=(single_obs_env("only", 1.0),))
         with pytest.raises(ValueError, match="two environments"):
             fit_jackknife_minmax(ds, mean_symmetric_builder, 0.5, 0.5)
-        with pytest.raises(ValueError, match="mode"):
-            fit_jackknife_minmax(two_point_dataset(), mean_symmetric_builder, 0.5, 0.5, mode="both")
         with pytest.raises(ValueError, match="alpha"):
             fit_jackknife_minmax(two_point_dataset(), mean_symmetric_builder, 0.0, 0.5)
         with pytest.raises(ValueError, match="delta"):
@@ -241,6 +243,23 @@ class TestJackknifeMinmax:
         for s in hull_sets:
             assert isinstance(s, LabelSet)
             assert set(s.labels) <= {0, 1}
+
+    def test_random_logit_label_sets_are_the_component_union(self):
+        rng = np.random.default_rng(17)
+        weights = [rng.normal(size=(3, 2)) for _ in range(3)]
+        families = tuple(
+            LossSublevelFamily(logits=lambda xs, w=w: xs @ w.T, n_classes=3) for w in weights
+        )
+        x = rng.normal(size=(25, 2))
+        for tau in (-0.1, 0.4, 0.8, 1.3, math.inf):
+            mapping = JackknifeMinmax(families, (0.0,) * 3, tau, 0.5, 0.5)
+            assert mapping.predict_bounds(x) is None
+            want = np.zeros((25, 3), dtype=bool)
+            for w in weights:
+                for row, labels in enumerate(oracle_label_sets(x @ w.T, 3, tau, multiclass_loss)):
+                    want[row, list(labels)] = True
+            assert np.array_equal(mapping.predict_mask(x), want)
+            assert mapping.predict_sets(x) == mapping.predict_unions(x)
 
     def test_band_families(self):
         rng = np.random.default_rng(9)

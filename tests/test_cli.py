@@ -92,19 +92,20 @@ class TestSimulate:
         assert sha(tmp_path / "a.csv") == sha(tmp_path / "b.csv")
         assert sha(tmp_path / "a.csv") != sha(tmp_path / "c.csv")
 
-    def test_invalid_gamma_is_a_config_error(self, tmp_path):
+    def test_invalid_gamma_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = {
             "dataset": {"generator": {"m": 4, "n_per_env": 8, "p": 2}},
             "algorithm": {"name": "split_conformal", "alpha": 0.2, "gamma": 1.5},
         }
-        proc = run_cli(tmp_path, "simulate", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
-        assert "gamma" in proc.stderr
+        code, err = main_in_process(capsys, "simulate", "-c", write_config(tmp_path, doc))
+        assert code == 2
+        assert "gamma" in err
 
-    def test_needs_a_generator_source(self, tmp_path):
+    def test_needs_a_generator_source(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = {"dataset": {"csv": "data.csv"}}
-        proc = run_cli(tmp_path, "simulate", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
+        assert main_in_process(capsys, "simulate", "-c", write_config(tmp_path, doc))[0] == 2
 
 
 class TestRun:
@@ -123,12 +124,13 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         assert [p["value"] for p in report["sweep"]["points"]] == [0.1, 0.3, 0.6]
 
-    def test_unknown_algorithm_is_a_config_error(self, tmp_path):
+    def test_unknown_algorithm_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         doc["algorithm"]["name"] = "mystery_method"
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
-        assert "mystery_method" in proc.stderr
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2
+        assert "mystery_method" in err
 
     def test_report_matches_library_rerun(self, tmp_path):
         doc = run_doc()
@@ -204,63 +206,70 @@ class TestRun:
         proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc, "bad.json"))
         assert proc.returncode == 2
 
-    def test_non_numeric_sweep_value_is_a_config_error(self, tmp_path):
+    def test_non_numeric_sweep_value_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc(sweep={"param": "delta", "values": [0.1, "x"]})
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: sweep.values")
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2
+        assert err.startswith("error: sweep.values")
 
-    def test_bool_sweep_value_is_a_config_error(self, tmp_path):
+    def test_bool_sweep_value_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc(sweep={"param": "ridge_weight", "values": [False, True]})
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: sweep.values")
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2
+        assert err.startswith("error: sweep.values")
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_non_integer_counts_are_config_errors(self, tmp_path):
+    def test_non_integer_counts_are_config_errors(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         doc["plan"]["trials"] = 2.5
         bad_sweep = run_doc(sweep={"param": "label_count", "values": [5, 2.7]})
         for bad in (doc, bad_sweep):
-            proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, bad))
-            assert proc.returncode == 2
-            assert proc.stderr.startswith("error: ")
-            assert "integer" in proc.stderr
+            code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, bad))
+            assert code == 2
+            assert err.startswith("error: ")
+            assert "integer" in err
 
-    def test_bad_seed_is_a_config_error(self, tmp_path):
+    def test_bad_seed_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         for seed in ("x", 1.5, -1, True):
             doc = run_doc()
             doc["plan"]["seed"] = seed
-            proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-            assert proc.returncode == 2, seed
-            assert proc.stderr.startswith("error: seed must be")
+            code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+            assert code == 2, seed
+            assert err.startswith("error: seed must be")
             assert not (tmp_path / "report.json").exists()
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, run_doc()), "--seed", "-1")
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: seed must be nonnegative")
+        cfg = write_config(tmp_path, run_doc())
+        code, err = main_in_process(capsys, "run", "-c", cfg, "--seed", "-1")
+        assert code == 2
+        assert err.startswith("error: seed must be nonnegative")
 
-    def test_bool_workers_is_a_config_error(self, tmp_path):
+    def test_bool_workers_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         doc["plan"]["workers"] = True
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: workers")
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2
+        assert err.startswith("error: workers")
 
-    def test_non_positive_workers_are_config_errors(self, tmp_path):
+    def test_non_positive_workers_are_config_errors(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         # the flag is ignored, but a value that could never run is still refused
         cfg = write_config(tmp_path, run_doc())
         for command, workers in (("run", "0"), ("compare", "-1")):
-            proc = run_cli(tmp_path, command, "-c", cfg, "--workers", workers)
-            assert proc.returncode == 2, (command, workers)
-            assert proc.stderr.startswith("error: workers")
+            code, err = main_in_process(capsys, command, "-c", cfg, "--workers", workers)
+            assert code == 2, (command, workers)
+            assert err.startswith("error: workers")
         doc = run_doc()
         doc["plan"]["workers"] = 0
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: workers")
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2
+        assert err.startswith("error: workers")
         assert not (tmp_path / "report.json").exists()
 
-    def test_non_integer_generator_counts_are_config_errors(self, tmp_path):
+    def test_non_integer_generator_counts_are_config_errors(self, tmp_path, monkeypatch, capsys):
         cases = [
             ("simulate", {"m": 4, "p": 2.5}),
             ("simulate", {"m": 2.5}),
@@ -268,17 +277,18 @@ class TestRun:
             ("simulate", {"m": 4, "n_per_env": [2, 4.5]}),
             ("run", {"p": 2.5}),
         ]
+        monkeypatch.chdir(tmp_path)
         for command, fields in cases:
             doc = run_doc()
             doc["dataset"] = {"generator": generator_section(**fields)}
-            proc = run_cli(tmp_path, command, "-c", write_config(tmp_path, doc))
-            assert proc.returncode == 2, fields
-            assert proc.stderr.startswith("error: bad generator config"), proc.stderr
-            assert "integer" in proc.stderr
+            code, err = main_in_process(capsys, command, "-c", write_config(tmp_path, doc))
+            assert code == 2, fields
+            assert err.startswith("error: bad generator config"), err
+            assert "integer" in err
         assert not (tmp_path / "dataset.csv").exists()
         assert not (tmp_path / "report.json").exists()
 
-    def test_non_finite_generator_scales_are_config_errors(self, tmp_path):
+    def test_non_finite_generator_scales_are_config_errors(self, tmp_path, monkeypatch, capsys):
         # json reads NaN and Infinity; a scale holding one is refused by name
         cases = [
             ("simulate", {"m": 4, "noise_scale": float("nan")}, "noise_scale"),
@@ -286,13 +296,14 @@ class TestRun:
             ("run", {"outlier_noise_multiplier": float("inf")}, "outlier_noise_multiplier"),
             ("run", {"beta": [1.0, float("-inf")]}, "beta"),
         ]
+        monkeypatch.chdir(tmp_path)
         for command, fields, name in cases:
             doc = run_doc()
             doc["dataset"] = {"generator": generator_section(**fields)}
-            proc = run_cli(tmp_path, command, "-c", write_config(tmp_path, doc))
-            assert proc.returncode == 2, fields
-            assert proc.stderr.startswith("error: bad generator config"), proc.stderr
-            assert name in proc.stderr and "finite" in proc.stderr
+            code, err = main_in_process(capsys, command, "-c", write_config(tmp_path, doc))
+            assert code == 2, fields
+            assert err.startswith("error: bad generator config"), err
+            assert name in err and "finite" in err
         assert not (tmp_path / "dataset.csv").exists()
         assert not (tmp_path / "report.json").exists()
 

@@ -44,27 +44,36 @@ from mecp.evaluation import (
     run_trials,
     trial_dataset,
 )
-from mecp.nested_sets import EMPTY_SET, Interval, SymmetricFamily
+from mecp.nested_sets import (
+    EMPTY_SET,
+    Interval,
+    LossSublevelFamily,
+    SymmetricFamily,
+    contains,
+    measure,
+)
 
-from oracles import oracle_score_sets
+from mecp.predictors import multiclass_loss
+from oracles import oracle_label_sets, oracle_score_sets
 
 
 class WidthMapping:
     """Interval [-w, w] per row, with w read off the first feature column."""
 
-    def predict_sets(self, x):
-        x = np.asarray(x, dtype=float)
-        return [Interval(-w, w) for w in x[:, 0]]
+    def predict_bounds(self, x):
+        w = np.asarray(x, dtype=float)[:, 0]
+        return -w, w
 
 
 class ConstantMapping:
-    """The same prediction set for every row."""
+    """The same interval for every row; EMPTY_SET gives empty rows."""
 
     def __init__(self, pred_set):
-        self.pred_set = pred_set
+        self.ends = (math.inf, -math.inf) if pred_set == EMPTY_SET else (pred_set.lo, pred_set.hi)
 
-    def predict_sets(self, x):
-        return [self.pred_set] * np.asarray(x).shape[0]
+    def predict_bounds(self, x):
+        t = np.asarray(x).shape[0]
+        return np.full(t, self.ends[0]), np.full(t, self.ends[1])
 
 
 def width_env(env_id, widths, values):
@@ -462,7 +471,7 @@ def assert_matches_oracle(mapping, envs, alpha, clip=None):
 
 
 class TestColumnarScoring:
-    """Records from ``(lo, hi)`` arrays equal the per-row set-by-set scorer."""
+    """Records from ``(lo, hi)`` arrays equal a per-row oracle on the built sets."""
 
     @pytest.mark.parametrize("name", algorithm_names())
     def test_every_algorithm_matches_per_row_oracle(self, name, monkeypatch):
@@ -546,7 +555,7 @@ class TestColumnarScoring:
                 bar = (1 - Fraction(0.25)) * (env.n + (rule == "count"))
                 assert rec.env_covered == (rec.covered_count >= bar)
 
-    def test_label_set_split_mapping_is_scored_set_by_set(self):
+    def test_label_set_split_mapping_is_scored_from_its_mask(self):
         rng = np.random.default_rng(8)
         envs = []
         for i in range(10):
@@ -579,11 +588,55 @@ class TestColumnarScoring:
         with pytest.raises(ValueError, match="NaN"):
             evaluate_mapping(centred_mapping([1.0, math.nan], 0.5), [first, env], 0.2)
 
-    def test_bad_clip_raises_on_both_routes(self):
+    def test_bad_clip_raises(self):
         env = width_env("a", (1.0,), (0.0,))
-        for mapping in (centred_mapping([0.0], 1.0), ConstantMapping(Interval(-1.0, 1.0))):
-            with pytest.raises(ValueError, match="clip range"):
-                evaluate_mapping(mapping, [env], 0.2, clip=(2.0, 1.0))
+        with pytest.raises(ValueError, match="clip range"):
+            evaluate_mapping(centred_mapping([0.0], 1.0), [env], 0.2, clip=(2.0, 1.0))
+
+
+def label_mapping(tau, n_classes=3):
+    """Split mapping of loss-sublevel label sets whose logits are the rows of x."""
+    return replace(
+        centred_mapping([], tau),
+        family=LossSublevelFamily(logits=lambda xs: xs, n_classes=n_classes),
+    )
+
+
+class TestMaskScoring:
+    """Label sets scored from ``predict_mask`` equal a per-set ``contains``/``measure`` oracle."""
+
+    @pytest.mark.parametrize("sizes", [(5, 17, 1, 9), (8, 8, 8)])
+    def test_random_logits_match_per_set_oracle(self, sizes):
+        rng = np.random.default_rng(31)
+        # -1 and K name no class, and floats truncate as int(y) does: -0.5 -> 0, 2.9 -> 2
+        outcomes = [0.0, 1.0, 2.0, -1.0, 3.0, -0.5, 0.7, 1.5, 2.9, 3.2, -1.5]
+        envs = [
+            EnvironmentSample(f"e{i}", rng.normal(size=(n, 3)), rng.choice(outcomes, size=n))
+            for i, n in enumerate(sizes)
+        ]
+        for tau in (-0.1, 0.3, 0.9, 1.4, math.inf):
+            mapping = label_mapping(tau)
+            assert mapping.predict_bounds(envs[0].x) is None
+            for rule in ("count", "fraction"):
+                report = evaluate_mapping(mapping, envs, 0.3, rule=rule, trial=2)
+                for env, rec in zip(envs, report.records):
+                    sets = mapping.predict_sets(env.x)
+                    assert rec.covered_count == sum(contains(s, y) for s, y in zip(sets, env.y))
+                    assert rec.mean_measure == np.mean([measure(s) for s in sets])
+
+    def test_predict_mask_matches_scalar_oracle(self):
+        x = np.random.default_rng(32).normal(size=(40, 3))
+        for tau in (-0.1, 0.3, 0.9, 1.4, math.inf):
+            want = oracle_label_sets(x, 3, tau, multiclass_loss)
+            got = label_mapping(tau).predict_mask(x)
+            assert got.tolist() == [[c in labels for c in range(3)] for labels in want]
+
+    def test_label_minus_one_does_not_wrap_to_the_last_class(self):
+        env = EnvironmentSample("a", np.array([[0.0, 0.0, 5.0]] * 2), np.array([-1.0, 3.0]))
+        mapping = label_mapping(0.1)
+        assert mapping.predict_mask(env.x).tolist() == [[False, False, True]] * 2
+        record = evaluate_mapping(mapping, [env], 0.3).records[0]
+        assert (record.covered_count, record.mean_measure) == (0, 1.0)
 
 
 def per_environment_resized_records(dataset, plan, rng, trial):

@@ -17,6 +17,7 @@ from mecp.nested_sets import (
     bounds_at,
     bounds_measure,
     contains,
+    mask_at,
     measure,
     set_at,
     set_from_json,
@@ -147,6 +148,8 @@ class TestSetAt:
             for tau in taus:
                 want = oracle_label_sets(logits(xs), k, tau, multiclass_loss)
                 assert sets_at(fam, xs, tau) == [LabelSet(labels) for labels in want]
+                mask = [[c in labels for c in range(k)] for labels in want]
+                assert mask_at(fam, xs, tau).tolist() == mask
 
     def test_sets_at_matches_pointwise(self):
         # predictor evaluates row by row so its rounding cannot differ by shape
@@ -247,6 +250,12 @@ class TestBoundsAt:
             bounds_at(const_logits([0.0, 1.0]), np.zeros((1, 1)), 1.0)
         with pytest.raises(ValueError):
             bounds_at(const_symmetric(0.0), np.zeros((1, 1)), math.nan)
+
+    def test_mask_rejects_interval_family_and_nan_tau(self):
+        with pytest.raises(TypeError):
+            mask_at(const_symmetric(0.0), np.zeros((1, 1)), 1.0)
+        with pytest.raises(ValueError):
+            mask_at(const_logits([0.0, 1.0]), np.zeros((1, 1)), math.nan)
 
     def test_bounds_measure_matches_measure(self):
         lo = np.array([-1.0, 2.0, -math.inf, 0.0, math.inf, -0.0])

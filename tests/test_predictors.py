@@ -16,8 +16,6 @@ from mecp.predictors import (
     fit_ridge_leave_one_out,
     fit_softmax,
     multiclass_loss,
-    predict_logits,
-    predict_ridge,
 )
 from oracles import (
     oracle_pinball_objective,
@@ -183,8 +181,8 @@ class TestRidge:
         x = rng.normal(size=(8, 2))
         y = rng.normal(size=8)
         model = fit_ridge(x, y)
-        assert isinstance(predict_ridge(model, x[0]), float)
-        assert predict_ridge(model, x).shape == (8,)
+        assert isinstance(model.predict(x[0]), float)
+        assert model.predict(x).shape == (8,)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -336,6 +334,12 @@ class TestRidgeLeaveOneOut:
         with pytest.raises(FitError, match="n >= 2") as info:
             fit_ridge_leave_one_out(x[:2], y[:2], (1, 1))
         assert info.value.details == {"left_out": 0}
+        # a lone block leaves its refit no rows: refused before any refit mean is formed
+        x6, y6 = self.blocks(11, (6,), p=1)
+        for sizes in [(6,), (5, 1)]:
+            with pytest.raises(FitError, match="n >= 2") as info:
+                fit_ridge_leave_one_out(x6, y6, sizes)
+            assert info.value.details == {"left_out": 0}
         # three rows, one feature, lambda=0 interpolates every two-row refit
         with pytest.raises(FitError, match="no usable penalty") as info:
             fit_ridge_leave_one_out(x, y, (1, 1, 1), (0.0,))
@@ -433,7 +437,7 @@ class TestSoftmax:
         model = fit_softmax(x, labels, 2, step_schedule=0.5, tolerance=1e-5)
         final = float(np.mean(multiclass_loss(labels, model.logits(x))))
         assert final < np.log(2)  # better than the uninformed fit
-        single = predict_logits(model, x[0])
+        single = model.logits(x[0])
         assert single.shape == (2,)
 
     def test_divergence_raises(self):
