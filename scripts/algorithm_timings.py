@@ -12,12 +12,17 @@ processes that run ``import mecp.cli``, and of N that run a 3-trial
 ``mecp run`` of split conformal on the same plan, each from process start
 to exit.
 
-``--primitives`` times the ridge primitives instead, on the 20 training
-environments of the plan's first trial (1000 rows, p=5): the leave-one-out
-pass ``fit_ridge_leave_one_out`` that the jackknife algorithms make once per
-trial, and one pooled ``fit_ridge`` on all 1000 rows, the size of the fit
-in the benchmark's ``split_wide`` workload. Each runs ``--trials`` calls ``--repeats`` times; the fastest repeat's
-mean time per call is reported.
+``--primitives`` times the ridge primitives and the dual solve instead. The
+ridge rows run on the 20 training environments of the plan's first trial
+(1000 rows, p=5): the leave-one-out pass ``fit_ridge_leave_one_out`` that
+the jackknife algorithms make once per trial, and one pooled ``fit_ridge`` on
+all 1000 rows, the size of the fit in the benchmark's ``split_wide``
+workload. The dual-solve rows run ``weighted_threshold`` on the engine's
+constant feature column at ridge 0 (the rank read) and at ridge 0.3 (the
+pinned active set), on 10 normal scores drawn from ``--seed``, the
+calibration count of the benchmark's ``cli_compare`` workload. Each runs
+``--trials`` calls ``--repeats`` times; the fastest repeat's mean time per
+call is reported.
 
 Usage:
     python scripts/algorithm_timings.py
@@ -39,6 +44,7 @@ import numpy as np
 from mecp.data import HierGenConfig
 from mecp.evaluation import TrialPlan, algorithm_names, run_trial, trial_dataset
 from mecp.predictors import fit_ridge, fit_ridge_leave_one_out
+from mecp.weighted import weighted_threshold
 
 GENERATOR = {"m": 1, "n_per_env": 50, "p": 5, "outlier_frac": 0.2,
              "outlier_noise_multiplier": 10.0, "seed": 0}
@@ -68,8 +74,15 @@ def print_primitives(plan: TrialPlan, repeats: int) -> None:
          ms_per_call(lambda t: fit_ridge_leave_one_out(x, y, sizes), plan.trials, repeats)),
         ("fit_ridge, pooled", ms_per_call(lambda t: fit_ridge(x, y), plan.trials, repeats)),
     ]
+    scores = np.random.default_rng(plan.seed).normal(size=10)
+    constant = np.ones((scores.size + 1, 1))
+    for ridge in (0.0, 0.3):
+        rows.append((f"weighted_threshold, ridge {ridge:g}", ms_per_call(
+            lambda t: weighted_threshold(scores, constant, plan.alpha, plan.delta, ridge),
+            plan.trials, repeats)))
     print(f"ms per call, min of {repeats} x {plan.trials} calls, outlier generator, "
-          f"{len(envs)} envs x {GENERATOR['n_per_env']} rows, p={x.shape[1]}, default ridge grid")
+          f"{len(envs)} envs x {GENERATOR['n_per_env']} rows, p={x.shape[1]}, default ridge grid; "
+          f"weighted_threshold on 10 scores, constant column")
     print(f"{'primitive':<38} {'ms/call':>9}")
     for name, ms in rows:
         print(f"{name:<38} {ms:>9.3f}")
@@ -114,7 +127,7 @@ def main() -> None:
     parser.add_argument("--cold", type=int, default=None, metavar="N",
                         help="time N fresh-process cold starts instead")
     parser.add_argument("--primitives", action="store_true",
-                        help="time the ridge primitives instead")
+                        help="time the ridge primitives and the dual solve instead")
     args = parser.parse_args()
     if args.cold is not None:
         if args.cold < 1:

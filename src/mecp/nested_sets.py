@@ -41,10 +41,7 @@ __all__ = [
     "measure",
     "bounds_measure",
     "union_sets",
-    "set_to_json",
     "float_to_json",
-    "float_from_json",
-    "set_from_json",
 ]
 
 
@@ -305,51 +302,3 @@ def float_to_json(v: float):
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return v
-
-
-def float_from_json(v) -> float:
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise ValueError(f"bad endpoint encoding: {v!r}")
-    return float(v)
-
-
-def set_to_json(pred_set: PredictionSet) -> dict:
-    """JSON-ready dict; infinite endpoints become the strings 'inf'/'-inf'."""
-    if isinstance(pred_set, Interval):
-        return {
-            "kind": "interval",
-            "lo": float_to_json(pred_set.lo),
-            "hi": float_to_json(pred_set.hi),
-        }
-    if isinstance(pred_set, IntervalUnion):
-        return {
-            "kind": "interval_union",
-            "parts": [
-                {"lo": float_to_json(p.lo), "hi": float_to_json(p.hi)}
-                for p in pred_set.parts
-            ],
-        }
-    if isinstance(pred_set, LabelSet):
-        return {"kind": "label_set", "labels": list(pred_set.labels)}
-    raise TypeError(f"not a prediction set: {type(pred_set).__name__}")
-
-
-def set_from_json(obj: dict) -> PredictionSet:
-    """Inverse of set_to_json."""
-    kind = obj.get("kind")
-    if kind == "interval":
-        return Interval(float_from_json(obj["lo"]), float_from_json(obj["hi"]))
-    if kind == "interval_union":
-        return IntervalUnion(
-            tuple(
-                Interval(float_from_json(p["lo"]), float_from_json(p["hi"]))
-                for p in obj["parts"]
-            )
-        )
-    if kind == "label_set":
-        return LabelSet(tuple(obj["labels"]))
-    raise ValueError(f"unknown prediction-set kind: {kind!r}")

@@ -6,20 +6,19 @@ free parameter s, the program's box-constrained dual exposes the multiplier
 eta attached to s, and the threshold is the largest s whose multiplier stays
 within its level (below 1 - delta, or at most U - delta when randomized).
 
-Group features (each row nonzero in at most one column, the test row's
-column one value c on its group) decouple by group, and the test multiplier
-depends on s only through the number j of the test group's scores below s
-and, under a ridge penalty, a linear term in s. The threshold is then read
-off that group's sorted scores: without regularization the order statistic
-at a rank of the README's rank table (split conformal within the group),
-with it the crossing of a piecewise-linear function. One constant column,
-the engine's choice, is the one-group case; a feature-free test row gives
-0.0. Other features take one pinned solve (the quantile-regression dual of
-Gibbs, Cherian & Candes 2023): with the test multiplier fixed at its level
-l, the threshold is phi_t'theta* for theta* minimizing
+The route depends on the penalty. Under a ridge penalty every input takes
+one pinned solve (the quantile-regression dual of Gibbs, Cherian & Candes
+2023): with the test multiplier fixed at its level l, the threshold is
+phi_t'theta* for theta* minimizing
 sum_i rho_delta(S_i - phi_i'theta) + (m+1) w |theta|^2 - l phi_t'theta,
-exact from an active set under a ridge penalty and from an LP's optimal face
-without one.
+exact from an active set. Without one, group features (each row nonzero in
+at most one column, the test row's column one value c on its group)
+decouple by group, and the test multiplier steps with the number of the
+test group's scores below s alone, so the threshold is the order statistic
+of those scores at a rank of the README's rank table (split conformal within
+the group); one constant column, the engine's choice, is the one-group case.
+Other features take the pinned problem's least or largest test fit on an
+LP's optimal face. A feature-free test row gives 0.0 on every route.
 """
 
 from __future__ import annotations
@@ -188,43 +187,29 @@ def _solve_box_lp(full_scores: np.ndarray, phi: np.ndarray, delta: float) -> Dua
     return DualSolution(eta=eta, objective=float(full_scores @ eta))
 
 
-def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float,
-                   curv: float) -> np.ndarray:
-    """Exact box-dual multipliers for one feature column with no zero entry.
+def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
+    """Exact ridge-0 box-dual multipliers for one feature column with no zero entry.
 
-    The matching primal objective is piecewise quadratic with curvature
-    ``curv`` (piecewise linear at 0) in the scalar coefficient, so its
-    minimizer falls out of a breakpoint scan of the subgradient. Multipliers
-    follow from residual signs; coordinates tied at the kink are filled so
-    the last (test) entry comes out largest. No iterative solver, hence no
-    solver noise: vertex values are exact up to float arithmetic.
+    The matching primal objective is piecewise linear in the scalar
+    coefficient, so its minimizer is the first breakpoint where the
+    subgradient reaches zero. Multipliers follow from residual signs;
+    coordinates tied at the kink are filled so the last (test) entry comes
+    out largest. No iterative solver, hence no solver noise: vertex values
+    are exact up to float arithmetic.
     """
     n = full_scores.size
     lower, upper = -delta, 1.0 - delta
     breaks = full_scores / h
-    # subgradient of the scaled primal left of every breakpoint, plus jumps
+    # the scaled primal's subgradient sums ``left`` below every breakpoint
+    # and rises by |h| at each, so the minimizer is the first kink where it
+    # reaches zero (only rounding can leave it below zero past the last); a
+    # flat stretch (== 0) from there is settled to one vertex by the tie fill
     left = np.where(h > 0.0, -h * (1.0 - delta), h * delta)
     order = np.argsort(breaks, kind="stable")
     sorted_breaks = breaks[order]
-    cum = left.sum() + np.concatenate(([0.0], np.cumsum(np.abs(h)[order])))
-    for t in range(sorted_breaks.size):
-        b = float(sorted_breaks[t])
-        lo_edge = -math.inf if t == 0 else float(sorted_breaks[t - 1])
-        if curv > 0.0:
-            root = -cum[t] / curv
-            if lo_edge < root < b:
-                theta = root
-                break
-            if curv * b + cum[t] <= 0.0 <= curv * b + cum[t + 1]:
-                theta = b
-                break
-        elif cum[t] <= 0.0 <= cum[t + 1]:
-            # cum[0] < 0 and cum never falls, so a flat stretch (cum == 0)
-            # starts at this kink; the tie fill settles its one vertex
-            theta = b
-            break
-    else:
-        theta = -cum[-1] / curv if curv > 0.0 else float(sorted_breaks[-1]) + 1.0
+    cum = left.sum() + np.cumsum(np.abs(h)[order])
+    t = int(np.searchsorted(cum, 0.0))
+    theta = float(sorted_breaks[t]) if t < n else float(sorted_breaks[-1]) + 1.0
     resid = full_scores - h * theta
     tie_tol = 1e-12 * (1.0 + np.abs(full_scores) + np.abs(h * theta))
     tie = np.abs(resid) <= tie_tol
@@ -232,7 +217,7 @@ def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float,
     tie_idx = [int(i) for i in np.flatnonzero(tie)]
     if tie_idx:
         eta[tie_idx] = 0.0
-        rhs = curv * theta - float(h @ eta)
+        rhs = -float(h @ eta)
         spans = [tuple(sorted((h[j] * lower, h[j] * upper))) for j in tie_idx]
         picks = []
         if tie_idx[-1] == n - 1:
@@ -254,26 +239,18 @@ def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float,
     return eta
 
 
-def _solve_box_dual_blocks(full_scores: np.ndarray, phi: np.ndarray, delta: float,
-                           ridge_weight: float) -> DualSolution:
-    # Rows touching at most one column (group indicators): ||phi' eta||^2 is a
-    # sum over columns, so the dual splits into one breakpoint scan per column,
-    # each with the full curvature 2 n w; a feature-free row's multiplier is
+def _solve_box_dual_blocks(full_scores: np.ndarray, phi: np.ndarray, delta: float) -> DualSolution:
+    # Ridge 0, rows touching at most one column (group indicators): the
+    # constraint phi' eta = 0 is one equation per column, so the dual splits
+    # into one breakpoint scan per column; a feature-free row's multiplier is
     # linear in the objective and takes the sign of its score.
-    curv = 2.0 * full_scores.size * ridge_weight
     eta = np.where(full_scores > 0.0, 1.0 - delta,
                    np.where(full_scores < 0.0, -delta, 0.0))
-    penalty = 0.0
     for col in range(phi.shape[1]):
         rows = np.flatnonzero(phi[:, col])
-        if rows.size == 0:
-            continue
-        h = phi[rows, col]
-        eta[rows] = _box_dual_scan(full_scores[rows], h, delta, curv)
-        if curv > 0.0:
-            q = float(h @ eta[rows])
-            penalty += q * q / (2.0 * curv)
-    return DualSolution(eta=eta, objective=float(full_scores @ eta) - penalty)
+        if rows.size:
+            eta[rows] = _box_dual_scan(full_scores[rows], phi[rows, col], delta)
+    return DualSolution(eta=eta, objective=float(full_scores @ eta))
 
 
 def _pinned_solve(phi: np.ndarray, scores: np.ndarray, delta: float, curv: float,
@@ -345,20 +322,23 @@ def dual_eta(scores, features, delta: float, ridge_weight: float, s: float) -> D
 
     ``features`` carries m+1 rows: the calibration environments followed by
     the test environment. The returned eta's last entry is the test
-    multiplier; it is non-decreasing in s.
+    multiplier; it is non-decreasing in s. Under a ridge penalty every input
+    takes the exact pinned active set with no tilt; without one, group
+    features take one breakpoint scan per column and other features the
+    box-dual LP.
     """
     delta = check_prob(delta, "delta")
     ridge_weight = check_nonnegative(ridge_weight, "ridge_weight")
     scores, phi = _validated(scores, features)
     full_scores = np.append(scores, float(s))
+    if ridge_weight > 0.0:
+        curv = 2.0 * full_scores.size * ridge_weight
+        _, eta = _pinned_solve(phi, full_scores, delta, curv, 0.0)
+        q = phi.T @ eta
+        return DualSolution(eta=eta, objective=float(full_scores @ eta - q @ q / (2.0 * curv)))
     if _group_rows(phi):
-        return _solve_box_dual_blocks(full_scores, phi, delta, ridge_weight)
-    if ridge_weight == 0.0:
-        return _solve_box_lp(full_scores, phi, delta)
-    curv = 2.0 * full_scores.size * ridge_weight
-    _, eta = _pinned_solve(phi, full_scores, delta, curv, 0.0)
-    q = phi.T @ eta
-    return DualSolution(eta=eta, objective=float(full_scores @ eta - q @ q / (2.0 * curv)))
+        return _solve_box_dual_blocks(full_scores, phi, delta)
+    return _solve_box_lp(full_scores, phi, delta)
 
 
 def _rational_fit(rows: np.ndarray, values: np.ndarray, test: np.ndarray) -> float:
@@ -403,24 +383,6 @@ def _pinned_lp(scores: np.ndarray, phi: np.ndarray, delta: float, level: float,
     return _rational_fit(cal[order], scores[order], test)
 
 
-def _closed_form_threshold(scores: np.ndarray, curv: float, delta: float,
-                           level: float, rank: int) -> float:
-    # Imputing s with j scores below it, the test multiplier is
-    # clip(curv * s - A_j, -delta, 1 - delta), where A_j = (1-delta)(m-j) - delta j
-    # sums the others' box bounds. Without regularization it steps with j
-    # alone, so the threshold is the order statistic ``rank``; with it, the
-    # level is met in the first gap [v_j, v_{j+1}] that contains the crossing
-    # (level + A_j) / curv, or at v_j when the crossing lies below that gap.
-    if curv == 0.0:
-        return float(order_statistic(scores, rank))
-    v = np.sort(scores)
-    m = v.size
-    j = np.arange(m + 1)
-    cross = (level + (1.0 - delta) * (m - j) - delta * j) / curv
-    first = int(np.argmax(cross <= np.append(v, math.inf)))
-    return float(max(cross[first], v[first - 1] if first else -math.inf))
-
-
 def _threshold(scores, features, delta: float, ridge_weight: float,
                u: float | None) -> float:
     # u is None for the plain threshold (eta_test < 1 - delta), else the
@@ -434,23 +396,23 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
         # no constraint touches the test multiplier: it takes the sign of s
         return 0.0
     level = 1.0 - delta if u is None else u - delta
+    if ridge_weight > 0.0:
+        theta, _ = _pinned_solve(phi[:-1], scores, delta, 2.0 * phi.shape[0] * ridge_weight,
+                                 level * test)
+        return float(test @ theta)
     if _group_rows(phi):
         # group indicators: the test row's block decouples from the others,
-        # and its column is constant c when the block is one group
+        # and its multiplier steps with the rank of s among the test group's
+        # scores alone when that column is one value c on the group
         col = test.nonzero()[0][0]
-        h, c = phi[:-1, col], float(test[col])
-        in_group = h == c
+        h = phi[:-1, col]
+        in_group = h == test[col]
         if (in_group | (h == 0.0)).all():
             group = scores[in_group]
             m = group.size
             rank = rank_plus(m, delta) if u is None else rank_randomized(m, delta, u)
-            curv = 2.0 * phi.shape[0] * ridge_weight / c / c
-            return _closed_form_threshold(group, curv, delta, level, rank)
-    if ridge_weight == 0.0:
-        return _pinned_lp(scores, phi, delta, level, u is None)
-    theta, _ = _pinned_solve(phi[:-1], scores, delta, 2.0 * phi.shape[0] * ridge_weight,
-                             level * test)
-    return float(test @ theta)
+            return float(order_statistic(group, rank))
+    return _pinned_lp(scores, phi, delta, level, u is None)
 
 
 def weighted_threshold(scores, features, alpha: float, delta: float,
@@ -459,15 +421,15 @@ def weighted_threshold(scores, features, alpha: float, delta: float,
 
     ``scores`` are the per-environment coverage thresholds at level alpha
     (see :func:`env_score`); the threshold itself depends only on delta.
-    Group features (every row nonzero in at most one column, the test row's
+    Under a ridge penalty every input pins the test multiplier at 1 - delta
+    and returns the test fit of one exact active-set solve. Without one,
+    group features (every row nonzero in at most one column, the test row's
     column one value c on all its group's rows; one constant column is the
-    one-group case) are read exactly from the test group's m_g scores:
-    without regularization ``quant_plus(group, delta)`` (rank ``rank_plus``
-    in the README's rank table); with it, the crossing of the
-    piecewise-linear multiplier. A feature-free test row gives 0.0.
-    Other features pin the test multiplier at 1 - delta and return the test
-    fit; without a ridge penalty an unbounded LP gives ``+inf`` and an
-    unbounded least test fit ``-inf``.
+    one-group case) read ``quant_plus(group, delta)`` of the test group's
+    m_g scores (rank ``rank_plus`` in the README's rank table), and other
+    features return the least test fit on the pinned LP's optimal face: an
+    unbounded LP gives ``+inf`` and an unbounded least test fit ``-inf``. A
+    feature-free test row gives 0.0.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
@@ -478,17 +440,17 @@ def randomized_threshold(scores, features, alpha: float, delta: float,
                          rng: np.random.Generator, ridge_weight: float = 0.0) -> float:
     """Randomized variant: the multiplier may reach U - delta, U uniform.
 
-    U is drawn once, before the scores are checked. Group features, as in
-    :func:`weighted_threshold`, are read exactly from the test group's m_g
-    scores: without regularization the order statistic at
-    ``rank_randomized(m_g, delta, U)`` (README rank table), ``-inf`` below
-    rank 1 being the empty-set convention; with it, the crossing of the
-    piecewise-linear multiplier. A feature-free test row gives 0.0, and
-    ``U >= 1`` never binds and gives ``+inf`` on every route. Other features
-    pin it at U - delta, finite under a ridge penalty. Without one they give
-    ``+inf`` when U - delta tops every feasible test multiplier or the
-    largest test fit is unbounded, and ``-inf`` when U - delta lies below
-    every feasible test multiplier.
+    U is drawn once, before the scores are checked, and ``U >= 1`` never
+    binds and gives ``+inf`` on every route. Under a ridge penalty every
+    input pins the test multiplier at U - delta and returns the finite test
+    fit of one exact active-set solve. Without one, group features, as in
+    :func:`weighted_threshold`, read the order statistic of the test group's
+    m_g scores at ``rank_randomized(m_g, delta, U)`` (README rank table),
+    ``-inf`` below rank 1 being the empty-set convention. Other features
+    return the largest test fit on the pinned LP's optimal face: ``+inf``
+    when U - delta tops every feasible test multiplier or that fit is
+    unbounded, and ``-inf`` when U - delta lies below every feasible test
+    multiplier. A feature-free test row gives 0.0.
     """
     check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")

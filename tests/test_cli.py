@@ -109,10 +109,11 @@ class TestSimulate:
 
 
 class TestRun:
-    def test_delta_sweep_emits_one_row_per_value(self, tmp_path):
+    def test_delta_sweep_emits_one_row_per_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc(sweep={"param": "delta", "values": [0.1, 0.3, 0.6]})
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 0
+        code, _ = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == SWEEP_HEADER
         assert len(lines) == 4
@@ -132,10 +133,11 @@ class TestRun:
         assert code == 2
         assert "mystery_method" in err
 
-    def test_report_matches_library_rerun(self, tmp_path):
+    def test_report_matches_library_rerun(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 0
+        code, _ = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
 
         plan = TrialPlan(
@@ -307,41 +309,44 @@ class TestRun:
         assert not (tmp_path / "dataset.csv").exists()
         assert not (tmp_path / "report.json").exists()
 
-    def test_runtime_failure_leaves_error_record(self, tmp_path):
+    def test_runtime_failure_leaves_error_record(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         doc["algorithm"] = {
             "name": "resized_split_conformal",
             "alpha": 0.1,
             "label_count": 30,
         }
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 1
+        code, _ = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 1
         record = json.loads((tmp_path / "report.json").read_text())
         assert record["error"]["kind"] == "runtime_error"
         assert "resizing" in record["error"]["message"]
 
-    def test_fit_failure_names_trial_and_left_out_environment(self, tmp_path):
+    def test_fit_failure_names_trial_and_left_out_environment(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         # at lambda = 0 every leave-one-out pool of 4 rows interpolates p = 3
         doc = run_doc()
         doc["dataset"] = {"generator": generator_section(n_per_env=2, p=3)}
         doc["algorithm"] = {"name": "hier_jackknife_plus", "alpha": 0.2, "ridge_grid": [0.0]}
         doc["plan"].update(train_envs=3, test_envs=1)
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 1
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 1
         message = "trial 0: left-out environment env0: no usable penalty in grid"
-        assert proc.stderr.strip() == f"error: {message}"
+        assert err.strip() == f"error: {message}"
         error = json.loads((tmp_path / "report.json").read_text())["error"]
         assert error["kind"] == "fit_failure"
         assert error["message"] == message
         assert error["details"]["trial"] == 0
         assert error["details"]["left_out_env"] == "env0"
 
-    def test_undefined_coverage_average_leaves_cell_empty(self, tmp_path):
+    def test_undefined_coverage_average_leaves_cell_empty(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = run_doc()
         doc["dataset"] = {"generator": generator_section(n_per_env=5)}
         doc["algorithm"]["alpha"] = 0.1  # bar 6 of 5: never counted covered
-        proc = run_cli(tmp_path, "run", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 0
+        code, _ = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 0
         row = (tmp_path / "sweep.csv").read_text().splitlines()[1]
         assert row.split(",")[2] == "0.0"
         assert row.split(",")[3] == ""
@@ -363,10 +368,11 @@ class TestCompare:
         doc["compare"].update(kwargs)
         return doc
 
-    def test_identical_methods_match_at_grid_max(self, tmp_path):
+    def test_identical_methods_match_at_grid_max(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = self.compare_doc(method_a="hcp", method_b="hcp")
-        proc = run_cli(tmp_path, "compare", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 0
+        code, _ = main_in_process(capsys, "compare", "-c", write_config(tmp_path, doc))
+        assert code == 0
         report = json.loads((tmp_path / "cmp.json").read_text())
         assert report["match"]["found"] is True
         assert report["match"]["delta"] == 0.6
@@ -388,10 +394,11 @@ class TestCompare:
             assert err.startswith("error: compare.delta_grid")
             assert not (tmp_path / "cmp.json").exists()
 
-    def test_paired_trial_seeds_are_identical(self, tmp_path):
+    def test_paired_trial_seeds_are_identical(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         doc = self.compare_doc()
-        proc = run_cli(tmp_path, "compare", "-c", write_config(tmp_path, doc))
-        assert proc.returncode == 0
+        code, _ = main_in_process(capsys, "compare", "-c", write_config(tmp_path, doc))
+        assert code == 0
         report = json.loads((tmp_path / "cmp.json").read_text())
         assert len(report["method_a"]["trial_seeds"]) == 3
         assert report["method_a"]["trial_seeds"] == report["method_b"]["trial_seeds"]
@@ -486,7 +493,8 @@ class TestConfigValidation:
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_integer_and_float_values_write_the_same_report(self, tmp_path):
+    def test_integer_and_float_values_write_the_same_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         def doc(one, zero):
             d = run_doc(dataset={"generator": generator_section(
                 beta=[one, 2 * one], env_effect_scale=one, noise_scale=one, outlier_frac=zero,
@@ -498,8 +506,8 @@ class TestConfigValidation:
 
         for name, one, zero in (("int.json", 1, 0), ("float.json", 1.0, 0.0)):
             cfg = write_config(tmp_path, doc(one, zero), name)
-            proc = run_cli(tmp_path, "run", "-c", cfg, "--report", "r_" + name)
-            assert proc.returncode == 0, proc.stderr
+            code, err = main_in_process(capsys, "run", "-c", cfg, "--report", "r_" + name)
+            assert code == 0, err
         assert sha(tmp_path / "r_int.json") == sha(tmp_path / "r_float.json")
 
     @pytest.mark.parametrize("section, key, value, message", [

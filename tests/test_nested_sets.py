@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -20,8 +19,6 @@ from mecp.nested_sets import (
     mask_at,
     measure,
     set_at,
-    set_from_json,
-    set_to_json,
     sets_at,
     thresholds,
     union_sets,
@@ -339,24 +336,3 @@ class TestUnionSets:
         assert measure(u) <= sum(measure(p) for p in parts) + 1e-9
 
 
-class TestJson:
-    def test_round_trip(self):
-        cases = [
-            Interval(-1.25, 3.5),
-            Interval(-math.inf, math.inf),
-            IntervalUnion((Interval(0.0, 1.0), Interval(2.0, math.inf))),
-            LabelSet((0, 3)),
-            EMPTY_SET,
-        ]
-        for s in cases:
-            blob = json.dumps(set_to_json(s))
-            assert "Infinity" not in blob  # infinities travel as strings
-            assert set_from_json(json.loads(blob)) == s
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            set_from_json({"kind": "circle"})
-
-    def test_bad_endpoint_string(self):
-        with pytest.raises(ValueError):
-            set_from_json({"kind": "interval", "lo": "wide", "hi": 1.0})

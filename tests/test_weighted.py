@@ -15,7 +15,6 @@ from mecp.quantiles import quant_plus
 from mecp.predictors import FitError
 from mecp.weighted import (
     BOX_TOLERANCE,
-    DualSolution,
     _pinned_solve,
     _solve_box_lp,
     constant_feature_map,
@@ -459,6 +458,31 @@ def straddles(scores, features, delta, weight, tau, u, rel):
             and not criterion_holds(scores, features, delta, weight, tau + eps, u))
 
 
+def kkt_threshold(scores, features, delta, weight, level):
+    """The pinned threshold phi_t'theta* from the KKT pattern enumeration."""
+    theta = oracle_pinned_kkt(features[:-1], scores, delta, 2.0 * features.shape[0] * weight,
+                              level * features[-1])
+    return float(features[-1] @ theta)
+
+
+def assert_dual_matches_kkt(sol, full_scores, phi, delta, weight):
+    """A ridge > 0 dual_eta against the KKT enumeration's theta*.
+
+    The multipliers need not be unique where residuals tie at zero, but
+    phi'eta = curv theta* is, the dual objective equals the primal optimum,
+    and the test multiplier is the box end its residual's sign names.
+    """
+    curv = 2.0 * full_scores.size * weight
+    theta = oracle_pinned_kkt(phi, full_scores, delta, curv, np.zeros(phi.shape[1]))
+    resid = full_scores - phi @ theta
+    primal = float(pinball_loss(resid, delta).sum() + 0.5 * curv * theta @ theta)
+    assert abs(sol.objective - primal) <= 1e-12 * (1.0 + abs(primal))
+    q = phi.T @ sol.eta
+    assert np.abs(q - curv * theta).max() <= 1e-12 * (1.0 + np.abs(curv * theta).max())
+    if abs(resid[-1]) > 1e-9 * (1.0 + abs(full_scores[-1])):
+        assert sol.eta[-1] == (1.0 - delta if resid[-1] > 0.0 else -delta)
+
+
 class TestClosedFormThreshold:
     @pytest.mark.parametrize("m, delta, want", [(9, 0.3, 8.0), (9, 0.6, 5.0),
                                                 (19, 0.3, 15.0)])
@@ -523,13 +547,12 @@ class TestClosedFormThreshold:
                 tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u),
                                            ridge_weight=weight)
                 level = u - delta
-            # the general route's pinned solve on the same one-column rows
-            theta, _ = _pinned_solve(features[:-1], scores, delta, 2.0 * (m + 1) * weight,
-                                     level * features[-1])
-            want = float(features[-1] @ theta)
             assert math.isfinite(tau)
-            assert abs(tau - want) <= 1e-7 * max(1.0, abs(want))
             assert straddles(scores, features, delta, weight, tau, u, 1e-9)
+            if m <= 6:
+                # the KKT pattern enumeration is exponential in m
+                want = kkt_threshold(scores, features, delta, weight, level)
+                assert abs(tau - want) <= 1e-12 * abs(want)
 
     def test_randomized_full_draw_overflows_with_regularization(self):
         scores = np.array([0.5, 1.5, 2.5])
@@ -540,8 +563,9 @@ class TestClosedFormThreshold:
 
 class TestBlockDual:
     def test_block_indicators_match_lp_and_coordinate_ascent(self):
-        # the per-block scans against the dual LP at ridge 0 and against the
-        # general route's exact active set under a ridge penalty
+        # the per-block scans against the dual LP at ridge 0, and the pinned
+        # solve that serves every input under a ridge penalty against the KKT
+        # pattern enumeration
         rng = np.random.default_rng(515)
         for case in range(80):
             k = int(rng.integers(2, 5))
@@ -556,16 +580,14 @@ class TestBlockDual:
             delta = float(rng.uniform(0.05, 0.95))
             weight = 0.0 if case % 2 == 0 else float(rng.choice([0.01, 0.3, 2.0]))
             got = dual_eta(scores[:-1], phi, delta, weight, scores[-1])
+            assert (got.eta >= -delta).all() and (got.eta <= 1.0 - delta).all()
             if weight == 0.0:
                 ref = _solve_box_lp(scores, phi, delta)
-            else:
-                curv = 2.0 * n * weight
-                eta = _pinned_solve(phi, scores, delta, curv, 0.0)[1]
-                q = phi.T @ eta
-                ref = DualSolution(eta=eta, objective=float(scores @ eta - q @ q / (2.0 * curv)))
-            assert (got.eta >= -delta).all() and (got.eta <= 1.0 - delta).all()
-            assert got.eta[-1] == pytest.approx(ref.eta[-1], abs=1e-6)
-            assert got.objective >= ref.objective - 1e-9
+                assert got.eta[-1] == pytest.approx(ref.eta[-1], abs=1e-6)
+                assert got.objective >= ref.objective - 1e-9
+            elif n <= 7:
+                # the KKT pattern enumeration is exponential in the row count
+                assert_dual_matches_kkt(got, scores, phi, delta, weight)
 
     def test_test_multiplier_range_is_reached_far_out(self):
         # the reach that decides the sign of an unbounded pinned LP: HiGHS's
@@ -661,6 +683,39 @@ class TestGroupFeatureThresholds:
                                            ridge_weight=weight)
             assert math.isfinite(tau)
             assert straddles(scores, features, delta, weight, tau, u, 1e-9)
+
+    @pytest.mark.parametrize("kind", ["constant", "scaled constant", "groups"])
+    def test_group_features_with_regularization_equal_the_kkt_oracle(self, kind):
+        # every ridge > 0 input takes the pinned solve: one constant column,
+        # scaled or not, with tied scores, and multi-group rows with empty
+        # test groups, read both as thresholds and as dual_eta at the
+        # threshold and at a score or a fresh draw, against the KKT pattern
+        # enumeration (exponential in m, so m <= 6)
+        rng = np.random.default_rng(1425)
+        if kind == "groups":
+            cases = [case for case in group_cases(rng, 60) if case[0].size <= 6]
+        else:
+            cases = []
+            for _ in range(20):
+                m = int(rng.integers(1, 7))
+                scores = rng.choice(np.round(rng.normal(size=3) * 2.0, 1), size=m)
+                cases.append((scores, ones_features(m), float(rng.uniform(0.02, 0.95))))
+        tied = empty_test_groups = 0
+        for scores, features, delta in cases:
+            tied += np.unique(scores).size < scores.size
+            empty_test_groups += not features[:-1, features[-1] != 0.0].any()
+            weight = float(rng.choice([5e-3, 0.3, 2.0]))
+            if kind != "constant":
+                features = features * float(rng.choice([2.5, -0.7]))
+            for u in (None, float(rng.uniform())):
+                level = 1.0 - delta if u is None else u - delta
+                tau = pinned_threshold(scores, features, delta, weight, u)
+                want = kkt_threshold(scores, features, delta, weight, level)
+                assert abs(tau - want) <= 1e-12 * abs(want)
+            for s in (tau, float(rng.choice(np.append(scores, rng.normal())))):
+                sol = dual_eta(scores, features, delta, weight, s)
+                assert_dual_matches_kkt(sol, np.append(scores, s), features, delta, weight)
+        assert (empty_test_groups if kind == "groups" else tied) >= 5
 
     def test_two_column_features_randomized_without_regularization(self):
         # [1, x_e] rows run the pinned LP. It raises no solver error; a finite
