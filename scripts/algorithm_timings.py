@@ -78,7 +78,7 @@ def print_primitives(plan: TrialPlan, repeats: int) -> None:
     constant = np.ones((scores.size + 1, 1))
     for ridge in (0.0, 0.3):
         rows.append((f"weighted_threshold, ridge {ridge:g}", ms_per_call(
-            lambda t: weighted_threshold(scores, constant, plan.alpha, plan.delta, ridge),
+            lambda t: weighted_threshold(scores, constant, plan.delta, ridge),
             plan.trials, repeats)))
     print(f"ms per call, min of {repeats} x {plan.trials} calls, outlier generator, "
           f"{len(envs)} envs x {GENERATOR['n_per_env']} rows, p={x.shape[1]}, default ridge grid; "

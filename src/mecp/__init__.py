@@ -5,7 +5,6 @@ from mecp.quantiles import (
     left_quantile,
     quant_minus,
     quant_plus,
-    right_quantile,
 )
 
 __version__ = "0.1.0"
@@ -15,5 +14,4 @@ __all__ = [
     "left_quantile",
     "quant_minus",
     "quant_plus",
-    "right_quantile",
 ]

@@ -736,7 +736,6 @@ class WeightedSplitMapping(_FamilyAtThreshold):
     tau_hat: float
     alpha: float
     delta: float
-    ridge_weight: float
     randomized: bool
 
     def metadata(self) -> dict:
@@ -746,8 +745,8 @@ class WeightedSplitMapping(_FamilyAtThreshold):
                 np.asarray(self.cal_scores),
                 np.ones((len(self.cal_scores) + 1, 1)),
                 self.delta,
-                self.ridge_weight,
-                self.tau_hat,
+                ridge_weight=0.0,
+                s=self.tau_hat,
             )
             eta = [float(v) for v in solution.eta]
         name = "randomized_weighted_split_conformal" if self.randomized else "weighted_split_conformal"
@@ -755,7 +754,6 @@ class WeightedSplitMapping(_FamilyAtThreshold):
             "algorithm": name,
             "alpha": self.alpha,
             "delta": self.delta,
-            "ridge_weight": self.ridge_weight,
             "tau_hat": float_to_json(self.tau_hat),
             "cal_scores": [float_to_json(s) for s in self.cal_scores],
             "eta": eta,
@@ -769,13 +767,13 @@ def fit_weighted_split_conformal(
     delta: float,
     gamma: float,
     rng: np.random.Generator,
-    ridge_weight: float = 0.0,
     randomized: bool = False,
 ) -> WeightedSplitMapping:
     """Split fit thresholded through the score-regression dual (see ``weighted``).
 
-    The feature map is the constant 1, so one threshold serves every test
-    environment; ``randomized`` draws the multiplier's bound.
+    The feature map is the constant 1 with no ridge penalty (a penalty on
+    that one column pulls the threshold toward 0), so one threshold serves
+    every test environment; ``randomized`` draws the multiplier's bound.
     """
     alpha = check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
@@ -784,15 +782,14 @@ def fit_weighted_split_conformal(
     scores = np.array([env_score(env, family, alpha) for env in cal_envs])
     features = np.ones((len(scores) + 1, 1))
     if randomized:
-        tau = randomized_threshold(scores, features, alpha, delta, rng, ridge_weight)
+        tau = randomized_threshold(scores, features, delta, rng)
     else:
-        tau = weighted_threshold(scores, features, alpha, delta, ridge_weight)
+        tau = weighted_threshold(scores, features, delta)
     return WeightedSplitMapping(
         family=family,
         cal_scores=tuple(float(s) for s in scores),
         tau_hat=tau,
         alpha=alpha,
         delta=delta,
-        ridge_weight=ridge_weight,
         randomized=randomized,
     )

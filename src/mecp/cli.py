@@ -41,7 +41,7 @@ from mecp.predictors import FitError
 from mecp.quantiles import check_reals
 
 SWEEP_HEADER = "param,value,emp_one_minus_delta,emp_one_minus_alpha,emp_set_length"
-SWEEPABLE = ("alpha", "delta", "gamma", "alpha0", "label_count", "ridge_weight")
+SWEEPABLE = ("alpha", "delta", "gamma", "alpha0", "label_count")
 
 _PLAN_KEYS = {"trials", "train_envs", "test_envs", "rule", "clip", "seed", "workers"}
 _SECTION_KEYS = {

@@ -55,20 +55,9 @@ from mecp.weighted import env_score, randomized_threshold, weighted_threshold  #
 RULES = ("count", "fraction")
 
 
-def covered_env_threshold(n: int, alpha: float) -> int:
-    """Smallest in-set count at which a size-n environment counts as covered.
-
-    The count rule's bar ``rank_plus(n, alpha)``; it can exceed n for tiny
-    environments, which then can never count as covered.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return rank_plus(n, check_prob(alpha, "alpha"))
-
-
 def _env_covered(covered_count: int, n: int, alpha: float, rule: str) -> bool:
-    # the count rule's bar is covered_env_threshold's; under the fraction
-    # rule the within-environment coverage rate itself reaches 1-alpha
+    # under the fraction rule the within-environment coverage rate itself
+    # reaches 1-alpha
     return covered_count >= (rank_plus if rule == "count" else rank_fraction)(n, alpha)
 
 
@@ -256,6 +245,11 @@ class TrialPlan:
     from ``seed``, so two plans sharing a seed see identical data trial by
     trial regardless of algorithm or parameter settings. A None generator
     marks a plan meant for pre-built datasets (see ``dataset_records``).
+
+    ``feature_map`` and ``ridge_weight`` are pinned at ``"constant"`` and 0:
+    the engine has no other environment features, and a penalty on that one
+    column pulls the weighted threshold toward 0 and loses coverage. Both
+    stay fields so configs and report plans keep naming them; other values raise.
     """
 
     generator: HierGenConfig | None
@@ -300,8 +294,11 @@ class TrialPlan:
             if not grid:
                 raise ValueError("ridge_grid must be nonempty")
             object.__setattr__(self, "ridge_grid", grid)
-        weight = check_nonnegative(self.ridge_weight, "ridge_weight")
-        object.__setattr__(self, "ridge_weight", weight)
+        if check_nonnegative(self.ridge_weight, "ridge_weight") != 0.0:
+            raise ValueError(f"ridge_weight must be 0 in the trial engine, got "
+                             f"{self.ridge_weight}: a penalty on its constant feature "
+                             "pulls thresholds toward 0")
+        object.__setattr__(self, "ridge_weight", 0.0)
         if self.feature_map != "constant":
             raise ValueError(
                 "only the 'constant' feature map runs inside the trial engine; "
@@ -349,11 +346,11 @@ _TRIAL_RUNNERS: dict[str, Callable] = {
     ),
     "weighted_split_conformal": lambda train, plan, rng: fit_weighted_split_conformal(
         train, ridge_symmetric_builder(_grid(plan)), plan.alpha, plan.delta,
-        plan.gamma, rng, plan.ridge_weight,
+        plan.gamma, rng,
     ),
     "randomized_weighted_split_conformal": lambda train, plan, rng: fit_weighted_split_conformal(
         train, ridge_symmetric_builder(_grid(plan)), plan.alpha, plan.delta,
-        plan.gamma, rng, plan.ridge_weight, randomized=True,
+        plan.gamma, rng, randomized=True,
     ),
 }
 

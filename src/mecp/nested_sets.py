@@ -31,7 +31,6 @@ __all__ = [
     "LossSublevelFamily",
     "NestedFamily",
     "thresholds",
-    "set_at",
     "sets_at",
     "bounds_at",
     "mask_at",
@@ -148,11 +147,6 @@ def thresholds(family: NestedFamily, x: np.ndarray, y) -> np.ndarray:
         logits = np.asarray(family.logits(x), dtype=float)
         return np.atleast_1d(np.asarray(multiclass_loss(np.asarray(y), logits), dtype=float))
     raise TypeError(f"not a nested family: {type(family).__name__}")
-
-
-def set_at(family: NestedFamily, x, tau: float) -> PredictionSet:
-    """Materialize the set at threshold tau for a single input point."""
-    return sets_at(family, np.asarray(x, dtype=float).reshape(1, -1), tau)[0]
 
 
 def sets_at(family: NestedFamily, x: np.ndarray, tau: float) -> list[PredictionSet]:

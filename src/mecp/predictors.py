@@ -288,7 +288,7 @@ def fit_pinball(x, y, level: float) -> PinballModel:
     res = pinball_lp(xt, y, (level, 1 - level), _PINBALL_TOLERANCE)
     if res.status != 0:
         raise FitError("pinball LP did not reach optimality",
-                       status=res.status, message=res.message, objective=res.fun)
+                       status=res.status, solver_message=res.message, objective=res.fun)
     return PinballModel(theta=res.x[:d], level=level)
 
 

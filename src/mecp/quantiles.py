@@ -7,9 +7,9 @@ package:
   coverage rank lives here (``rank_*``, tabulated in the README), read by
   the one ``order_statistic``, which overflows to ``+-inf`` instead of
   raising; ``quant_plus`` and ``quant_minus`` read the inflated ranks;
-* left and right quantiles of finitely supported distributions
-  (``DiscreteDistribution``, ``left_quantile``, ``right_quantile``) whose
-  atoms may sit at ``+-inf``.
+* left quantiles of finitely supported distributions (``DiscreteDistribution``,
+  ``left_quantile``, which is also their right quantile) whose atoms may sit
+  at ``+-inf``.
 
 All functions treat ``float('inf')`` and ``float('-inf')`` as ordinary
 values, so downstream code can represent "the whole line" without special
@@ -45,7 +45,6 @@ __all__ = [
     "rank_plus",
     "rank_randomized",
     "rank_score",
-    "right_quantile",
 ]
 
 # weights of a distribution must sum to 1 within this slack
@@ -225,17 +224,6 @@ def left_quantile(dist: DiscreteDistribution, alpha: float) -> float:
     The one-row case of :func:`mixture_quantile_rows`.
     """
     return float(mixture_quantile_rows(dist.locations[None, :], dist.weights, alpha)[0])
-
-
-def right_quantile(dist: DiscreteDistribution, alpha: float) -> float:
-    """Supremum of the locations t with ``P(Z <= t) < alpha``.
-
-    For finitely supported distributions this supremum coincides with the
-    first atom at which the CDF reaches or exceeds ``alpha``, so it equals
-    :func:`left_quantile`; the two names document which side of a boundary
-    a construction is meant to favor.
-    """
-    return left_quantile(dist, alpha)
 
 
 def mixture_quantile_rows(loc_rows: np.ndarray, weights: np.ndarray, level: float) -> np.ndarray:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -37,12 +36,8 @@ from .quantiles import check_nonnegative, check_prob, check_sample, order_statis
 from .quantiles import rank_plus, rank_randomized, rank_score
 
 __all__ = [
-    "constant_feature_map",
-    "feature_matrix",
     "score_from_thresholds",
     "env_score",
-    "PinballEnvModel",
-    "fit_pinball_env",
     "DualSolution",
     "dual_eta",
     "weighted_threshold",
@@ -51,20 +46,6 @@ __all__ = [
 
 BOX_TOLERANCE = 1e-10
 _LP_TOLERANCE = 1e-10
-
-
-def constant_feature_map(env: EnvironmentSample) -> np.ndarray:
-    """Default environment features: the single constant 1."""
-    return np.array([1.0])
-
-
-def feature_matrix(envs: Sequence[EnvironmentSample], phi=constant_feature_map) -> np.ndarray:
-    """Stack one feature row per environment."""
-    rows = [np.asarray(phi(e), dtype=float).reshape(-1) for e in envs]
-    out = np.vstack(rows)
-    if not np.isfinite(out).all():
-        raise ValueError("environment features must be finite")
-    return out
 
 
 def score_from_thresholds(values, alpha: float) -> float:
@@ -83,73 +64,9 @@ def env_score(env: EnvironmentSample, family: NestedFamily, alpha: float) -> flo
     return score_from_thresholds(thresholds(family, env.x, env.y), alpha)
 
 
-def _pinball(t: np.ndarray, delta: float) -> np.ndarray:
-    return (1.0 - delta) * np.clip(t, 0.0, None) + delta * np.clip(-t, 0.0, None)
-
-
-@dataclass(frozen=True)
-class PinballEnvModel:
-    """Linear-in-features score predictor with its achieved objective."""
-
-    theta: np.ndarray
-    delta: float
-    ridge_weight: float
-    objective: float
-
-    def __call__(self, features) -> np.ndarray | float:
-        features = np.asarray(features, dtype=float)
-        if features.ndim == 1:
-            return float(features @ self.theta)
-        return features @ self.theta
-
-
-def _split_score_pairs(scores) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(scores)
-    if not pairs:
-        raise ValueError("need at least one (features, score) pair")
-    phi = np.vstack([np.asarray(f, dtype=float).reshape(-1) for f, _ in pairs])
-    s = np.array([float(v) for _, v in pairs])
-    if not (np.isfinite(phi).all() and np.isfinite(s).all()):
-        raise ValueError("features and scores must be finite")
-    return phi, s
-
-
 def _group_rows(phi: np.ndarray) -> bool:
     # group features: each row nonzero in at most one column
     return phi.shape[1] == 1 or bool(((phi != 0.0).sum(axis=1) <= 1).all())
-
-
-def _primal_objective(phi, s, theta, delta, ridge_weight) -> float:
-    fits = phi @ theta
-    return float(np.mean(_pinball(s - fits, delta)) + ridge_weight * theta @ theta)
-
-
-def fit_pinball_env(
-    scores,
-    delta: float,
-    ridge_weight: float = 0.0,
-) -> PinballEnvModel:
-    """Minimize mean quantile loss of scores against linear-in-feature fits.
-
-    The loss on t = S - g(E) is (1-delta)*max(t,0) + delta*max(-t,0), plus
-    ridge_weight * ||theta||^2. Zero regularization solves the exact LP;
-    positive regularization runs the exact active-set solve of the pinned
-    route with no test row and no tilt.
-    """
-    delta = check_prob(delta, "delta")
-    ridge_weight = check_nonnegative(ridge_weight, "ridge_weight")
-    phi, s = _split_score_pairs(scores)
-    n, k = phi.shape
-    if ridge_weight == 0.0:
-        res = pinball_lp(phi, s, (1 - delta, delta), _LP_TOLERANCE)
-        if res.status != 0:
-            raise FitError("score pinball LP did not reach optimality",
-                           status=res.status, solver_message=res.message, objective=res.fun)
-        theta = res.x[:k]
-    else:
-        theta, _ = _pinned_solve(phi, s, delta, 2.0 * n * ridge_weight, 0.0)
-    return PinballEnvModel(theta=theta, delta=delta, ridge_weight=ridge_weight,
-                           objective=_primal_objective(phi, s, theta, delta, ridge_weight))
 
 
 @dataclass(frozen=True)
@@ -415,12 +332,11 @@ def _threshold(scores, features, delta: float, ridge_weight: float,
     return _pinned_lp(scores, phi, delta, level, u is None)
 
 
-def weighted_threshold(scores, features, alpha: float, delta: float,
-                       ridge_weight: float = 0.0) -> float:
+def weighted_threshold(scores, features, delta: float, ridge_weight: float = 0.0) -> float:
     """Largest imputed test score whose dual multiplier stays below 1-delta.
 
-    ``scores`` are the per-environment coverage thresholds at level alpha
-    (see :func:`env_score`); the threshold itself depends only on delta.
+    ``scores`` are the per-environment coverage thresholds (see
+    :func:`env_score`), already taken at the coverage level alpha.
     Under a ridge penalty every input pins the test multiplier at 1 - delta
     and returns the test fit of one exact active-set solve. Without one,
     group features (every row nonzero in at most one column, the test row's
@@ -431,13 +347,12 @@ def weighted_threshold(scores, features, alpha: float, delta: float,
     unbounded LP gives ``+inf`` and an unbounded least test fit ``-inf``. A
     feature-free test row gives 0.0.
     """
-    check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
     return _threshold(scores, features, delta, ridge_weight, None)
 
 
-def randomized_threshold(scores, features, alpha: float, delta: float,
-                         rng: np.random.Generator, ridge_weight: float = 0.0) -> float:
+def randomized_threshold(scores, features, delta: float, rng: np.random.Generator,
+                         ridge_weight: float = 0.0) -> float:
     """Randomized variant: the multiplier may reach U - delta, U uniform.
 
     U is drawn once, before the scores are checked, and ``U >= 1`` never
@@ -452,7 +367,6 @@ def randomized_threshold(scores, features, alpha: float, delta: float,
     unbounded, and ``-inf`` when U - delta lies below every feasible test
     multiplier. A feature-free test row gives 0.0.
     """
-    check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")
     u = float(rng.uniform())
     return _threshold(scores, features, delta, ridge_weight, u)

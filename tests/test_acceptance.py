@@ -34,7 +34,6 @@ from mecp.quantiles import (
     left_quantile,
     quant_minus,
     quant_plus,
-    right_quantile,
 )
 from mecp.weighted import dual_eta, weighted_threshold
 from oracles import (
@@ -99,7 +98,7 @@ def test_quantile_primitives_match_bruteforce_oracles():
         dist = DiscreteDistribution(locations, weights)
         assert left_quantile(dist, alpha) == oracle_left_quantile(
             locations, weights, alpha)
-        assert right_quantile(dist, alpha) == oracle_right_quantile(
+        assert left_quantile(dist, alpha) == oracle_right_quantile(
             locations, weights, alpha)
     assert time.monotonic() - start < 5.0
 
@@ -225,7 +224,7 @@ def test_weighted_threshold_covers_marginally_and_per_group():
         scores = rng.normal(0.0, 10.0 ** rng.uniform(-1.0, 1.0), size=m)
         delta = float(rng.uniform(0.02, 0.9))
         features = np.ones((m + 1, 1))
-        assert weighted_threshold(scores, features, 0.1, delta) == \
+        assert weighted_threshold(scores, features, delta) == \
             quant_plus(scores, delta)
 
     # per-group coverage with group-indicator features and no regularization;
@@ -244,7 +243,7 @@ def test_weighted_threshold_covers_marginally_and_per_group():
     for _ in range(25):
         scores, tests = draw(rng)
         for g in (0, 1):
-            tau = weighted_threshold(scores, features[g], 0.1, delta)
+            tau = weighted_threshold(scores, features[g], delta)
             eta = dual_eta(scores, features[g], delta, 0.0, tests[g]).eta[-1]
             assert (tests[g] <= tau) == (eta < 1.0 - delta)
 

@@ -217,7 +217,7 @@ class TestRun:
 
     def test_bool_sweep_value_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        doc = run_doc(sweep={"param": "ridge_weight", "values": [False, True]})
+        doc = run_doc(sweep={"param": "gamma", "values": [False, True]})
         code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
         assert code == 2
         assert err.startswith("error: sweep.values")
@@ -499,7 +499,7 @@ class TestConfigValidation:
             d = run_doc(dataset={"generator": generator_section(
                 beta=[one, 2 * one], env_effect_scale=one, noise_scale=one, outlier_frac=zero,
                 outlier_noise_multiplier=3 * one)})
-            d["algorithm"].update(name="weighted_split_conformal", ridge_weight=one,
+            d["algorithm"].update(name="weighted_split_conformal", ridge_weight=zero,
                                   ridge_grid=[one, 10 * one])
             d["plan"]["clip"] = [-10 * one, 10 * one]
             return d
@@ -509,6 +509,25 @@ class TestConfigValidation:
             code, err = main_in_process(capsys, "run", "-c", cfg, "--report", "r_" + name)
             assert code == 0, err
         assert sha(tmp_path / "r_int.json") == sha(tmp_path / "r_float.json")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("weight", [0.01, 0.3])
+    def test_positive_ridge_weight_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, command, weight
+    ):
+        monkeypatch.chdir(tmp_path)
+        doc = run_doc(compare={"method_a": "weighted_split_conformal",
+                               "method_b": "split_conformal", "delta_grid": [0.1, 0.3]})
+        doc["algorithm"].update(name="weighted_split_conformal", ridge_weight=weight)
+        code, err = main_in_process(capsys, command, "-c", write_config(tmp_path, doc))
+        assert code == 2, err
+        assert err.startswith("error: ridge_weight must be 0")
+        assert not (tmp_path / "report.json").exists()
+        doc["algorithm"]["ridge_weight"] = 0
+        doc["sweep"] = {"param": "ridge_weight", "values": [0.0, weight]}
+        code, err = main_in_process(capsys, "run", "-c", write_config(tmp_path, doc))
+        assert code == 2 and err.startswith("error: sweep.param must be one of")
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("plan", "clip", 5, "clip must be a list of numbers, got 5"),
@@ -561,7 +580,7 @@ class TestConfigValidation:
         del doc["plan"]["seed"]
         assert build_plan(doc) == TrialPlan(**required)
         options = {"delta": 0.3, "gamma": 0.4, "alpha0": 0.1, "label_count": 5,
-                   "ridge_grid": [0, 1], "ridge_weight": 0.5, "feature_map": "constant"}
+                   "ridge_grid": [0, 1], "ridge_weight": 0, "feature_map": "constant"}
         doc["algorithm"].update(options)
         doc["plan"].update(clip=[-1, 4], rule="fraction", seed=9)
         assert build_plan(doc) == TrialPlan(**required, **options, clip=(-1, 4),

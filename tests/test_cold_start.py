@@ -65,12 +65,11 @@ def test_run_loads_no_scipy(tmp_path, name):
     assert (tmp_path / "report.json").is_file()
 
 
-@pytest.mark.parametrize("ridge_weight", [0.0, 0.5])
 @pytest.mark.parametrize("method", ["weighted_split_conformal",
                                     "randomized_weighted_split_conformal"])
-def test_weighted_compare_loads_no_scipy(tmp_path, method, ridge_weight):
+def test_weighted_compare_loads_no_scipy(tmp_path, method):
     config = write_config(
-        tmp_path, {"ridge_weight": ridge_weight},
+        tmp_path, {},
         compare={"method_a": "split_conformal", "method_b": method, "delta_grid": [0.1, 0.3]},
     )
     code = f"""
@@ -85,14 +84,13 @@ def test_regularized_general_route_loads_no_scipy(tmp_path):
     # [1, x_e] features at ridge 0.3 take the active set, not an LP
     code = """
         import numpy as np
-        from mecp.weighted import dual_eta, fit_pinball_env, randomized_threshold, weighted_threshold
+        from mecp.weighted import dual_eta, randomized_threshold, weighted_threshold
         rng = np.random.default_rng(4)
         features = np.column_stack([np.ones(7), rng.normal(size=7)])
         scores = rng.normal(size=6)
-        values = [weighted_threshold(scores, features, 0.1, 0.4, 0.3),
-                  randomized_threshold(scores, features, 0.1, 0.4, rng, 0.3),
-                  dual_eta(scores, features, 0.4, 0.3, 0.5).objective,
-                  *fit_pinball_env(list(zip(features, rng.normal(size=7))), 0.2, 0.3).theta]
+        values = [weighted_threshold(scores, features, 0.4, 0.3),
+                  randomized_threshold(scores, features, 0.4, rng, 0.3),
+                  dual_eta(scores, features, 0.4, 0.3, 0.5).objective]
         assert np.isfinite(values).all()
     """
     assert not scipy_loaded_after(tmp_path, code)
@@ -106,20 +104,15 @@ ROUTES = {
         x = rng.normal(size=(40, 2))
         values = fit_pinball(x, x @ [1.0, -0.5] + rng.normal(size=40), 0.9).theta
     """,
-    "fit_pinball_env": """
-        from mecp.weighted import fit_pinball_env
-        features = np.column_stack([np.ones(8), rng.normal(size=8)])
-        values = fit_pinball_env(list(zip(features, rng.normal(size=8))), 0.2, 0.0).theta
-    """,
     "weighted_threshold": """
         from mecp.weighted import weighted_threshold
         features = np.column_stack([np.ones(7), rng.normal(size=7)])
-        values = weighted_threshold(rng.normal(size=6), features, 0.1, 0.4, 0.0)
+        values = weighted_threshold(rng.normal(size=6), features, 0.4, 0.0)
     """,
     "randomized_threshold": """
         from mecp.weighted import randomized_threshold
         features = np.column_stack([np.ones(7), rng.normal(size=7)])
-        values = randomized_threshold(rng.normal(size=6), features, 0.1, 0.4, rng, 0.0)
+        values = randomized_threshold(rng.normal(size=6), features, 0.4, rng, 0.0)
     """,
     "fit_softmax": """
         from mecp.predictors import fit_softmax, multiclass_loss

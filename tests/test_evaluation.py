@@ -36,7 +36,6 @@ from mecp.evaluation import (
     EnvRecord,
     TrialPlan,
     algorithm_names,
-    covered_env_threshold,
     evaluate_mapping,
     match_delta,
     run_plans,
@@ -54,6 +53,7 @@ from mecp.nested_sets import (
 )
 
 from mecp.predictors import multiclass_loss
+from mecp.quantiles import rank_plus
 from oracles import oracle_label_sets, oracle_score_sets
 
 
@@ -116,13 +116,13 @@ def constant_set_runner(pred_set):
 
 class TestCoveredEnvThreshold:
     def test_bar_can_exceed_tiny_env(self):
-        assert covered_env_threshold(3, 0.1) == 4
+        assert rank_plus(3, 0.1) == 4
 
     def test_bar_at_nine_of_nine(self):
-        assert covered_env_threshold(9, 0.1) == 9
+        assert rank_plus(9, 0.1) == 9
 
     def test_bar_at_fifty(self):
-        assert covered_env_threshold(50, 0.1) == 46
+        assert rank_plus(50, 0.1) == 46
 
     @given(
         n=st.integers(min_value=1, max_value=80),
@@ -130,15 +130,7 @@ class TestCoveredEnvThreshold:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_scan_oracle(self, n, alpha):
-        assert covered_env_threshold(n, alpha) == scan_threshold(n, alpha)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            covered_env_threshold(0, 0.1)
-        with pytest.raises(ValueError):
-            covered_env_threshold(5, 0.0)
-        with pytest.raises(ValueError):
-            covered_env_threshold(5, 1.0)
+        assert rank_plus(n, alpha) == scan_threshold(n, alpha)
 
 
 class TestEvaluateMapping:
@@ -198,7 +190,7 @@ class TestEvaluateMapping:
         env = width_env("a", (1.0,) * 10, (0.0,) * 9 + (5.0,))
         by_count = evaluate_mapping(WidthMapping(), [env], 0.1, rule="count")
         by_fraction = evaluate_mapping(WidthMapping(), [env], 0.1, rule="fraction")
-        assert covered_env_threshold(10, 0.1) == 10
+        assert rank_plus(10, 0.1) == 10
         assert not by_count.records[0].env_covered
         assert by_fraction.records[0].env_covered
 
@@ -245,13 +237,13 @@ class TestEvaluateMapping:
                     env_id=f"e{i}",
                     n=n,
                     covered_count=covered,
-                    env_covered=covered >= covered_env_threshold(n, alpha),
+                    env_covered=covered >= rank_plus(n, alpha),
                     mean_measure=1.0,
                 )
             )
         report = CoverageReport.from_records(records, alpha, "count")
         if report.empirical_one_minus_alpha is not None:
-            floor = min((covered_env_threshold(r.n, alpha) - 1) / r.n for r in records)
+            floor = min((rank_plus(r.n, alpha) - 1) / r.n for r in records)
             assert report.empirical_one_minus_alpha >= floor - 1e-12
 
 
@@ -316,9 +308,17 @@ class TestTrialPlan:
         assert all(isinstance(v, float) for v in plan.clip)
 
     def test_ridge_fields_store_the_checked_float(self):
-        plan = make_plan(ridge_weight=1, ridge_grid=[0, Fraction(1, 2)])
-        assert type(plan.ridge_weight) is float and plan.ridge_weight == 1.0
+        plan = make_plan(ridge_weight=0, ridge_grid=[0, Fraction(1, 2)])
+        assert type(plan.ridge_weight) is float and plan.ridge_weight == 0.0
         assert plan.ridge_grid == (0.0, 0.5) and all(type(v) is float for v in plan.ridge_grid)
+
+    def test_ridge_weight_is_pinned_at_zero(self):
+        for weight in (0.01, 0.3):
+            with pytest.raises(ValueError, match="ridge_weight must be 0"):
+                make_plan(algorithm="weighted_split_conformal", ridge_weight=weight)
+        for weight in (0, 0.0):
+            echo = make_plan(ridge_weight=weight).to_json_dict()["ridge_weight"]
+            assert json.dumps(echo) == "0.0"
 
     def test_json_echo_round_trips_through_dumps(self):
         plan = make_plan(clip=(0.0, 4.0))
@@ -332,7 +332,7 @@ class TestTrialPlan:
     def test_json_echo_lists_every_field(self):
         generator = HierGenConfig(m=6, n_per_env=[10, 20], p=2, beta=[1, -0.5], seed=3)
         plan = make_plan(generator=generator, algorithm="weighted_split_conformal",
-                         ridge_grid=[0, 1], ridge_weight=0.25, clip=[-1, 4])
+                         ridge_grid=[0, 1], clip=[-1, 4])
         assert plan.to_json_dict() == {
             "generator": {
                 "m": 6, "n_per_env": [10, 20], "p": 2, "beta": [1.0, -0.5],
@@ -341,7 +341,7 @@ class TestTrialPlan:
             },
             "algorithm": "weighted_split_conformal", "trials": 2, "train_envs": 4,
             "test_envs": 2, "alpha": 0.1, "delta": 0.2, "gamma": 0.5, "alpha0": 0.05,
-            "label_count": 30, "ridge_grid": [0.0, 1.0], "ridge_weight": 0.25,
+            "label_count": 30, "ridge_grid": [0.0, 1.0], "ridge_weight": 0.0,
             "feature_map": "constant", "clip": [-1.0, 4.0], "rule": "count", "seed": 11,
         }
         match = DeltaMatch(0.1, True, 0.9, ((0.05, 0.8), (0.1, 0.9)))
@@ -762,9 +762,9 @@ class TestRunPlans:
     def test_reports_equal_per_plan_run_trials_for_every_algorithm(self):
         variants = [
             dict(),
-            dict(alpha=0.2, delta=0.3, gamma=0.6, label_count=8, ridge_weight=0.5,
+            dict(alpha=0.2, delta=0.3, gamma=0.6, label_count=8,
                  clip=(-3.0, 3.0), rule="fraction"),
-            dict(alpha=0.3, delta=0.1, ridge_weight=2.0),
+            dict(alpha=0.3, delta=0.1),
         ]
         plans = [
             make_plan(algorithm=name, trials=3, train_envs=6, seed=5, **{"label_count": 5, **v})
@@ -772,6 +772,29 @@ class TestRunPlans:
             for v in variants
         ]
         assert run_plans(plans) == [run_trials(plan) for plan in plans]
+
+    def test_rules_score_the_same_sets_for_every_algorithm(self):
+        # the rule only reads the counts: records agree pair for pair, and
+        # the count bar rank_plus never lies below the fraction bar
+        generator = HierGenConfig(m=1, n_per_env=[10, 60], p=2, seed=0)
+        plans = [
+            make_plan(generator=generator, algorithm=name, trials=3, train_envs=8, test_envs=3,
+                      label_count=5, rule=rule)
+            for name in algorithm_names()
+            for rule in ("count", "fraction")
+        ]
+        reports = run_plans(plans)
+        for by_count, by_fraction in zip(reports[::2], reports[1::2]):
+            assert len(by_count.records) == len(by_fraction.records) == 9
+            for c, f in zip(by_count.records, by_fraction.records):
+                assert (c.trial, c.env_id, c.n) == (f.trial, f.env_id, f.n)
+                assert c.covered_count == f.covered_count
+                assert c.mean_measure == f.mean_measure
+                assert f.env_covered or not c.env_covered
+        assert len({r.n for r in reports[0].records}) > 1
+        assert any(f.env_covered and not c.env_covered
+                   for by_count, by_fraction in zip(reports[::2], reports[1::2])
+                   for c, f in zip(by_count.records, by_fraction.records))
 
     def test_match_delta_generates_and_fits_once_per_trial(self, monkeypatch):
         calls = {"fit_ridge": 0, "generate_hierarchical": 0}

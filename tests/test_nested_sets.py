@@ -18,7 +18,6 @@ from mecp.nested_sets import (
     contains,
     mask_at,
     measure,
-    set_at,
     sets_at,
     thresholds,
     union_sets,
@@ -98,30 +97,31 @@ class TestCoverageThreshold:
 
 class TestSetAt:
     def test_symmetric_zero_tau_is_singleton(self):
-        got = set_at(const_symmetric(1.5), np.zeros(1), 0.0)
-        assert got == Interval(1.5, 1.5)
+        got = sets_at(const_symmetric(1.5), np.zeros((1, 1)), 0.0)
+        assert got == [Interval(1.5, 1.5)]
 
     def test_infinite_tau_is_full_line(self):
-        got = set_at(const_symmetric(1.5), np.zeros(1), math.inf)
-        assert got == Interval(-math.inf, math.inf)
+        got = sets_at(const_symmetric(1.5), np.zeros((1, 1)), math.inf)
+        assert got == [Interval(-math.inf, math.inf)]
 
     def test_negative_tau_is_empty(self):
-        got = set_at(const_symmetric(1.5), np.zeros(1), -0.5)
+        (got,) = sets_at(const_symmetric(1.5), np.zeros((1, 1)), -0.5)
         assert got == EMPTY_SET
         assert measure(got) == 0.0
 
     def test_band_shrinks_then_empties(self):
         fam = const_band(0.0, 4.0)
-        assert set_at(fam, np.zeros(1), -2.0) == Interval(2.0, 2.0)
-        assert set_at(fam, np.zeros(1), -3.0) == EMPTY_SET
-        assert set_at(fam, np.zeros(1), math.inf) == Interval(-math.inf, math.inf)
+        x = np.zeros((1, 1))
+        assert sets_at(fam, x, -2.0) == [Interval(2.0, 2.0)]
+        assert sets_at(fam, x, -3.0) == [EMPTY_SET]
+        assert sets_at(fam, x, math.inf) == [Interval(-math.inf, math.inf)]
 
     def test_sublevel_label_sets(self):
         fam = const_logits([2.0, 0.0, 0.0])
-        x = np.zeros(1)
-        assert set_at(fam, x, 0.1) == LabelSet(())
-        assert set_at(fam, x, 1.0) == LabelSet((0,))
-        assert set_at(fam, x, math.inf) == LabelSet((0, 1, 2))
+        x = np.zeros((1, 1))
+        assert sets_at(fam, x, 0.1) == [LabelSet(())]
+        assert sets_at(fam, x, 1.0) == [LabelSet((0,))]
+        assert sets_at(fam, x, math.inf) == [LabelSet((0, 1, 2))]
 
     def test_label_sets_match_per_class_scalar_oracle(self):
         rng = np.random.default_rng(4)
@@ -157,12 +157,12 @@ class TestSetAt:
         )
         xs = rng.normal(size=(10, 3))
         batch = sets_at(fam, xs, 0.7)
-        single = [set_at(fam, x, 0.7) for x in xs]
+        single = [sets_at(fam, x[None], 0.7)[0] for x in xs]
         assert batch == single
 
     def test_nan_tau_rejected(self):
         with pytest.raises(ValueError):
-            set_at(const_symmetric(0.0), np.zeros(1), float("nan"))
+            sets_at(const_symmetric(0.0), np.zeros((1, 1)), float("nan"))
 
     def test_membership_threshold_consistency(self):
         # the two routes to "is y covered at tau" must agree case by case
@@ -188,16 +188,16 @@ class TestSetAt:
             tau = float(rng.uniform(-1.0, 3.0))
             if case % 17 == 0:
                 tau = math.inf if case % 2 else -math.inf
-            member = contains(set_at(fam, x, tau), y)
+            member = contains(sets_at(fam, x[None], tau)[0], y)
             assert member == (thresholds(fam, x[None], [y])[0] <= tau)
 
     @given(center=finite, y=finite, tau1=finite, tau2=finite)
     def test_nesting_in_tau(self, center, y, tau1, tau2):
         lo, hi = sorted((tau1, tau2))
         fam = const_symmetric(center)
-        x = np.zeros(1)
-        if contains(set_at(fam, x, lo), y):
-            assert contains(set_at(fam, x, hi), y)
+        x = np.zeros((1, 1))
+        if contains(sets_at(fam, x, lo)[0], y):
+            assert contains(sets_at(fam, x, hi)[0], y)
 
 
 class TestBoundsAt:

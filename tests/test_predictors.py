@@ -1,9 +1,11 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mecp import predictors
 from mecp.algorithms import ridge_point_builder
 from mecp.data import EnvironmentSample
 from mecp.predictors import (
@@ -395,6 +397,15 @@ class TestPinball:
     def test_level_validated(self):
         with pytest.raises(ValueError):
             fit_pinball(np.zeros((3, 1)), np.zeros(3), 1.0)
+
+    def test_solver_failure_reports_the_solver_message(self, monkeypatch):
+        # the key every LP error uses, apart from the CLI error record's own "message"
+        failed = SimpleNamespace(status=4, message="numerical difficulties", fun=None, x=None)
+        monkeypatch.setattr(predictors, "highs_lp", lambda *args, **kwargs: failed)
+        with pytest.raises(FitError, match="pinball LP did not reach optimality") as err:
+            fit_pinball(np.zeros((3, 1)), np.arange(3.0), 0.5)
+        assert err.value.details == {
+            "status": 4, "solver_message": "numerical difficulties", "objective": None}
 
     def test_predict(self):
         model = PinballModel(theta=np.array([1.0, 2.0]), level=0.5)

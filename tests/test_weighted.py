@@ -17,11 +17,8 @@ from mecp.weighted import (
     BOX_TOLERANCE,
     _pinned_solve,
     _solve_box_lp,
-    constant_feature_map,
     dual_eta,
     env_score,
-    feature_matrix,
-    fit_pinball_env,
     randomized_threshold,
     score_from_thresholds,
     weighted_threshold,
@@ -133,85 +130,6 @@ class TestScoreFromThresholds:
         assert env_score(env, family, 0.1) == 4.0
 
 
-class TestFeatureMatrix:
-    def test_constant_map_stacks_ones(self):
-        envs = [
-            EnvironmentSample(env_id=str(i), x=np.zeros((2, 1)), y=np.zeros(2))
-            for i in range(3)
-        ]
-        out = feature_matrix(envs)
-        assert out.shape == (3, 1)
-        assert (out == 1.0).all()
-
-    def test_custom_map_and_finiteness(self):
-        envs = [
-            EnvironmentSample(env_id=str(i), x=np.full((2, 1), float(i)), y=np.zeros(2))
-            for i in range(2)
-        ]
-        out = feature_matrix(envs, phi=lambda e: [1.0, float(e.x.mean())])
-        assert out.shape == (2, 2)
-        assert out[1, 1] == 1.0
-        with pytest.raises(ValueError):
-            feature_matrix(envs, phi=lambda e: [math.inf])
-
-
-class TestFitPinballEnv:
-    def pairs(self, values, feats=None):
-        if feats is None:
-            feats = [np.array([1.0])] * len(values)
-        return list(zip(feats, [float(v) for v in values]))
-
-    def test_constant_feature_hand_case(self):
-        model = fit_pinball_env(self.pairs([1, 2, 3, 4, 5]), delta=0.2)
-        assert model.theta == pytest.approx([4.0], abs=1e-9)
-        assert model.objective == pytest.approx(0.4, abs=1e-9)
-
-    def test_constant_feature_median(self):
-        model = fit_pinball_env(self.pairs([1, 2, 3, 4, 5]), delta=0.5)
-        assert model.theta == pytest.approx([3.0], abs=1e-9)
-        assert model.objective == pytest.approx(0.6, abs=1e-9)
-
-    def test_group_indicators_decouple(self):
-        feats = [np.array([1.0, 0.0])] * 2 + [np.array([0.0, 1.0])] * 2
-        model = fit_pinball_env(self.pairs([1, 2, 9, 10], feats), delta=0.2)
-        assert model.theta == pytest.approx([2.0, 10.0], abs=1e-9)
-        assert model.objective == pytest.approx(0.1, abs=1e-9)
-
-    def test_ridge_hand_case(self):
-        model = fit_pinball_env(self.pairs([1, 2, 3, 4, 5]), delta=0.2,
-                                ridge_weight=0.05)
-        assert model.theta == pytest.approx([3.0], abs=1e-12)
-        assert model.objective == pytest.approx(1.05, abs=1e-12)
-
-    def test_ridge_beats_dense_grid(self):
-        rng = np.random.default_rng(31)
-        scores = rng.normal(size=7) * 2.0
-        delta, weight = 0.37, 0.8
-        model = fit_pinball_env(self.pairs(scores), delta=delta, ridge_weight=weight)
-        grid = np.linspace(-3.0, 3.0, 6001)
-        objectives = [
-            float(np.mean(pinball_loss(scores - theta, delta)) + weight * theta**2)
-            for theta in grid
-        ]
-        assert model.objective <= min(objectives) + 1e-9
-
-    def test_model_is_callable(self):
-        model = fit_pinball_env(self.pairs([1, 2, 3, 4, 5]), delta=0.2)
-        assert model(np.array([1.0])) == pytest.approx(4.0, abs=1e-9)
-        batch = model(np.ones((3, 1)))
-        assert batch.shape == (3,)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            fit_pinball_env([], delta=0.2)
-        with pytest.raises(ValueError):
-            fit_pinball_env(self.pairs([math.inf]), delta=0.2)
-        with pytest.raises(ValueError):
-            fit_pinball_env(self.pairs([1.0]), delta=0.2, ridge_weight=-1.0)
-        with pytest.raises(ValueError):
-            fit_pinball_env(self.pairs([1.0]), delta=1.5)
-
-
 class TestDualEta:
     def test_hand_case_two_environments(self):
         sol = dual_eta(np.array([0.0]), ones_features(1), delta=0.5,
@@ -314,47 +232,46 @@ class TestWeightedThreshold:
             delta = float(rng.uniform(0.05, 0.95))
             scale = 10.0 ** float(rng.integers(-2, 3))
             scores = rng.normal(size=m) * scale
-            got = weighted_threshold(scores, ones_features(m), alpha=0.1, delta=delta)
+            got = weighted_threshold(scores, ones_features(m), delta=delta)
             assert got == quant_plus(scores, delta)
 
     def test_overflow_goes_to_infinity(self):
         scores = np.array([1.0, 2.0])
         assert quant_plus(scores, 0.2) == math.inf
-        assert weighted_threshold(scores, ones_features(2), 0.1, 0.2) == math.inf
+        assert weighted_threshold(scores, ones_features(2), 0.2) == math.inf
 
     def test_all_equal_scores(self):
         scores = np.full(5, 3.25)
-        assert weighted_threshold(scores, ones_features(5), 0.1, 0.4) == 3.25
+        assert weighted_threshold(scores, ones_features(5), 0.4) == 3.25
 
     def test_group_indicators_decouple(self):
         scores = np.array([1.0, 2.0, 9.0, 10.0])
         in_a = group_features([2, 2], test_group=0)
         in_b = group_features([2, 2], test_group=1)
-        assert weighted_threshold(scores, in_a, 0.1, 0.35) == 2.0
-        assert weighted_threshold(scores, in_b, 0.1, 0.35) == 10.0
-        assert weighted_threshold(scores, ones_features(4), 0.1, 0.35) == 10.0
+        assert weighted_threshold(scores, in_a, 0.35) == 2.0
+        assert weighted_threshold(scores, in_b, 0.35) == 10.0
+        assert weighted_threshold(scores, ones_features(4), 0.35) == 10.0
 
     def test_ridge_search_runs(self):
         rng = np.random.default_rng(7)
         scores = rng.normal(size=5)
-        got = weighted_threshold(scores, ones_features(5), 0.1, 0.4,
+        got = weighted_threshold(scores, ones_features(5), 0.4,
                                  ridge_weight=5e-3)
         assert scores.min() <= got <= math.inf
 
     def test_rejects_bad_levels(self):
         scores = np.array([1.0])
         with pytest.raises(ValueError):
-            weighted_threshold(scores, ones_features(1), 0.0, 0.5)
+            weighted_threshold(scores, ones_features(1), 0.0)
         with pytest.raises(ValueError):
-            weighted_threshold(scores, ones_features(1), 0.1, 1.0)
+            weighted_threshold(scores, ones_features(1), 1.0)
 
 
 class TestRandomizedThreshold:
     scores = np.array([0.5, 1.5, 2.5])
 
     def threshold(self, u):
-        return randomized_threshold(self.scores, ones_features(3), alpha=0.1,
-                                    delta=0.4, rng=StubRng(u))
+        return randomized_threshold(self.scores, ones_features(3), delta=0.4, rng=StubRng(u))
 
     def test_full_draw_overflows_upward(self):
         assert self.threshold(1.0) == math.inf
@@ -369,9 +286,9 @@ class TestRandomizedThreshold:
         assert self.threshold(0.9) == 2.5
 
     def test_deterministic_given_seed(self):
-        a = randomized_threshold(self.scores, ones_features(3), 0.1, 0.4,
+        a = randomized_threshold(self.scores, ones_features(3), 0.4,
                                  rng=np.random.default_rng(5))
-        b = randomized_threshold(self.scores, ones_features(3), 0.1, 0.4,
+        b = randomized_threshold(self.scores, ones_features(3), 0.4,
                                  rng=np.random.default_rng(5))
         assert a == b
 
@@ -403,7 +320,7 @@ class TestGroupCoverage:
         for _ in range(10):
             scores = rng.normal(size=6)
             s_test = float(rng.normal())
-            tau = weighted_threshold(scores, feats, 0.1, 0.3)
+            tau = weighted_threshold(scores, feats, 0.3)
             eta = dual_eta(scores, feats, 0.3, 0.0, s_test).eta[-1]
             assert (s_test <= tau) == (eta < 0.7)
 
@@ -491,7 +408,7 @@ class TestClosedFormThreshold:
         # just below its decimal, so the exact rank is one atom higher
         scores = np.arange(1.0, m + 1.0)
         assert quant_plus(scores, delta) == want
-        assert weighted_threshold(scores, ones_features(m), 0.1, delta) == want
+        assert weighted_threshold(scores, ones_features(m), delta) == want
 
     @pytest.mark.parametrize("m, delta, u, want", [(4, 0.1, 0.5, 4.0), (9, 0.1, 0.0, 8.0),
                                                    (9, 0.2, 0.0, 7.0)])
@@ -499,7 +416,7 @@ class TestClosedFormThreshold:
         # (1 - delta)(m + 1) + u is an integer in decimal; the float delta
         # lies just above its decimal, so the exact rank is one atom lower
         scores = np.arange(1.0, m + 1.0)
-        got = randomized_threshold(scores, ones_features(m), 0.1, delta, StubRng(u))
+        got = randomized_threshold(scores, ones_features(m), delta, StubRng(u))
         assert got == want
 
     def test_plain_equals_definition_without_regularization(self):
@@ -508,7 +425,7 @@ class TestClosedFormThreshold:
             want = oracle_weighted_threshold(
                 scores, lambda s: dual_eta(scores, ones_features(m), delta, 0.0, s).eta[-1],
                 delta)
-            assert weighted_threshold(scores, ones_features(m), 0.1, delta) == want
+            assert weighted_threshold(scores, ones_features(m), delta) == want
             assert want == quant_plus(scores, delta)
 
     @pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53, 1.0])
@@ -518,18 +435,18 @@ class TestClosedFormThreshold:
             want = oracle_weighted_threshold(
                 scores, lambda s: dual_eta(scores, ones_features(m), delta, 0.0, s).eta[-1],
                 delta, u=u)
-            got = randomized_threshold(scores, ones_features(m), 0.1, delta, StubRng(u))
+            got = randomized_threshold(scores, ones_features(m), delta, StubRng(u))
             assert got == want
 
     def test_randomized_rank_below_one_is_empty(self):
         scores = np.array([0.7])
-        assert randomized_threshold(scores, ones_features(1), 0.1, 0.9, StubRng(0.1)) == -math.inf
+        assert randomized_threshold(scores, ones_features(1), 0.9, StubRng(0.1)) == -math.inf
 
     def test_scaled_constant_feature_keeps_the_quantile(self):
         scores = np.array([3.0, -1.0, 2.0, 0.5, 4.0])
         for c in (2.5, -0.3):
             features = c * ones_features(5)
-            assert weighted_threshold(scores, features, 0.1, 0.35) == quant_plus(scores, 0.35)
+            assert weighted_threshold(scores, features, 0.35) == quant_plus(scores, 0.35)
 
     def test_regularized_matches_general_search_and_straddles_the_level(self):
         rng = np.random.default_rng(4242)
@@ -541,10 +458,10 @@ class TestClosedFormThreshold:
             features = float(rng.choice([1.0, 2.5, -0.7])) * ones_features(m)
             u = None if case % 2 == 0 else float(rng.choice([0.0, 0.5, rng.uniform()]))
             if u is None:
-                tau = weighted_threshold(scores, features, 0.1, delta, ridge_weight=weight)
+                tau = weighted_threshold(scores, features, delta, ridge_weight=weight)
                 level = 1.0 - delta
             else:
-                tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u),
+                tau = randomized_threshold(scores, features, delta, StubRng(u),
                                            ridge_weight=weight)
                 level = u - delta
             assert math.isfinite(tau)
@@ -556,7 +473,7 @@ class TestClosedFormThreshold:
 
     def test_randomized_full_draw_overflows_with_regularization(self):
         scores = np.array([0.5, 1.5, 2.5])
-        got = randomized_threshold(scores, ones_features(3), 0.1, 0.4, StubRng(1.0),
+        got = randomized_threshold(scores, ones_features(3), 0.4, StubRng(1.0),
                                    ridge_weight=0.05)
         assert got == math.inf
 
@@ -645,10 +562,10 @@ class TestGroupFeatureThresholds:
             empty_test_groups += not features[:-1, features[-1] != 0.0].any()
             multiplier = lambda s: dual_eta(scores, features, delta, 0.0, s).eta[-1]
             want = oracle_weighted_threshold(scores, multiplier, delta)
-            assert weighted_threshold(scores, features, 0.1, delta) == want
+            assert weighted_threshold(scores, features, delta) == want
             for u in U_DRAWS + (float(rng.uniform()),):
                 want = oracle_weighted_threshold(scores, multiplier, delta, u=u)
-                got = randomized_threshold(scores, features, 0.1, delta, StubRng(u))
+                got = randomized_threshold(scores, features, delta, StubRng(u))
                 assert got == want
         assert empty_test_groups >= 5
 
@@ -661,9 +578,9 @@ class TestGroupFeatureThresholds:
                          np.vstack([group_features([2, 2], 0)[:-1], free]),
                          np.vstack([np.column_stack([np.ones(4), scores]), free])):
             for weight in (0.0, 0.3):
-                assert weighted_threshold(scores, features, 0.1, 0.3, weight) == 0.0
+                assert weighted_threshold(scores, features, 0.3, weight) == 0.0
                 for u in (0.1, 0.5, 1.0 - 2.0**-53):
-                    got = randomized_threshold(scores, features, 0.1, 0.3, StubRng(u), weight)
+                    got = randomized_threshold(scores, features, 0.3, StubRng(u), weight)
                     assert got == 0.0
                 # the LP route's face tolerance blurs eta near s = 0
                 for s in (-1e-3, 1e-3):
@@ -677,9 +594,9 @@ class TestGroupFeatureThresholds:
             features = features * float(rng.choice([1.0, 2.5, -0.7]))
             u = None if case % 2 == 0 else float(rng.choice(U_DRAWS[:3] + (rng.uniform(),)))
             if u is None:
-                tau = weighted_threshold(scores, features, 0.1, delta, ridge_weight=weight)
+                tau = weighted_threshold(scores, features, delta, ridge_weight=weight)
             else:
-                tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u),
+                tau = randomized_threshold(scores, features, delta, StubRng(u),
                                            ridge_weight=weight)
             assert math.isfinite(tau)
             assert straddles(scores, features, delta, weight, tau, u, 1e-9)
@@ -731,7 +648,7 @@ class TestGroupFeatureThresholds:
             scores = rng.normal(size=m)
             delta = float(rng.uniform(0.05, 0.95))
             u = float(rng.choice([rng.uniform(), 1.0 - rng.uniform() * 2.0**-31]))
-            tau = randomized_threshold(scores, features, 0.1, delta, StubRng(u))
+            tau = randomized_threshold(scores, features, delta, StubRng(u))
             if math.isfinite(tau):
                 finite += 1
                 eps = Fraction(1e-8) * (1 + abs(Fraction(tau)))
@@ -753,8 +670,8 @@ def feature_columns(rng, rows, k):
 
 def pinned_threshold(scores, features, delta, weight, u):
     if u is None:
-        return weighted_threshold(scores, features, 0.1, delta, ridge_weight=weight)
-    return randomized_threshold(scores, features, 0.1, delta, StubRng(u), ridge_weight=weight)
+        return weighted_threshold(scores, features, delta, ridge_weight=weight)
+    return randomized_threshold(scores, features, delta, StubRng(u), ridge_weight=weight)
 
 
 class TestPinnedGeneralRoute:
@@ -851,28 +768,26 @@ class TestPinnedGeneralRoute:
         assert all(0 <= i < 8 for i in err.value.details["held"])
 
     def test_regularized_env_fit_equals_the_kkt_oracle(self):
-        # fit_pinball_env: the same solve with no test row and no tilt
+        # the same solve with no test row and no tilt
         rng = np.random.default_rng(1422)
         for k in (2, 3):
             features = feature_columns(rng, 6, k)
             scores = rng.normal(size=6)
-            model = fit_pinball_env(list(zip(features, scores)), 0.3, ridge_weight=0.2)
+            theta, _ = _pinned_solve(features, scores, 0.3, 2.0 * 6 * 0.2, 0.0)
             want = oracle_pinned_kkt(features, scores, 0.3, 2.0 * 6 * 0.2, np.zeros(k))
-            assert np.abs(model.theta - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+            assert np.abs(theta - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -0.1])
-@pytest.mark.parametrize("entry", ["weighted", "randomized", "dual_eta", "fit_pinball_env"])
+@pytest.mark.parametrize("entry", ["weighted", "randomized", "dual_eta"])
 def test_ridge_weight_must_be_finite_and_nonnegative(entry, weight):
     scores = np.array([0.3, 1.2, 0.7, 2.0, 0.9])
     features = ones_features(scores.size)
     calls = {
-        "weighted": lambda: weighted_threshold(scores, features, 0.1, 0.2, weight),
-        "randomized": lambda: randomized_threshold(scores, features, 0.1, 0.2,
+        "weighted": lambda: weighted_threshold(scores, features, 0.2, weight),
+        "randomized": lambda: randomized_threshold(scores, features, 0.2,
                                                    StubRng(0.5), weight),
         "dual_eta": lambda: dual_eta(scores, features, 0.2, weight, 1.0),
-        "fit_pinball_env": lambda: fit_pinball_env(
-            list(zip(features[:-1], scores)), 0.2, ridge_weight=weight),
     }
     with pytest.raises(ValueError, match="ridge_weight must be finite and nonnegative"):
         calls[entry]()
