@@ -22,7 +22,10 @@ constant feature column at ridge 0 (the rank read) and at ridge 0.3 (the
 pinned active set), on 10 normal scores drawn from ``--seed``, the
 calibration count of the benchmark's ``cli_compare`` workload. Each runs
 ``--trials`` calls ``--repeats`` times; the fastest repeat's mean time per
-call is reported.
+call is reported. The last row is the ``cli_compare`` op without the CLI:
+one ``match_delta`` of weighted against split conformal over the grid
+0.1/0.2/0.3 on the plan's ``--trials`` trials, reported per paired trial
+(the baseline plus three grid plans), fastest of ``--repeats`` calls.
 
 Usage:
     python scripts/algorithm_timings.py
@@ -37,12 +40,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from mecp.data import HierGenConfig
-from mecp.evaluation import TrialPlan, algorithm_names, run_trial, trial_dataset
+from mecp.evaluation import TrialPlan, algorithm_names, match_delta, run_trial, trial_dataset
 from mecp.predictors import fit_ridge, fit_ridge_leave_one_out
 from mecp.weighted import weighted_threshold
 
@@ -80,9 +84,13 @@ def print_primitives(plan: TrialPlan, repeats: int) -> None:
         rows.append((f"weighted_threshold, ridge {ridge:g}", ms_per_call(
             lambda t: weighted_threshold(scores, constant, plan.delta, ridge),
             plan.trials, repeats)))
+    weighted = replace(plan, algorithm="weighted_split_conformal")
+    rows.append(("match_delta, 3-value grid", ms_per_call(
+        lambda t: match_delta("weighted_split_conformal", "split_conformal", plan.alpha,
+                              (0.1, 0.2, 0.3), weighted), 1, repeats) / plan.trials))
     print(f"ms per call, min of {repeats} x {plan.trials} calls, outlier generator, "
           f"{len(envs)} envs x {GENERATOR['n_per_env']} rows, p={x.shape[1]}, default ridge grid; "
-          f"weighted_threshold on 10 scores, constant column")
+          f"weighted_threshold on 10 scores, constant column; match_delta per trial")
     print(f"{'primitive':<38} {'ms/call':>9}")
     for name, ms in rows:
         print(f"{name:<38} {ms:>9.3f}")

@@ -5,7 +5,8 @@ columns: ``predict_bounds(x)`` as ``(lo, hi)`` arrays, a row being empty
 when lo > hi, or None for label sets, which ``predict_mask(x)`` gives as a
 ``(t, n_classes)`` bool mask. ``predict_sets(x)`` builds the per-row sets
 from those when asked, and ``metadata()`` gives a JSON-ready summary of
-the fitted state. Leave-one-out refits always drop a whole environment,
+the fitted state. ``at_delta(delta)`` is the same fit at another delta,
+which enters only the threshold. Leave-one-out refits always drop a whole environment,
 never single rows, so the guarantees target fresh environments rather
 than fresh observations from known ones.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ from .quantiles import (
     quant_minus,  # noqa: F401  (bench/tracer.py wraps it under this module)
     quant_plus,
 )
-from .weighted import dual_eta, env_score, randomized_threshold, weighted_threshold
+from .weighted import _threshold, dual_eta, env_score
 
 __all__ = [
     "ridge_point_builder",
@@ -86,6 +87,7 @@ def _pooled(envs: Sequence[EnvironmentSample]) -> tuple[np.ndarray, np.ndarray]:
 # thread or task only: (lambda grid, ids of the fit environments) or, for a
 # leave-one-out pass, ("leave_one_out", lambda grid, ids of all environments)
 # -> (those environments, fit). Holding them keeps their ids from reuse.
+# The trial engine keeps delta siblings' fits here too.
 _ridge_fits: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_ridge_fits", default=None
 )
@@ -282,6 +284,9 @@ class JackknifeMinmax(_ColumnarSets):
     def predict_mask(self, x) -> np.ndarray:
         return np.logical_or.reduce([mask_at(f, x, self.tau_hat) for f in self.families])
 
+    def at_delta(self, delta: float) -> "JackknifeMinmax":
+        return replace(self, delta=check_prob(delta, "delta"), tau_hat=quant_plus(self.env_scores, delta))
+
     def metadata(self) -> dict:
         return {
             "algorithm": "jackknife_minmax",
@@ -329,6 +334,9 @@ class SplitConformal(_FamilyAtThreshold):
     delta: float
     gamma: float
     split: EnvSplit
+
+    def at_delta(self, delta: float) -> "SplitConformal":
+        return replace(self, delta=check_prob(delta, "delta"), tau_hat=quant_plus(self.env_scores, delta))
 
     def metadata(self) -> dict:
         return {
@@ -388,6 +396,9 @@ class HierJackknifePlus(_ColumnarSets):
     predictors: tuple[Callable, ...]
     residuals: tuple[np.ndarray, ...]
     alpha: float
+
+    def at_delta(self, delta: float) -> "HierJackknifePlus":
+        return self  # no delta enters this construction
 
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The alpha and 1-alpha mixture quantiles per row of ``x``.
@@ -489,6 +500,9 @@ class Hcp(_FamilyAtThreshold):
     gamma: float
     split: EnvSplit
 
+    def at_delta(self, delta: float) -> "Hcp":
+        return self  # no delta enters this construction
+
     def metadata(self) -> dict:
         return {
             "algorithm": "hcp",
@@ -554,6 +568,10 @@ class ResizedCalibration:
     alpha0: float
     gamma: float
     split: EnvSplit
+
+    def at_delta(self, delta: float) -> "ResizedCalibration":
+        return replace(self, delta=check_prob(delta, "delta"),
+                       score_quantile=quant_plus(self.env_scores, delta))
 
 
 @dataclass(frozen=True)
@@ -698,6 +716,9 @@ class JackknifePlusQuantile(_ColumnarSets):
         s = np.asarray(self.env_scores, dtype=float)[:, None]
         return column_quant_bounds(preds - s, preds + s, self.delta)
 
+    def at_delta(self, delta: float) -> "JackknifePlusQuantile":
+        return replace(self, delta=check_prob(delta, "delta"))
+
     def metadata(self) -> dict:
         return {
             "algorithm": "jackknife_plus_quantile",
@@ -727,6 +748,11 @@ def fit_jackknife_plus_quantile(
     )
 
 
+def _weighted_tau(scores, delta: float, u: float | None) -> float:
+    # the engine's one constant feature column at ridge 0; u None is the plain threshold
+    return _threshold(scores, np.ones((len(scores) + 1, 1)), delta, 0.0, u)
+
+
 @dataclass(frozen=True)
 class WeightedSplitMapping(_FamilyAtThreshold):
     """Split-style symmetric family thresholded by the score-regression dual."""
@@ -736,7 +762,11 @@ class WeightedSplitMapping(_FamilyAtThreshold):
     tau_hat: float
     alpha: float
     delta: float
-    randomized: bool
+    u: float | None  # the randomized threshold's uniform draw; None for the plain one
+
+    def at_delta(self, delta: float) -> "WeightedSplitMapping":
+        delta = check_prob(delta, "delta")
+        return replace(self, delta=delta, tau_hat=_weighted_tau(self.cal_scores, delta, self.u))
 
     def metadata(self) -> dict:
         eta = None
@@ -749,7 +779,7 @@ class WeightedSplitMapping(_FamilyAtThreshold):
                 s=self.tau_hat,
             )
             eta = [float(v) for v in solution.eta]
-        name = "randomized_weighted_split_conformal" if self.randomized else "weighted_split_conformal"
+        name = "weighted_split_conformal" if self.u is None else "randomized_weighted_split_conformal"
         return {
             "algorithm": name,
             "alpha": self.alpha,
@@ -780,16 +810,12 @@ def fit_weighted_split_conformal(
     _split, fit_envs, cal_envs = _split_envs(dataset, gamma, rng)
     family = family_builder(fit_envs)
     scores = np.array([env_score(env, family, alpha) for env in cal_envs])
-    features = np.ones((len(scores) + 1, 1))
-    if randomized:
-        tau = randomized_threshold(scores, features, delta, rng)
-    else:
-        tau = weighted_threshold(scores, features, delta)
+    u = float(rng.uniform()) if randomized else None
     return WeightedSplitMapping(
         family=family,
         cal_scores=tuple(float(s) for s in scores),
-        tau_hat=tau,
+        tau_hat=_weighted_tau(scores, delta, u),
         alpha=alpha,
         delta=delta,
-        randomized=randomized,
+        u=u,
     )

@@ -8,7 +8,8 @@ of pairs clearing the bar, the mean within-environment coverage fraction
 taken over clearing pairs only, and the grand mean measure. A seeded engine
 repeats generate/fit/score cycles, one trial after another on the calling
 thread, so the aggregates are reproducible; plans that see the same data run
-paired, generating and fitting once per trial. A grid search finds the
+paired, generating and fitting once per trial (plans that differ only in
+delta share one calibration). A grid search finds the
 largest miscoverage level at which one method still covers as large a share
 of test outcomes as a baseline.
 """
@@ -22,6 +23,7 @@ import numpy as np
 
 from mecp.algorithms import (
     ResizedCalibration,
+    _ridge_fits,
     _shared_ridge_fits,
     fit_hcp,
     fit_hier_jackknife_plus,
@@ -381,9 +383,30 @@ def trial_dataset(plan: TrialPlan, trial: int) -> MultiEnvDataset:
     return generate_hierarchical(cfg)
 
 
+def _fitted(dataset: MultiEnvDataset, plan: TrialPlan, rng: np.random.Generator):
+    """The plan's mapping fitted on the first ``train_envs`` environments.
+
+    In a ``_shared_ridge_fits()`` block, plans that differ only in delta
+    (delta siblings) share the first one's fit, when it has ``at_delta``: a
+    later sibling's fresh rng equals the first one's, so it takes that
+    fit's ``at_delta`` and the rng state the fit left.
+    """
+    fits = _ridge_fits.get()
+    envs = dataset.environments[: plan.train_envs]
+    key = ("delta siblings", *(v for k, v in vars(plan).items() if k != "delta"), *map(id, envs))
+    if fits is not None and key in fits:
+        fitted, state = fits[key][1]
+        rng.bit_generator.state = state
+        return fitted.at_delta(plan.delta)
+    fitted = _TRIAL_RUNNERS[plan.algorithm](dataset.subset(range(plan.train_envs)), plan, rng)
+    if fits is not None and hasattr(fitted, "at_delta"):
+        fits[key] = (envs, (fitted, rng.bit_generator.state))
+    return fitted
+
+
 def _trial_rng(plan: TrialPlan, trial: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=plan.seed, spawn_key=(trial,))
-    return np.random.default_rng(ss.spawn(1)[0])
+    # the first child of SeedSequence(plan.seed, spawn_key=(trial,)), built directly
+    return np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(trial, 0)))
 
 
 def dataset_records(
@@ -402,9 +425,8 @@ def dataset_records(
             f"dataset has {dataset.m} environments, the plan needs "
             f"{plan.train_envs} + {plan.test_envs}"
         )
-    train = dataset.subset(range(plan.train_envs))
     test_envs = dataset.environments[plan.train_envs :]
-    fitted = _TRIAL_RUNNERS[plan.algorithm](train, plan, rng)
+    fitted = _fitted(dataset, plan, rng)
     if not isinstance(fitted, ResizedCalibration):
         return evaluate_mapping(
             fitted, test_envs, plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
@@ -449,8 +471,9 @@ def run_plans(plans: Sequence[TrialPlan]) -> list[CoverageReport]:
     and runs every plan on it, each with the same fresh rng stream as
     :func:`run_trials` gives it, so every report equals that plan's own
     ``run_trials`` report. While a trial runs, ridge fits on the same
-    environments with the same penalty grid are made once and shared; the
-    cache is dropped when the trial ends. If plans fail, the error raised
+    environments with the same penalty grid are made once and shared, and
+    plans that differ only in ``delta`` share one fit and re-threshold it;
+    the cache is dropped when the trial ends. If plans fail, the error raised
     is the one running the plans one after another would raise: the first
     failing plan's, at its first failing trial.
     """
@@ -522,7 +545,8 @@ def match_delta(
     share of test outcomes as method_b.
 
     Both methods run on the same seeded datasets trial by trial, so the
-    comparison is paired; each dataset is generated and fitted once. When
+    comparison is paired; each dataset is generated once, and method_a is
+    fitted once per trial and re-thresholded for each grid delta. When
     no grid value qualifies, the smallest is returned with ``found=False``.
     """
     grid = check_delta_grid(delta_grid)

@@ -44,7 +44,6 @@ __all__ = [
     "randomized_threshold",
 ]
 
-BOX_TOLERANCE = 1e-10
 _LP_TOLERANCE = 1e-10
 
 

@@ -773,6 +773,39 @@ class TestRunPlans:
         ]
         assert run_plans(plans) == [run_trials(plan) for plan in plans]
 
+    @pytest.mark.parametrize("n_per_env", [20, [10, 30]])
+    def test_delta_siblings_equal_per_plan_run_trials_for_every_algorithm(self, n_per_env):
+        # siblings share one fit per trial: the randomized draw U and the
+        # resized holdout draws after the fit must replay as in a lone run
+        generator = HierGenConfig(m=1, n_per_env=n_per_env, p=2, seed=0)
+        deltas = (0.3, 0.1, 0.6)
+        plans = [
+            make_plan(generator=generator, algorithm=name, trials=3, train_envs=10, alpha=0.2,
+                      alpha0=0.3, label_count=5, delta=delta, seed=5)
+            for name in algorithm_names()
+            for delta in deltas
+        ]
+        reports = run_plans(plans)
+        assert reports == [run_trials(plan) for plan in plans]
+        # every threshold that reads delta moves over the grid, so a stale one shows
+        by_name = dict(zip(algorithm_names(), zip(*[iter(reports)] * len(deltas))))
+        for name, grid in by_name.items():
+            lengths = {report.empirical_set_length for report in grid}
+            assert len(lengths) == (1 if name in ("hcp", "hier_jackknife_plus") else 3)
+
+    def test_at_delta_checks_delta_and_delta_free_fits_return_themselves(self):
+        plan = make_plan(trials=1, train_envs=10, alpha=0.2, label_count=5)
+        train = trial_dataset(plan, 0).subset(range(10))
+        for name in algorithm_names():
+            runner = evaluation._TRIAL_RUNNERS[name]
+            fitted = runner(train, replace(plan, algorithm=name), np.random.default_rng(0))
+            if name in ("hcp", "hier_jackknife_plus"):
+                assert fitted.at_delta(0.5) is fitted
+                continue
+            assert fitted.at_delta(0.5).delta == 0.5
+            with pytest.raises(ValueError, match="delta"):
+                fitted.at_delta(1.0)
+
     def test_rules_score_the_same_sets_for_every_algorithm(self):
         # the rule only reads the counts: records agree pair for pair, and
         # the count bar rank_plus never lies below the fraction bar
@@ -797,7 +830,7 @@ class TestRunPlans:
                    for c, f in zip(by_count.records, by_fraction.records))
 
     def test_match_delta_generates_and_fits_once_per_trial(self, monkeypatch):
-        calls = {"fit_ridge": 0, "generate_hierarchical": 0}
+        calls = {"fit_ridge": 0, "generate_hierarchical": 0, "fit_weighted_split_conformal": 0}
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -810,11 +843,14 @@ class TestRunPlans:
 
         counted(algorithms, "fit_ridge")
         counted(evaluation, "generate_hierarchical")
+        counted(evaluation, "fit_weighted_split_conformal")
         plan = make_plan(algorithm="weighted_split_conformal", trials=10, train_envs=6)
         match_delta(
             "weighted_split_conformal", "split_conformal", 0.1, (0.1, 0.2, 0.3), plan
         )
-        assert calls == {"fit_ridge": 10, "generate_hierarchical": 10}
+        # one weighted fit per trial; the other two grid deltas re-threshold it
+        assert calls == {"fit_ridge": 10, "generate_hierarchical": 10,
+                         "fit_weighted_split_conformal": 10}
 
     def test_leave_one_out_passes_stay_out_of_the_pooled_fit_cache(self):
         # d1 is exactly a leave-one-out set: one of two environments, nine of ten
@@ -870,8 +906,9 @@ class TestRunPlans:
         monkeypatch.setattr(evaluation, "run_trial", recording)
         plan = make_plan(algorithm="split_conformal", trials=3, train_envs=6)
         run_plans([plan, replace(plan, delta=0.4)])
-        # the second plan reuses the first plan's fit; each trial starts empty
-        assert sizes == [0, 1, 0, 1, 0, 1]
+        # the first plan leaves its ridge fit and its delta-sibling fit, which
+        # the second plan reuses; each trial starts empty
+        assert sizes == [0, 2, 0, 2, 0, 2]
         assert algorithms._ridge_fits.get() is None
 
     def test_fit_error_names_trial_and_left_out_environment(self, monkeypatch):

@@ -14,7 +14,6 @@ from mecp.nested_sets import SymmetricFamily
 from mecp.quantiles import quant_plus
 from mecp.predictors import FitError
 from mecp.weighted import (
-    BOX_TOLERANCE,
     _pinned_solve,
     _solve_box_lp,
     dual_eta,
@@ -30,6 +29,9 @@ from oracles import (
     oracle_test_multiplier,
     oracle_weighted_threshold,
 )
+
+# slack allowed on multipliers returned by the LP solver
+BOX_TOLERANCE = 1e-10
 
 
 class StubRng:
