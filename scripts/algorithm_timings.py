@@ -17,10 +17,10 @@ ridge rows run on the 20 training environments of the plan's first trial
 (1000 rows, p=5): the leave-one-out pass ``fit_ridge_leave_one_out`` that
 the jackknife algorithms make once per trial, and one pooled ``fit_ridge`` on
 all 1000 rows, the size of the fit in the benchmark's ``split_wide``
-workload. The dual-solve rows run ``weighted_threshold`` on the engine's
-constant feature column at ridge 0 (the rank read) and at ridge 0.3 (the
-pinned active set), on 10 normal scores drawn from ``--seed``, the
-calibration count of the benchmark's ``cli_compare`` workload. Each runs
+workload. The dual-solve row runs ``weighted_threshold`` on the engine's
+constant feature column at ridge 0 (the rank read), on 10 normal scores
+drawn from ``--seed``, the calibration count of the benchmark's
+``cli_compare`` workload. Each runs
 ``--trials`` calls ``--repeats`` times; the fastest repeat's mean time per
 call is reported. The last row is the ``cli_compare`` op without the CLI:
 one ``match_delta`` of weighted against split conformal over the grid
@@ -80,10 +80,8 @@ def print_primitives(plan: TrialPlan, repeats: int) -> None:
     ]
     scores = np.random.default_rng(plan.seed).normal(size=10)
     constant = np.ones((scores.size + 1, 1))
-    for ridge in (0.0, 0.3):
-        rows.append((f"weighted_threshold, ridge {ridge:g}", ms_per_call(
-            lambda t: weighted_threshold(scores, constant, plan.delta, ridge),
-            plan.trials, repeats)))
+    rows.append(("weighted_threshold, ridge 0", ms_per_call(
+        lambda t: weighted_threshold(scores, constant, plan.delta), plan.trials, repeats)))
     weighted = replace(plan, algorithm="weighted_split_conformal")
     rows.append(("match_delta, 3-value grid", ms_per_call(
         lambda t: match_delta("weighted_split_conformal", "split_conformal", plan.alpha,

@@ -37,9 +37,7 @@ from .nested_sets import (
     thresholds,
     union_sets,
 )
-from .predictors import (
-    DEFAULT_LAMBDA_GRID, FitError, fit_pinball, fit_ridge, fit_ridge_leave_one_out, fit_softmax
-)
+from .predictors import DEFAULT_LAMBDA_GRID, FitError, fit_ridge, fit_ridge_leave_one_out, fit_softmax
 from .quantiles import (
     DiscreteDistribution,
     check_prob,
@@ -55,7 +53,6 @@ from .weighted import _threshold, dual_eta, env_score
 __all__ = [
     "ridge_point_builder",
     "ridge_symmetric_builder",
-    "pinball_band_builder",
     "softmax_sublevel_builder",
     "JackknifeMinmax",
     "SplitConformal",
@@ -70,7 +67,6 @@ __all__ = [
     "fit_hcp",
     "fit_resized_calibration",
     "resize_for",
-    "fit_resized_split_conformal",
     "fit_jackknife_plus_quantile",
     "WeightedSplitMapping",
     "fit_weighted_split_conformal",
@@ -141,23 +137,6 @@ def ridge_symmetric_builder(lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID) 
         return SymmetricFamily(predict=point(envs))
 
     build.leave_one_out = lambda envs: [SymmetricFamily(predict=f) for f in point.leave_one_out(envs)]
-    return build
-
-
-def pinball_band_builder(low_level: float = 0.05, high_level: float = 0.95) -> Callable:
-    """Builder producing band families from two pooled quantile fits."""
-    check_prob(low_level, "low_level")
-    check_prob(high_level, "high_level")
-    if low_level >= high_level:
-        raise ValueError("low_level must be below high_level")
-
-    def build(envs: Sequence[EnvironmentSample]) -> BandFamily:
-        x, y = _pooled(envs)
-        return BandFamily(
-            lower=fit_pinball(x, y, low_level).predict,
-            upper=fit_pinball(x, y, high_level).predict,
-        )
-
     return build
 
 
@@ -676,23 +655,6 @@ def resize_for(calibration: ResizedCalibration, x, y) -> ResizedSplitConformal:
     )
 
 
-def fit_resized_split_conformal(
-    dataset: MultiEnvDataset,
-    test_labeled: EnvironmentSample,
-    family_builder: Callable,
-    alpha: float,
-    delta: float,
-    gamma: float,
-    alpha0: float,
-    rng: np.random.Generator,
-) -> ResizedSplitConformal:
-    """Calibrate with rescaled scores, then resize to the labeled test rows."""
-    calibration = fit_resized_calibration(
-        dataset, family_builder, alpha, delta, gamma, alpha0, test_labeled.n, rng
-    )
-    return resize_for(calibration, test_labeled.x, test_labeled.y)
-
-
 @dataclass(frozen=True)
 class JackknifePlusQuantile(_ColumnarSets):
     """Per-environment quantile shifts combined by lower/upper sample quantiles.
@@ -750,7 +712,7 @@ def fit_jackknife_plus_quantile(
 
 def _weighted_tau(scores, delta: float, u: float | None) -> float:
     # the engine's one constant feature column at ridge 0; u None is the plain threshold
-    return _threshold(scores, np.ones((len(scores) + 1, 1)), delta, 0.0, u)
+    return _threshold(scores, np.ones((len(scores) + 1, 1)), delta, u)
 
 
 @dataclass(frozen=True)
@@ -801,9 +763,8 @@ def fit_weighted_split_conformal(
 ) -> WeightedSplitMapping:
     """Split fit thresholded through the score-regression dual (see ``weighted``).
 
-    The feature map is the constant 1 with no ridge penalty (a penalty on
-    that one column pulls the threshold toward 0), so one threshold serves
-    every test environment; ``randomized`` draws the multiplier's bound.
+    The feature map is the constant 1, so one threshold serves every test
+    environment; ``randomized`` draws the multiplier's bound.
     """
     alpha = check_prob(alpha, "alpha")
     delta = check_prob(delta, "delta")

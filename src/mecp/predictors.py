@@ -1,9 +1,9 @@
-"""Base predictors: ridge with exact LOOCV, pinball (quantile) fits, softmax.
+"""Base predictors: ridge with exact LOOCV, and softmax.
 
 These are the plug-in model fitters the confidence constructions wrap.
 Every fit is deterministic given its inputs; no randomness enters here.
-scipy is imported inside the LP and softmax routes, so ridge-only runs
-never load it.
+Everything is numpy: the softmax's log-sum-exp follows scipy's arithmetic
+without importing it.
 """
 
 from __future__ import annotations
@@ -13,21 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mecp.quantiles import check_nonnegative, check_prob
+from mecp.quantiles import check_nonnegative
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "FitError",
-    "PinballModel",
     "RidgeModel",
     "SoftmaxModel",
-    "fit_pinball",
     "fit_ridge",
     "fit_ridge_leave_one_out",
     "fit_softmax",
-    "highs_lp",
     "multiclass_loss",
-    "pinball_lp",
 ]
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(10.0**j for j in range(-4, 5))
@@ -36,8 +32,6 @@ DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(10.0**j for j in range(-4, 5))
 _SINGULAR_RTOL = 1e-12
 # a penalty whose smallest leave-one-out denominator 1 - h_ii reaches this is unusable
 _LEVERAGE_FLOOR = 1e-10
-# HiGHS primal and dual feasibility tolerance of the pinball LP
-_PINBALL_TOLERANCE = 1e-8
 
 
 class FitError(RuntimeError):
@@ -234,65 +228,6 @@ def fit_ridge_leave_one_out(x, y, sizes, lambda_grid=DEFAULT_LAMBDA_GRID) -> lis
 
 
 @dataclass(frozen=True)
-class PinballModel:
-    """Affine quantile fit; ``theta`` stacks (intercept, coefficients)."""
-
-    theta: np.ndarray
-    level: float
-
-    def predict(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(self.theta[0] + x @ self.theta[1:])
-        return self.theta[0] + x @ self.theta[1:]
-
-
-def highs_lp(c, bounds, tolerance: float, **constraints):
-    """scipy's HiGHS ``linprog`` result with ``tolerance`` as the primal and
-    dual feasibility tolerance, importing scipy on the first LP."""
-    from scipy.optimize import linprog
-
-    return linprog(c, bounds=bounds, method="highs", **constraints,
-                   options={"primal_feasibility_tolerance": tolerance,
-                            "dual_feasibility_tolerance": tolerance})
-
-
-def pinball_lp(design: np.ndarray, target: np.ndarray, weights: tuple[float, float],
-               tolerance: float, tilt=0.0, face=None):
-    """HiGHS result of min mean(weights[0] u+ + weights[1] u-) - tilt'theta / n
-    subject to design @ theta + u+ - u- = target, theta (``res.x[:d]``) free,
-    u+- >= 0. ``face = (g, bound)`` minimizes g'theta instead, over the
-    points whose objective is at most ``bound``."""
-    n, d = design.shape
-    c = np.concatenate([np.zeros(d) - tilt / n, np.full(n, weights[0] / n), np.full(n, weights[1] / n)])
-    a_eq = np.hstack([design, np.eye(n), -np.eye(n)])
-    bounds = [(None, None)] * d + [(0, None)] * (2 * n)
-    if face is None:
-        return highs_lp(c, bounds, tolerance, A_eq=a_eq, b_eq=target)
-    return highs_lp(np.concatenate([face[0], np.zeros(2 * n)]), bounds, tolerance,
-                    A_ub=c[None, :], b_ub=[face[1]], A_eq=a_eq, b_eq=target)
-
-
-def fit_pinball(x, y, level: float) -> PinballModel:
-    """Minimize mean pinball loss over affine functions via an exact LP.
-
-    The loss on residual r = y - f(x) is
-    ``level * max(r, 0) + (1 - level) * max(-r, 0)``, so ``level`` is the
-    quantile being estimated.  The solver (HiGHS) is deterministic; a
-    non-optimal exit raises :class:`FitError` with the solver status.
-    """
-    level = check_prob(level, "level")
-    xt = _design(x)
-    n, d = xt.shape
-    y = _check_outcomes(y, n)
-    res = pinball_lp(xt, y, (level, 1 - level), _PINBALL_TOLERANCE)
-    if res.status != 0:
-        raise FitError("pinball LP did not reach optimality",
-                       status=res.status, solver_message=res.message, objective=res.fun)
-    return PinballModel(theta=res.x[:d], level=level)
-
-
-@dataclass(frozen=True)
 class SoftmaxModel:
     """Multinomial logit weights, one (intercept, coefficients) row per class."""
 
@@ -310,19 +245,39 @@ class SoftmaxModel:
         return out[0] if single else out
 
 
+def _log_sum_exp(v: np.ndarray) -> np.ndarray:
+    """log(sum(exp(v))) over the last axis, in scipy.special.logsumexp's arithmetic.
+
+    The row max's m tied entries leave the sum: the result is
+    ``log1p(rest / m) + log(m) + max``, ``rest`` summing ``exp(v - max)``
+    over the other entries. A row whose max is not finite gives that max
+    (NaN for a row holding one), with no warning.
+    """
+    top = v.max(axis=-1, keepdims=True)
+    at_top = v == top
+    ties = at_top.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.where(at_top, 0.0, np.exp(v - top)).sum(axis=-1, keepdims=True)
+        return (np.log1p(rest / ties) + np.log(ties) + top)[..., 0]
+
+
+def _softmax(v: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis, shifted by the row max as scipy.special.softmax is."""
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def multiclass_loss(y, logits) -> np.ndarray | float:
     """log(sum_i exp(v_i - v_y)), stabilized through log-sum-exp.
 
     Shift-invariant in the logits.  Accepts a single logit vector with an
     integer label, or an (n, k) batch with an (n,) label array.
     """
-    from scipy.special import logsumexp
-
     v = np.asarray(logits, dtype=float)
     if v.ndim == 1:
-        return float(logsumexp(v) - v[int(y)])
+        return float(_log_sum_exp(v) - v[int(y)])
     labels = np.asarray(y, dtype=int)
-    return logsumexp(v, axis=1) - v[np.arange(v.shape[0]), labels]
+    return _log_sum_exp(v) - v[np.arange(v.shape[0]), labels]
 
 
 def fit_softmax(
@@ -339,8 +294,6 @@ def fit_softmax(
     ``tolerance``.  Divergence (non-finite or exploding loss) and hitting
     ``max_iter`` both raise :class:`FitError` with diagnostics.
     """
-    from scipy.special import softmax
-
     xt = _design(x)
     n = xt.shape[0]
     labels = np.asarray(y)
@@ -355,7 +308,7 @@ def fit_softmax(
     onehot[np.arange(n), labels] = 1.0
     loss0 = float(np.mean(multiclass_loss(labels, xt @ w.T)))
     for t in range(max_iter):
-        probs = softmax(xt @ w.T, axis=1)
+        probs = _softmax(xt @ w.T)
         grad = (probs - onehot).T @ xt / n
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tolerance:

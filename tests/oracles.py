@@ -7,7 +7,6 @@ package's own code paths so tests compare two routes to the same answer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -149,33 +148,6 @@ def oracle_ridge_loo_errors(x, y, lam: float) -> np.ndarray:
     return errs
 
 
-def oracle_pinball_objective(x_design, y, theta, level: float) -> float:
-    """Mean pinball loss of an affine fit; x_design already has the 1 column."""
-    r = np.asarray(y, dtype=float) - np.asarray(x_design, dtype=float) @ theta
-    return float(np.mean(level * np.clip(r, 0, None) + (1 - level) * np.clip(-r, 0, None)))
-
-
-def oracle_pinball_vertex_min(x_design, y, level: float) -> float:
-    """Best objective over all interpolating vertex candidates.
-
-    A minimizer of the pinball LP sits at a vertex where the fit
-    interpolates d = x_design.shape[1] points (generic position), so
-    enumerating all d-subsets and keeping the best objective recovers the
-    optimal value.
-    """
-    x_design = np.asarray(x_design, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, d = x_design.shape
-    best = math.inf
-    for rows in itertools.combinations(range(n), d):
-        sub = x_design[list(rows)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        theta = np.linalg.solve(sub, y[list(rows)])
-        best = min(best, oracle_pinball_objective(x_design, y, theta, level))
-    return best
-
-
 def oracle_softmax_grad(weights, x_design, labels, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of the mean multiclass log loss."""
     weights = np.asarray(weights, dtype=float)
@@ -293,156 +265,3 @@ def oracle_weighted_threshold(scores, test_multiplier, delta: float, u=None) -> 
         if holds(atom):
             best = max(best, atom)
     return best
-
-
-def _box_support(t: Fraction, delta: Fraction) -> Fraction:
-    # max of e * t over e in [-delta, 1 - delta]; it is also the pinball loss
-    return (1 - delta) * t if t > 0 else -delta * t
-
-
-def _rational_rows(features):
-    return [tuple(Fraction(float(v)) for v in row) for row in np.asarray(features, dtype=float)]
-
-
-def oracle_test_reach(features, delta: Fraction) -> Fraction:
-    """Largest test multiplier over eta in [-delta, 1-delta]^n with features' eta = 0.
-
-    Two feature columns, exact. By LP duality the value is the minimum over
-    theta of ``g(1 + phi_t'theta) + sum_i g(phi_i'theta)``, g the box support
-    function. That function is convex and piecewise linear, so its minimum
-    sits at a vertex of its breakline arrangement: the origin, where the
-    lines ``phi_i'theta = 0`` meet, or where ``phi_t'theta = -1`` crosses one.
-    """
-    *cal, test = _rational_rows(features)
-
-    def dual(th):
-        value = _box_support(1 + test[0] * th[0] + test[1] * th[1], delta)
-        return value + sum(_box_support(a * th[0] + b * th[1], delta) for a, b in cal)
-
-    candidates = [(Fraction(0), Fraction(0))]
-    for a, b in cal:
-        det = test[0] * b - test[1] * a
-        if det != 0:
-            candidates.append((-b / det, a / det))
-    return min(dual(th) for th in candidates)
-
-
-def _vertex_fits(rows, values):
-    """theta through every pair of independent rows at zero residual (two columns)."""
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        (a1, a2), (b1, b2) = rows[i], rows[j]
-        det = a1 * b2 - a2 * b1
-        if det != 0:
-            yield ((values[i] * b2 - a2 * values[j]) / det, (a1 * values[j] - values[i] * b1) / det)
-
-
-def _pinball_sum(rows, values, theta, delta: Fraction) -> Fraction:
-    return sum(_box_support(v - a * theta[0] - b * theta[1], delta)
-               for v, (a, b) in zip(values, rows))
-
-
-def oracle_test_multiplier(scores, features, delta: float, s) -> Fraction:
-    """Largest optimal test multiplier of the unregularized dual at imputed score s.
-
-    Two feature columns, exact. The dual's value is the primal value
-    ``V(s) = min_theta sum_i rho(S_i - phi_i'theta)`` over all m+1 rows, with
-    the test row's score s, and the largest optimal test multiplier is V's
-    right derivative. V is piecewise linear and its minimum over theta sits
-    at a vertex (two rows at zero residual), so V comes from rational vertex
-    enumeration, and its difference quotient over a step of
-    ``1e-15 (1 + |s|)`` is the right derivative when no kink lies that close
-    above s. Vertices whose float objective lies more than 1e-9 relative
-    above the float minimum are skipped before the exact comparison.
-    """
-    d = Fraction(delta)
-    rows = _rational_rows(features)
-    s = Fraction(s)
-
-    def value(sv):
-        values = [Fraction(float(v)) for v in scores] + [sv]
-        fits = list(_vertex_fits(rows, values))
-        phi, target = np.asarray(features, dtype=float), np.array([float(v) for v in values])
-        resid = target[:, None] - phi @ np.array([[float(t) for t in th] for th in fits]).T
-        rough = np.maximum((1 - delta) * resid, -delta * resid).sum(axis=0)
-        cut = rough.min() + 1e-9 * (1.0 + abs(rough.min()))
-        return min(_pinball_sum(rows, values, th, d) for th, r in zip(fits, rough) if r <= cut)
-
-    step = Fraction(1e-15) * (1 + abs(s))
-    return (value(s + step) - value(s)) / step
-
-
-def oracle_pinned_threshold(scores, features, delta: float, u=None) -> Fraction | float:
-    """Weighted threshold for two-column features at ridge 0, in exact rationals.
-
-    The test multiplier is pinned at its level l: ``1 - delta`` (plain, ``u``
-    None) or ``u - delta`` (randomized). The criterion holds at every imputed
-    score when the largest feasible test multiplier stays below 1 - delta
-    (plain) or at most l (randomized), giving ``+inf``; it holds at none when
-    the least one reaches 1 - delta (plain) or exceeds l, giving ``-inf``.
-    Otherwise the tilted LP ``min sum_i rho(S_i - phi_i'theta) - l phi_t'theta``
-    is bounded, and every vertex (two calibration rows at zero residual) is
-    enumerated: among the optimal ones the least (plain) or largest
-    (randomized) test fit ``phi_t'theta`` is returned as a ``Fraction``.
-    """
-    d = Fraction(delta)
-    top = 1 - d
-    level = top if u is None else Fraction(u) - d
-    most = oracle_test_reach(features, d)
-    # mirroring eta maps the box for delta onto the box for 1 - delta
-    least = -oracle_test_reach(features, 1 - d)
-    if (most < top) if u is None else (most <= level):
-        return math.inf
-    if (least >= top) if u is None else (least > level):
-        return -math.inf
-    *cal, test = _rational_rows(features)
-    values = [Fraction(float(v)) for v in scores]
-    vertices = []
-    for th in _vertex_fits(cal, values):
-        fit = test[0] * th[0] + test[1] * th[1]
-        vertices.append((_pinball_sum(cal, values, th, d) - level * fit, fit))
-    best = min(value for value, _ in vertices)
-    fits = [fit for value, fit in vertices if value == best]
-    return min(fits) if u is None else max(fits)
-
-
-def oracle_pinned_kkt(features, scores, delta: float, curv: float, tilt) -> np.ndarray:
-    """theta minimizing sum_i rho(S_i - phi_i'theta) + curv/2 |theta|^2 - tilt'theta.
-
-    Enumerates KKT patterns: a held set H of at most k independent rows at
-    zero residual, and a sign for every other row, whose multiplier is then
-    the matching box end. Each pattern's stationarity system
-    ``curv theta = tilt + phi' eta`` with ``phi_H theta = S_H`` is solved,
-    and a pattern is kept when its residual signs and held multipliers are
-    consistent (within 1e-9). The objective is strictly convex, so every
-    kept pattern names the same theta; the lowest objective is returned.
-    Exponential in the row count: small inputs only.
-    """
-    phi = np.asarray(features, dtype=float)
-    s = np.asarray(scores, dtype=float)
-    n, k = phi.shape
-    upper, lower = 1.0 - delta, -delta
-    best = None
-    for size in range(k + 1):
-        for held in itertools.combinations(range(n), size):
-            held = list(held)
-            rows = phi[held]
-            if size and np.linalg.matrix_rank(rows) < size:
-                continue
-            rest = [i for i in range(n) if i not in held]
-            for signs in itertools.product((upper, lower), repeat=len(rest)):
-                pull = tilt + phi[rest].T @ np.array(signs, dtype=float).reshape(-1)
-                lam = np.linalg.solve(rows @ rows.T, curv * s[held] - rows @ pull)
-                theta = (pull + rows.T @ lam) / curv
-                resid = s[rest] - phi[rest] @ theta
-                slack = 1e-9 * (1.0 + np.abs(s[rest]))
-                if ((lam < lower - 1e-9) | (lam > upper + 1e-9)).any():
-                    continue
-                if any((e == upper and r < -sl) or (e == lower and r > sl)
-                       for e, r, sl in zip(signs, resid, slack)):
-                    continue
-                r = s - phi @ theta
-                value = (np.sum(np.maximum(upper * r, lower * r)) + 0.5 * curv * theta @ theta
-                         - tilt @ theta)
-                if best is None or value < best[0]:
-                    best = (value, theta)
-    return best[1]

@@ -17,10 +17,8 @@ from mecp.algorithms import (
     fit_jackknife_minmax,
     fit_jackknife_plus_quantile,
     fit_resized_calibration,
-    fit_resized_split_conformal,
     fit_split_conformal,
     fit_weighted_split_conformal,
-    pinball_band_builder,
     resize_for,
     ridge_point_builder,
     ridge_symmetric_builder,
@@ -45,7 +43,7 @@ from mecp.nested_sets import (
     contains,
     thresholds,
 )
-from mecp.predictors import FitError, multiclass_loss
+from mecp.predictors import FitError, fit_ridge, multiclass_loss
 from mecp.quantiles import quant_minus, quant_plus
 
 from oracles import (
@@ -103,6 +101,16 @@ def linear_dataset(rng, m=5, n=12, p=2, env_scale=0.5, noise=0.3):
         y = x @ w + env_scale * rng.normal() + noise * rng.normal(size=n)
         envs.append(EnvironmentSample(env_id=f"e{i}", x=x, y=y))
     return MultiEnvDataset(environments=tuple(envs))
+
+
+def ridge_band_builder(envs):
+    """A fitted band whose width varies with x: ridge fits to the pooled rows
+    below and above a pooled ridge fit give its lower and upper ends."""
+    x = np.vstack([e.x for e in envs])
+    y = np.concatenate([e.y for e in envs])
+    above = y >= fit_ridge(x, y).predict(x)
+    return BandFamily(lower=fit_ridge(x[~above], y[~above]).predict,
+                      upper=fit_ridge(x[above], y[above]).predict)
 
 
 def find_seed(predicate, limit=2000):
@@ -199,10 +207,10 @@ class TestJackknifeMinmax:
     def test_fitted_band_hull_matches_union_envelope(self):
         rng = np.random.default_rng(9)
         ds = linear_dataset(rng, m=4, n=30, p=2, noise=0.5)
-        fitted = fit_jackknife_minmax(ds, pinball_band_builder(0.3, 0.7), 0.3, 0.5)
+        fitted = fit_jackknife_minmax(ds, ridge_band_builder, 0.3, 0.5)
         x = rng.normal(size=(40, 2))
-        # negative thresholds cross some components (-0.25) or all of them (-0.45)
-        for tau in (fitted.tau_hat, -0.25, -0.45):
+        # negative thresholds cross some components (-0.4) or all of them (-0.52)
+        for tau in (fitted.tau_hat, -0.4, -0.52):
             mapping = replace(fitted, tau_hat=tau)
             unions = mapping.predict_unions(x)
             expected = [EMPTY_SET if u == EMPTY_SET else Interval(*envelope(u)) for u in unions]
@@ -264,7 +272,7 @@ class TestJackknifeMinmax:
     def test_band_families(self):
         rng = np.random.default_rng(9)
         ds = linear_dataset(rng, m=4, n=30, p=2, noise=0.5)
-        mapping = fit_jackknife_minmax(ds, pinball_band_builder(0.1, 0.9), 0.3, 0.5)
+        mapping = fit_jackknife_minmax(ds, ridge_band_builder, 0.3, 0.5)
         for s in mapping.predict_sets(rng.normal(size=(5, 2))):
             assert isinstance(s, Interval) and s.lo <= s.hi
 
@@ -638,10 +646,11 @@ class TestResizedSplitConformal:
             ds, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0,
             np.random.default_rng(7),
         )
-        resized = fit_resized_split_conformal(
-            ds, test_env, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0, 0.5,
+        cal = fit_resized_calibration(
+            ds, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0, 0.5, test_env.n,
             np.random.default_rng(7),
         )
+        resized = resize_for(cal, test_env.x, test_env.y)
         assert resized.calibration.split == plain.split
         assert resized.calibration.env_factors == (1.0, 1.0)
         assert resized.test_factor == 1.0
@@ -703,11 +712,12 @@ class TestResizedSplitConformal:
             return 4 not in labeled
 
         seed = find_seed(probe)
-        resized = fit_resized_split_conformal(
-            ds, env_from_y("t", [1.0, -1.0]), constant_symmetric_builder(0.0),
-            0.3, 0.5, gamma, 0.5, np.random.default_rng(seed),
+        cal = fit_resized_calibration(
+            ds, constant_symmetric_builder(0.0), 0.3, 0.5, gamma, 0.5, 2,
+            np.random.default_rng(seed),
         )
-        cal = resized.calibration
+        test = env_from_y("t", [1.0, -1.0])
+        resized = resize_for(cal, test.x, test.y)
         assert cal.degenerate_envs == ("mixed",)
         assert cal.env_scores[cal.split.d2.index(1)] == math.inf
         assert cal.score_quantile == math.inf
@@ -755,10 +765,12 @@ class TestResizedSplitConformal:
 
     def test_metadata_serializes(self):
         ds = self.unit_residual_dataset()
-        resized = fit_resized_split_conformal(
-            ds, env_from_y("t", [1.0, -1.0]), constant_symmetric_builder(0.0),
-            0.3, 0.5, 1.0 / 3.0, 0.5, np.random.default_rng(7),
+        cal = fit_resized_calibration(
+            ds, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0, 0.5, 2,
+            np.random.default_rng(7),
         )
+        test = env_from_y("t", [1.0, -1.0])
+        resized = resize_for(cal, test.x, test.y)
         text = json.dumps(resized.metadata(), sort_keys=True)
         assert "resized_split_conformal" in text
 
@@ -798,10 +810,12 @@ class TestSplitFits:
 
     def test_resized_mapping_exposes_the_calibrated_family(self):
         ds = TestResizedSplitConformal().unit_residual_dataset()
-        resized = fit_resized_split_conformal(
-            ds, env_from_y("t", [1.0, -1.0]), constant_symmetric_builder(0.0),
-            0.3, 0.5, 1.0 / 3.0, 0.5, np.random.default_rng(7),
+        cal = fit_resized_calibration(
+            ds, constant_symmetric_builder(0.0), 0.3, 0.5, 1.0 / 3.0, 0.5, 2,
+            np.random.default_rng(7),
         )
+        test = env_from_y("t", [1.0, -1.0])
+        resized = resize_for(cal, test.x, test.y)
         assert resized.family is resized.calibration.family
         lo, hi = resized.predict_bounds(np.zeros((2, 1)))
         assert lo.tolist() == [-resized.tau_hat] * 2
@@ -912,10 +926,10 @@ class TestTauMonotonicity:
         test_env = ds.environments[0]
         labeled = EnvironmentSample(env_id="t", x=test_env.x[:3], y=test_env.y[:3])
         fits = [
-            fit_resized_split_conformal(
-                ds, labeled, ridge_symmetric_builder(), 0.2, d, 0.5, 0.3,
+            resize_for(fit_resized_calibration(
+                ds, ridge_symmetric_builder(), 0.2, d, 0.5, 0.3, labeled.n,
                 np.random.default_rng(42),
-            )
+            ), labeled.x, labeled.y)
             for d in self.deltas
         ]
         self.assert_non_increasing([f.calibration.score_quantile for f in fits])
@@ -931,10 +945,10 @@ class TestMetadata:
             fit_split_conformal(ds, ridge_symmetric_builder(), 0.2, 0.4, 0.5, np.random.default_rng(0)),
             fit_hier_jackknife_plus(ds, ridge_point_builder(), 0.2),
             fit_hcp(ds, ridge_point_builder(), 0.2, 0.5, np.random.default_rng(0)),
-            fit_resized_split_conformal(
-                ds, test_env, ridge_symmetric_builder(), 0.2, 0.4, 0.5, 0.3,
+            resize_for(fit_resized_calibration(
+                ds, ridge_symmetric_builder(), 0.2, 0.4, 0.5, 0.3, test_env.n,
                 np.random.default_rng(0),
-            ),
+            ), test_env.x, test_env.y),
             fit_jackknife_plus_quantile(ds, ridge_point_builder(), 0.2, 0.4),
             fit_weighted_split_conformal(
                 ds, ridge_symmetric_builder(), 0.2, 0.4, 0.5, np.random.default_rng(0)
@@ -1006,13 +1020,3 @@ class TestLeaveOneEnvOutErrors:
         ds = linear_dataset(np.random.default_rng(4), m=5, n=12, p=2)
         mapping = fit_jackknife_minmax(ds, ridge_symmetric_builder(), 0.2, 0.4)
         assert len(mapping.families) == 5
-
-
-class TestBuilders:
-    def test_band_builder_validation(self):
-        with pytest.raises(ValueError, match="below"):
-            pinball_band_builder(0.9, 0.1)
-        with pytest.raises(ValueError, match="below"):
-            pinball_band_builder(0.5, 0.5)
-        with pytest.raises(ValueError, match="low_level"):
-            pinball_band_builder(0.0, 0.9)

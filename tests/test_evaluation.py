@@ -760,18 +760,27 @@ def failing_at(plan, trial, message):
 
 class TestRunPlans:
     def test_reports_equal_per_plan_run_trials_for_every_algorithm(self):
+        # alpha0 0.3 keeps the resized factors finite, and delta 0.5 its
+        # threshold, so a wrong holdout draw moves a finite resized set
         variants = [
             dict(),
             dict(alpha=0.2, delta=0.3, gamma=0.6, label_count=8,
                  clip=(-3.0, 3.0), rule="fraction"),
             dict(alpha=0.3, delta=0.1),
+            dict(delta=0.5),
         ]
         plans = [
-            make_plan(algorithm=name, trials=3, train_envs=6, seed=5, **{"label_count": 5, **v})
+            make_plan(algorithm=name, trials=3, train_envs=6, seed=5,
+                      **{"label_count": 5, "alpha0": 0.3, **v})
             for name in algorithm_names()
             for v in variants
         ]
-        assert run_plans(plans) == [run_trials(plan) for plan in plans]
+        reports = run_plans(plans)
+        assert reports == [run_trials(plan) for plan in plans]
+        assert any(math.isfinite(record.mean_measure)
+                   for plan, report in zip(plans, reports)
+                   if plan.algorithm == "resized_split_conformal" and plan.clip is None
+                   for record in report.records)
 
     @pytest.mark.parametrize("n_per_env", [20, [10, 30]])
     def test_delta_siblings_equal_per_plan_run_trials_for_every_algorithm(self, n_per_env):
@@ -812,11 +821,15 @@ class TestRunPlans:
         generator = HierGenConfig(m=1, n_per_env=[10, 60], p=2, seed=0)
         plans = [
             make_plan(generator=generator, algorithm=name, trials=3, train_envs=8, test_envs=3,
-                      label_count=5, rule=rule)
+                      label_count=5, alpha0=0.3, rule=rule)
             for name in algorithm_names()
             for rule in ("count", "fraction")
         ]
         reports = run_plans(plans)
+        assert any(math.isfinite(record.mean_measure)
+                   for plan, report in zip(plans, reports)
+                   if plan.algorithm == "resized_split_conformal"
+                   for record in report.records)
         for by_count, by_fraction in zip(reports[::2], reports[1::2]):
             assert len(by_count.records) == len(by_fraction.records) == 9
             for c, f in zip(by_count.records, by_fraction.records):

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,20 +10,15 @@ from mecp.data import EnvironmentSample
 from mecp.predictors import (
     DEFAULT_LAMBDA_GRID,
     FitError,
-    PinballModel,
     SoftmaxModel,
-    fit_pinball,
+    _log_sum_exp,
+    _softmax,
     fit_ridge,
     fit_ridge_leave_one_out,
     fit_softmax,
     multiclass_loss,
 )
-from oracles import (
-    oracle_pinball_objective,
-    oracle_pinball_vertex_min,
-    oracle_ridge_loo_errors,
-    oracle_softmax_grad,
-)
+from oracles import oracle_ridge_loo_errors, oracle_softmax_grad
 
 
 class TestRidge:
@@ -359,60 +353,6 @@ class TestRidgeLeaveOneOut:
             fit_ridge_leave_one_out(x, y, (5, 5), (-1.0,))
 
 
-class TestPinball:
-    def test_median_of_four(self):
-        x = np.zeros((4, 0))
-        y = np.array([1.0, 2.0, 3.0, 4.0])
-        model = fit_pinball(x, y, 0.5)
-        assert 2.0 <= model.theta[0] <= 3.0
-        obj = oracle_pinball_objective(np.ones((4, 1)), y, model.theta, 0.5)
-        assert obj == pytest.approx(0.5, abs=1e-9)
-
-    def test_upper_quantile_constant(self):
-        x = np.zeros((10, 0))
-        y = np.arange(1.0, 11.0)
-        model = fit_pinball(x, y, 0.9)
-        assert 9.0 <= model.theta[0] <= 10.0
-
-    def test_matches_vertex_enumeration_oracle(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            x = rng.normal(size=(7, 1))
-            y = rng.normal(size=7)
-            level = float(rng.uniform(0.1, 0.9))
-            model = fit_pinball(x, y, level)
-            xd = np.column_stack([np.ones(7), x])
-            got = oracle_pinball_objective(xd, y, model.theta, level)
-            want = oracle_pinball_vertex_min(xd, y, level)
-            assert got == pytest.approx(want, abs=1e-8)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(15, 2))
-        y = rng.normal(size=15)
-        a = fit_pinball(x, y, 0.3)
-        b = fit_pinball(x, y, 0.3)
-        assert np.array_equal(a.theta, b.theta)
-
-    def test_level_validated(self):
-        with pytest.raises(ValueError):
-            fit_pinball(np.zeros((3, 1)), np.zeros(3), 1.0)
-
-    def test_solver_failure_reports_the_solver_message(self, monkeypatch):
-        # the key every LP error uses, apart from the CLI error record's own "message"
-        failed = SimpleNamespace(status=4, message="numerical difficulties", fun=None, x=None)
-        monkeypatch.setattr(predictors, "highs_lp", lambda *args, **kwargs: failed)
-        with pytest.raises(FitError, match="pinball LP did not reach optimality") as err:
-            fit_pinball(np.zeros((3, 1)), np.arange(3.0), 0.5)
-        assert err.value.details == {
-            "status": 4, "solver_message": "numerical difficulties", "objective": None}
-
-    def test_predict(self):
-        model = PinballModel(theta=np.array([1.0, 2.0]), level=0.5)
-        assert model.predict(np.array([3.0])) == 7.0
-        assert np.allclose(model.predict(np.array([[3.0], [0.0]])), [7.0, 1.0])
-
-
 class TestSoftmax:
     def test_loss_matches_direct_formula(self):
         v = np.array([0.3, -1.2, 2.0])
@@ -426,6 +366,62 @@ class TestSoftmax:
     def test_loss_stable_for_huge_logits(self):
         v = np.array([1000.0, 900.0])
         assert multiclass_loss(0, v) == pytest.approx(np.log1p(np.exp(-100.0)), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e3, 1e6, "tiny"])
+    def test_loss_and_probabilities_match_scipy(self, scale):
+        # the numpy log-sum-exp and softmax against scipy.special within 1e-12
+        # relative, batched and one row at a time: ordinary and large-magnitude
+        # rows with some -inf logits, and ("tiny") rows whose label holds the
+        # max 20 to 700 above the rest (losses down to 1e-300, kept only by the
+        # log1p form)
+        from scipy.special import logsumexp, softmax
+
+        rng = np.random.default_rng(21)
+        if scale == "tiny":
+            v = np.column_stack([np.zeros(20), -rng.uniform(20.0, 700.0, size=(20, 3))])
+            labels = np.zeros(len(v), dtype=int)
+        else:
+            v = rng.normal(size=(40, 4)) * scale
+            v[:, 1:][rng.random((len(v), 3)) < 0.25] = -np.inf
+            labels = rng.integers(0, 4, size=len(v))
+        want = logsumexp(v, axis=1) - v[np.arange(len(v)), labels]
+        if scale == "tiny":
+            assert ((0.0 < want) & (want < 1e-8)).all() and want.min() < 1e-100
+        else:
+            assert np.isinf(v).any() and np.isinf(want).any()
+        np.testing.assert_allclose(multiclass_loss(labels, v), want, rtol=1e-12, atol=0.0)
+        for row, label, loss in zip(v, labels, want):
+            np.testing.assert_allclose(multiclass_loss(label, row), loss, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(_softmax(v), softmax(v, axis=1), rtol=1e-12, atol=0.0)
+
+    def test_rows_whose_max_is_not_finite_match_scipy(self):
+        # all -inf gives -inf, a +inf entry gives +inf, a NaN gives NaN, and no
+        # warning is raised (the suite turns warnings into errors)
+        from scipy.special import logsumexp
+
+        edge = np.array([[-np.inf] * 3, [np.inf, 1.0, -np.inf], [np.nan, 1.0, 2.0]])
+        np.testing.assert_array_equal(_log_sum_exp(edge), logsumexp(edge, axis=1))
+        np.testing.assert_array_equal(_log_sum_exp(edge), [-np.inf, np.inf, np.nan])
+
+    def test_tied_maxima_leave_the_sum(self):
+        # m tied maxima give log(m) + max exactly, as scipy's arithmetic does
+        for m, top in ((1, 0.0), (2, 3.5), (5, -1e6), (7, 1e300)):
+            row = np.append(np.full(m, top), -np.inf)
+            assert _log_sum_exp(row[None, :])[0] == math.log(m) + top
+
+    def test_fit_matches_the_scipy_arithmetic(self, monkeypatch):
+        # the numpy routes change no fitted weight: a fit whose log-sum-exp and
+        # softmax are scipy.special's returns the same floats
+        from scipy.special import logsumexp, softmax
+
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(60, 2))
+        labels = (x[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int) + (x[:, 1] > 0.5)
+        got = fit_softmax(x, labels, 3, tolerance=1e-5)
+        monkeypatch.setattr(predictors, "_log_sum_exp", lambda v: logsumexp(v, axis=-1))
+        monkeypatch.setattr(predictors, "_softmax", lambda v: softmax(v, axis=-1))
+        want = fit_softmax(x, labels, 3, tolerance=1e-5)
+        np.testing.assert_array_equal(got.weights, want.weights)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)

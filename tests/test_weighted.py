@@ -1,7 +1,6 @@
 """Hand-computed thresholds, dual certificates, and quantile equivalences."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,25 +11,16 @@ from scipy.optimize import linprog
 from mecp.data import EnvironmentSample
 from mecp.nested_sets import SymmetricFamily
 from mecp.quantiles import quant_plus
-from mecp.predictors import FitError
 from mecp.weighted import (
-    _pinned_solve,
-    _solve_box_lp,
     dual_eta,
     env_score,
     randomized_threshold,
     score_from_thresholds,
     weighted_threshold,
 )
-from oracles import (
-    oracle_env_score,
-    oracle_pinned_kkt,
-    oracle_pinned_threshold,
-    oracle_test_multiplier,
-    oracle_weighted_threshold,
-)
+from oracles import oracle_env_score, oracle_weighted_threshold
 
-# slack allowed on multipliers returned by the LP solver
+# slack allowed on the box bounds of returned multipliers
 BOX_TOLERANCE = 1e-10
 
 
@@ -59,11 +49,6 @@ def group_features(sizes, test_group):
     return np.vstack(rows + [test])
 
 
-def pinball_loss(t, delta):
-    t = np.asarray(t, dtype=float)
-    return (1.0 - delta) * np.clip(t, 0.0, None) + delta * np.clip(-t, 0.0, None)
-
-
 def lp_test_reach(phi, delta, sign):
     """Largest (sign 1) or least (sign -1) box-feasible test multiplier."""
     n = phi.shape[0]
@@ -82,6 +67,30 @@ def lp_dual_value(full_scores, phi, delta):
                   bounds=[(-delta, 1.0 - delta)] * n, method="highs")
     assert res.status == 0
     return -res.fun
+
+
+def lp_face_eta(full_scores, phi, delta):
+    """Independent route: the largest test multiplier on the box dual's optimal face.
+
+    Stage 1 solves the box dual as a linear program; stage 2 maximizes the
+    test (last) multiplier over the points within a cut of the optimal
+    value, widened once when the first cut sits inside solver noise. Both
+    run HiGHS at feasibility tolerance 1e-10.
+    """
+    n = full_scores.size
+    common = dict(A_eq=phi.T, b_eq=np.zeros(phi.shape[1]), bounds=[(-delta, 1.0 - delta)] * n,
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    first = linprog(-full_scores, **common)
+    assert first.status == 0
+    value = -first.fun
+    objective = np.zeros(n)
+    objective[-1] = -1.0
+    for face_tol in (1e-10 * (1.0 + abs(value)), 1e-8 * (1.0 + abs(value))):
+        res = linprog(objective, A_ub=-full_scores[None, :], b_ub=[-(value - face_tol)], **common)
+        if res.status == 0:
+            return float(res.x[-1])
+    return float(first.x[-1])
 
 
 class TestScoreFromThresholds:
@@ -151,16 +160,14 @@ class TestDualEta:
         scores=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=8),
         delta=st.floats(0.02, 0.98),
         s=st.floats(-2e3, 2e3),
-        weight=st.sampled_from([0.0, 0.5]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_box_and_constraint_feasibility(self, scores, delta, s, weight):
+    def test_box_and_constraint_feasibility(self, scores, delta, s):
         scores = np.asarray(scores)
-        sol = dual_eta(scores, ones_features(scores.size), delta, weight, s)
+        sol = dual_eta(scores, ones_features(scores.size), delta, 0.0, s)
         assert (sol.eta >= -delta - BOX_TOLERANCE).all()
         assert (sol.eta <= 1.0 - delta + BOX_TOLERANCE).all()
-        if weight == 0.0:
-            assert abs(sol.eta.sum()) <= 1e-9
+        assert abs(sol.eta.sum()) <= 1e-9
 
     def test_objective_matches_direct_linear_program(self):
         rng = np.random.default_rng(4)
@@ -194,14 +201,25 @@ class TestDualEta:
                 for s in grid]
         assert (np.diff(etas) >= 0.0).all()
 
-    def test_test_multiplier_monotone_with_regularization(self):
+    @pytest.mark.parametrize("kind", ["scaled constant", "groups"])
+    def test_test_multiplier_monotone_on_group_features(self, kind):
+        # from the box's lower end far below the test group's scores to its
+        # upper end far above, through every atom
         rng = np.random.default_rng(12)
-        scores = rng.normal(size=5)
+        scores = rng.normal(size=6)
+        if kind == "scaled constant":
+            features = -0.7 * ones_features(6)
+        else:
+            features = group_features([3, 3], test_group=1) * [2.5, -0.7]
         span = scores.max() - scores.min()
-        grid = np.linspace(scores.min() - 2 * span, scores.max() + 2 * span, 100)
-        etas = [dual_eta(scores, ones_features(5), 0.25, 0.3, float(s)).eta[-1]
-                for s in grid]
-        assert (np.diff(etas) >= -1e-12).all()
+        grid = np.sort(np.concatenate([
+            np.linspace(scores.min() - 2 * span, scores.max() + 2 * span, 100), scores]))
+        etas = [dual_eta(scores, features, 0.25, 0.0, float(s)).eta[-1] for s in grid]
+        assert (np.diff(etas) >= 0.0).all()
+        # a scaled column's tie fill divides by its entry, so a box end may
+        # come out one rounding away
+        assert etas[0] == pytest.approx(-0.25, abs=1e-15)
+        assert etas[-1] == pytest.approx(0.75, abs=1e-15)
 
     @pytest.mark.parametrize("m", [1, 3, 5, 9])
     def test_integer_rank_splits_the_scores_at_the_median(self, m):
@@ -254,13 +272,6 @@ class TestWeightedThreshold:
         assert weighted_threshold(scores, in_b, 0.35) == 10.0
         assert weighted_threshold(scores, ones_features(4), 0.35) == 10.0
 
-    def test_ridge_search_runs(self):
-        rng = np.random.default_rng(7)
-        scores = rng.normal(size=5)
-        got = weighted_threshold(scores, ones_features(5), 0.4,
-                                 ridge_weight=5e-3)
-        assert scores.min() <= got <= math.inf
-
     def test_rejects_bad_levels(self):
         scores = np.array([1.0])
         with pytest.raises(ValueError):
@@ -293,6 +304,11 @@ class TestRandomizedThreshold:
         b = randomized_threshold(self.scores, ones_features(3), 0.4,
                                  rng=np.random.default_rng(5))
         assert a == b
+
+    def test_rejects_bad_levels(self):
+        for delta in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="delta"):
+                randomized_threshold(self.scores, ones_features(3), delta, StubRng(0.5))
 
     def test_coverage_is_exact_on_average(self):
         # Coverage of a fresh score equals 1 - delta exactly once the
@@ -344,6 +360,25 @@ class TestGroupCoverage:
             assert rate >= 1.0 - delta - 3.0 * se
 
 
+    def test_randomized_per_group_coverage_is_exact_on_average(self):
+        # the randomized threshold covers each group at exactly 1 - delta,
+        # read on the same multiplier event as the plain Monte Carlo above
+        rng = np.random.default_rng(29)
+        delta, trials = 0.3, 1000
+        feats = [group_features([3, 4], test_group=g) for g in (0, 1)]
+        hits = [0, 0]
+        for _ in range(trials):
+            scores = np.concatenate([rng.normal(size=3), 3.0 * rng.normal(size=4) + 1.0])
+            tests = [float(rng.normal()), float(3.0 * rng.normal() + 1.0)]
+            for g in (0, 1):
+                u = float(rng.uniform())
+                hits[g] += dual_eta(scores, feats[g], delta, 0.0, tests[g]).eta[-1] <= u - delta
+        for g in (0, 1):
+            rate = hits[g] / trials
+            se = math.sqrt(rate * (1.0 - rate) / trials)
+            assert abs(rate - (1.0 - delta)) <= 3.0 * se
+
+
 def closed_form_cases():
     """(scores, delta) pairs: random, tied, all-equal, m = 1 and overflow."""
     rng = np.random.default_rng(606)
@@ -364,42 +399,6 @@ def closed_form_cases():
         (np.array([1.0, 2.0]), 0.2),
     ]
     return cases
-
-
-def criterion_holds(scores, features, delta, weight, s, u=None):
-    shifted = dual_eta(scores, features, delta, weight, s).eta[-1] + delta
-    return shifted < 1.0 if u is None else shifted <= u
-
-
-def straddles(scores, features, delta, weight, tau, u, rel):
-    eps = rel * (1.0 + abs(tau))
-    return (criterion_holds(scores, features, delta, weight, tau - eps, u)
-            and not criterion_holds(scores, features, delta, weight, tau + eps, u))
-
-
-def kkt_threshold(scores, features, delta, weight, level):
-    """The pinned threshold phi_t'theta* from the KKT pattern enumeration."""
-    theta = oracle_pinned_kkt(features[:-1], scores, delta, 2.0 * features.shape[0] * weight,
-                              level * features[-1])
-    return float(features[-1] @ theta)
-
-
-def assert_dual_matches_kkt(sol, full_scores, phi, delta, weight):
-    """A ridge > 0 dual_eta against the KKT enumeration's theta*.
-
-    The multipliers need not be unique where residuals tie at zero, but
-    phi'eta = curv theta* is, the dual objective equals the primal optimum,
-    and the test multiplier is the box end its residual's sign names.
-    """
-    curv = 2.0 * full_scores.size * weight
-    theta = oracle_pinned_kkt(phi, full_scores, delta, curv, np.zeros(phi.shape[1]))
-    resid = full_scores - phi @ theta
-    primal = float(pinball_loss(resid, delta).sum() + 0.5 * curv * theta @ theta)
-    assert abs(sol.objective - primal) <= 1e-12 * (1.0 + abs(primal))
-    q = phi.T @ sol.eta
-    assert np.abs(q - curv * theta).max() <= 1e-12 * (1.0 + np.abs(curv * theta).max())
-    if abs(resid[-1]) > 1e-9 * (1.0 + abs(full_scores[-1])):
-        assert sol.eta[-1] == (1.0 - delta if resid[-1] > 0.0 else -delta)
 
 
 class TestClosedFormThreshold:
@@ -450,41 +449,10 @@ class TestClosedFormThreshold:
             features = c * ones_features(5)
             assert weighted_threshold(scores, features, 0.35) == quant_plus(scores, 0.35)
 
-    def test_regularized_matches_general_search_and_straddles_the_level(self):
-        rng = np.random.default_rng(4242)
-        for case in range(200):
-            m = int(rng.integers(1, 13))
-            delta = float(rng.uniform(0.02, 0.95))
-            weight = float(rng.choice([5e-3, 0.05, 0.5, 2.0]))
-            scores = rng.normal(size=m) * 10.0 ** float(rng.uniform(-1.0, 1.5))
-            features = float(rng.choice([1.0, 2.5, -0.7])) * ones_features(m)
-            u = None if case % 2 == 0 else float(rng.choice([0.0, 0.5, rng.uniform()]))
-            if u is None:
-                tau = weighted_threshold(scores, features, delta, ridge_weight=weight)
-                level = 1.0 - delta
-            else:
-                tau = randomized_threshold(scores, features, delta, StubRng(u),
-                                           ridge_weight=weight)
-                level = u - delta
-            assert math.isfinite(tau)
-            assert straddles(scores, features, delta, weight, tau, u, 1e-9)
-            if m <= 6:
-                # the KKT pattern enumeration is exponential in m
-                want = kkt_threshold(scores, features, delta, weight, level)
-                assert abs(tau - want) <= 1e-12 * abs(want)
-
-    def test_randomized_full_draw_overflows_with_regularization(self):
-        scores = np.array([0.5, 1.5, 2.5])
-        got = randomized_threshold(scores, ones_features(3), 0.4, StubRng(1.0),
-                                   ridge_weight=0.05)
-        assert got == math.inf
-
-
 class TestBlockDual:
-    def test_block_indicators_match_lp_and_coordinate_ascent(self):
-        # the per-block scans against the dual LP at ridge 0, and the pinned
-        # solve that serves every input under a ridge penalty against the KKT
-        # pattern enumeration
+    def test_block_indicators_match_the_face_lp(self):
+        # the per-block scans against the dual LP: the test multiplier is the
+        # largest on the optimal face, and the objective reaches the optimum
         rng = np.random.default_rng(515)
         for case in range(80):
             k = int(rng.integers(2, 5))
@@ -497,22 +465,14 @@ class TestBlockDual:
                                                     -rng.uniform(0.3, 3.0)]))
             scores = rng.normal(size=n)
             delta = float(rng.uniform(0.05, 0.95))
-            weight = 0.0 if case % 2 == 0 else float(rng.choice([0.01, 0.3, 2.0]))
-            got = dual_eta(scores[:-1], phi, delta, weight, scores[-1])
+            got = dual_eta(scores[:-1], phi, delta, 0.0, scores[-1])
             assert (got.eta >= -delta).all() and (got.eta <= 1.0 - delta).all()
-            if weight == 0.0:
-                ref = _solve_box_lp(scores, phi, delta)
-                assert got.eta[-1] == pytest.approx(ref.eta[-1], abs=1e-6)
-                assert got.objective >= ref.objective - 1e-9
-            elif n <= 7:
-                # the KKT pattern enumeration is exponential in the row count
-                assert_dual_matches_kkt(got, scores, phi, delta, weight)
+            assert got.eta[-1] == pytest.approx(lp_face_eta(scores, phi, delta), abs=1e-6)
+            assert got.objective >= lp_dual_value(scores, phi, delta) - 1e-9
 
     def test_test_multiplier_range_is_reached_far_out(self):
-        # the reach that decides the sign of an unbounded pinned LP: HiGHS's
-        # canonical test multiplier at zero scores is the one the exact block
-        # dual returns far above every score, and its mirror (delta -> 1 -
-        # delta) the one far below; under a ridge penalty they are the box ends
+        # far above every score the exact block dual returns the largest
+        # box-feasible test multiplier, and far below the least one
         rng = np.random.default_rng(516)
         free_test_rows = 0
         for case in range(80):
@@ -529,15 +489,10 @@ class TestBlockDual:
             free_test_rows += cols[-1] < 0
             scores = rng.normal(size=n - 1)
             delta = float(rng.uniform(0.05, 0.95))
-            weight = 0.0 if case % 2 == 0 else 0.3
-            if weight == 0.0:
-                reach = lambda d: _solve_box_lp(np.zeros(n), phi, d).eta[-1]
-                least, most = -reach(1.0 - delta), reach(delta)
-            else:
-                least, most = -delta, 1.0 - delta
+            least, most = lp_test_reach(phi, delta, -1.0), lp_test_reach(phi, delta, 1.0)
             far = 1e6 * (1.0 + float(np.abs(scores).max()))
-            assert dual_eta(scores, phi, delta, weight, -far).eta[-1] == pytest.approx(least, abs=1e-9)
-            assert dual_eta(scores, phi, delta, weight, far).eta[-1] == pytest.approx(most, abs=1e-9)
+            assert dual_eta(scores, phi, delta, 0.0, -far).eta[-1] == pytest.approx(least, abs=1e-9)
+            assert dual_eta(scores, phi, delta, 0.0, far).eta[-1] == pytest.approx(most, abs=1e-9)
         assert free_test_rows >= 20
 
 
@@ -575,94 +530,93 @@ class TestGroupFeatureThresholds:
         # nothing constrains the test multiplier, so it follows the sign of s:
         # -delta below 0 (both criteria hold), 1 - delta above (both fail)
         scores = np.array([1e-7, 2.0, -1.0, 0.5])
-        free = np.zeros((1, 2))
         for features in (np.vstack([ones_features(3), [[0.0]]]),
-                         np.vstack([group_features([2, 2], 0)[:-1], free]),
-                         np.vstack([np.column_stack([np.ones(4), scores]), free])):
-            for weight in (0.0, 0.3):
-                assert weighted_threshold(scores, features, 0.3, weight) == 0.0
-                for u in (0.1, 0.5, 1.0 - 2.0**-53):
-                    got = randomized_threshold(scores, features, 0.3, StubRng(u), weight)
-                    assert got == 0.0
-                # the LP route's face tolerance blurs eta near s = 0
-                for s in (-1e-3, 1e-3):
-                    eta = dual_eta(scores, features, 0.3, weight, s).eta[-1]
-                    assert eta == pytest.approx(-0.3 if s < 0.0 else 0.7, abs=1e-4)
+                         np.vstack([group_features([2, 2], 0)[:-1], np.zeros((1, 2))])):
+            assert weighted_threshold(scores, features, 0.3) == 0.0
+            for u in (0.1, 0.5, 1.0 - 2.0**-53):
+                assert randomized_threshold(scores, features, 0.3, StubRng(u)) == 0.0
+            for s in (-1e-3, 1e-3):
+                eta = dual_eta(scores, features, 0.3, 0.0, s).eta[-1]
+                assert eta == (-0.3 if s < 0.0 else 0.7)
 
-    def test_group_features_with_regularization_straddle_the_level(self):
+
+    def test_scaled_group_features_keep_the_group_quantile(self):
+        # each column scaled by its own nonzero factor names the same groups,
+        # so plain and randomized thresholds stay the test group's order
+        # statistics
         rng = np.random.default_rng(1415)
-        for case, (scores, features, delta) in enumerate(group_cases(rng, 60)):
-            weight = float(rng.choice([5e-3, 0.3, 2.0]))
-            features = features * float(rng.choice([1.0, 2.5, -0.7]))
-            u = None if case % 2 == 0 else float(rng.choice(U_DRAWS[:3] + (rng.uniform(),)))
-            if u is None:
-                tau = weighted_threshold(scores, features, delta, ridge_weight=weight)
-            else:
-                tau = randomized_threshold(scores, features, delta, StubRng(u),
-                                           ridge_weight=weight)
-            assert math.isfinite(tau)
-            assert straddles(scores, features, delta, weight, tau, u, 1e-9)
+        for scores, features, delta in group_cases(rng, 60):
+            scaled = features * rng.choice([2.5, -0.7, 1e-3], size=features.shape[1])
+            group = scores[features[:-1, features[-1] != 0.0].any(axis=1)]
+            want = weighted_threshold(scores, features, delta)
+            assert weighted_threshold(scores, scaled, delta) == want
+            assert want == (quant_plus(group, delta) if group.size else math.inf)
+            for u in U_DRAWS:
+                assert (randomized_threshold(scores, scaled, delta, StubRng(u))
+                        == randomized_threshold(scores, features, delta, StubRng(u)))
+
+    def test_randomized_full_draw_overflows_on_group_features(self):
+        scores = np.array([0.5, 1.5, 2.5, 9.0])
+        for features in (group_features([2, 2], 0), -0.7 * ones_features(4),
+                         np.vstack([group_features([2, 2], 0)[:-1], np.zeros((1, 2))])):
+            assert randomized_threshold(scores, features, 0.4, StubRng(1.0)) == math.inf
 
     @pytest.mark.parametrize("kind", ["constant", "scaled constant", "groups"])
-    def test_group_features_with_regularization_equal_the_kkt_oracle(self, kind):
-        # every ridge > 0 input takes the pinned solve: one constant column,
-        # scaled or not, with tied scores, and multi-group rows with empty
-        # test groups, read both as thresholds and as dual_eta at the
-        # threshold and at a score or a fresh draw, against the KKT pattern
-        # enumeration (exponential in m, so m <= 6)
+    def test_tied_scores_match_the_face_lp(self, kind):
+        # at every score atom, where the tie fill settles the test multiplier,
+        # and at the thresholds themselves, the block dual's test multiplier is
+        # the largest on the LP's optimal face and its objective the optimum
         rng = np.random.default_rng(1425)
         if kind == "groups":
-            cases = [case for case in group_cases(rng, 60) if case[0].size <= 6]
+            cases = group_cases(rng, 20)
         else:
             cases = []
             for _ in range(20):
-                m = int(rng.integers(1, 7))
+                m = int(rng.integers(1, 9))
                 scores = rng.choice(np.round(rng.normal(size=3) * 2.0, 1), size=m)
                 cases.append((scores, ones_features(m), float(rng.uniform(0.02, 0.95))))
-        tied = empty_test_groups = 0
+        tied = 0
         for scores, features, delta in cases:
-            tied += np.unique(scores).size < scores.size
-            empty_test_groups += not features[:-1, features[-1] != 0.0].any()
-            weight = float(rng.choice([5e-3, 0.3, 2.0]))
             if kind != "constant":
-                features = features * float(rng.choice([2.5, -0.7]))
-            for u in (None, float(rng.uniform())):
-                level = 1.0 - delta if u is None else u - delta
-                tau = pinned_threshold(scores, features, delta, weight, u)
-                want = kkt_threshold(scores, features, delta, weight, level)
-                assert abs(tau - want) <= 1e-12 * abs(want)
-            for s in (tau, float(rng.choice(np.append(scores, rng.normal())))):
-                sol = dual_eta(scores, features, delta, weight, s)
-                assert_dual_matches_kkt(sol, np.append(scores, s), features, delta, weight)
-        assert (empty_test_groups if kind == "groups" else tied) >= 5
+                features = features * rng.choice([1.0, 2.5, -0.7], size=features.shape[1])
+            tied += np.unique(scores).size < scores.size
+            probes = {float(v) for v in scores}
+            probes |= {weighted_threshold(scores, features, delta),
+                       randomized_threshold(scores, features, delta, StubRng(rng.uniform()))}
+            for s in sorted(v for v in probes if math.isfinite(v)):
+                full = np.append(scores, s)
+                got = dual_eta(scores, features, delta, 0.0, s)
+                assert got.eta[-1] == pytest.approx(lp_face_eta(full, features, delta), abs=1e-6)
+                assert got.objective >= lp_dual_value(full, features, delta) - 1e-9
+        assert tied >= 5
 
-    def test_two_column_features_randomized_without_regularization(self):
-        # [1, x_e] rows run the pinned LP. It raises no solver error; a finite
-        # threshold straddles the level, read on the exact largest test
-        # multiplier (the HiGHS dual_eta blurs it within about 1e-7 of a jump),
-        # and an infinite one means the constraints hold every feasible test
-        # multiplier on one side of U - delta (HiGHS reach of the test entry).
-        rng = np.random.default_rng(1416)
-        finite = 0
-        for _ in range(60):
-            m = int(rng.integers(2, 9))
-            features = np.column_stack([np.ones(m + 1), rng.normal(size=m + 1)])
-            scores = rng.normal(size=m)
-            delta = float(rng.uniform(0.05, 0.95))
-            u = float(rng.choice([rng.uniform(), 1.0 - rng.uniform() * 2.0**-31]))
-            tau = randomized_threshold(scores, features, delta, StubRng(u))
-            if math.isfinite(tau):
-                finite += 1
-                eps = Fraction(1e-8) * (1 + abs(Fraction(tau)))
-                level = Fraction(u) - Fraction(delta)
-                below = oracle_test_multiplier(scores, features, delta, Fraction(tau) - eps)
-                above = oracle_test_multiplier(scores, features, delta, Fraction(tau) + eps)
-                assert below <= level < above
-            elif tau > 0.0:
-                assert lp_test_reach(features, delta, 1.0) + delta <= u + 1e-9
-            else:
-                assert lp_test_reach(features, delta, -1.0) + delta > u
-        assert finite >= 20
+    def test_degenerate_rows_match_the_face_lp(self):
+        # tied scores, repeated group rows and feature-free rows: a
+        # feature-free row takes the sign of its score, and 0 at score 0
+        rng = np.random.default_rng(1420)
+        zero_rows = 0
+        for case in range(40):
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(3, 9))
+            cols = rng.integers(-1, k, size=n)
+            scale = rng.choice([1.0, 2.5, -0.7], size=k)
+            phi = np.zeros((n, k))
+            for i, col in enumerate(cols):
+                if col >= 0:
+                    phi[i, col] = scale[col]
+            scores = rng.choice([0.0, 0.5, -1.0, 1.5], size=n)
+            delta = float(rng.choice([0.1, 0.25, 0.5]))
+            got = dual_eta(scores[:-1], phi, delta, 0.0, scores[-1])
+            assert got.objective >= lp_dual_value(scores, phi, delta) - 1e-9
+            free = cols < 0
+            if not free[-1]:
+                # at score 0 a free test row's 0 is not the face's largest value
+                assert got.eta[-1] == pytest.approx(lp_face_eta(scores, phi, delta), abs=1e-6)
+            zero_rows += (free & (scores == 0.0)).sum()
+            assert (got.eta[free & (scores == 0.0)] == 0.0).all()
+            assert (got.eta[free & (scores > 0.0)] == 1.0 - delta).all()
+            assert (got.eta[free & (scores < 0.0)] == -delta).all()
+        assert zero_rows >= 5
 
 
 def feature_columns(rng, rows, k):
@@ -670,126 +624,64 @@ def feature_columns(rng, rows, k):
     return np.column_stack([np.ones(rows)] + [rng.normal(size=rows) for _ in range(k - 1)])
 
 
-def pinned_threshold(scores, features, delta, weight, u):
-    if u is None:
-        return weighted_threshold(scores, features, delta, ridge_weight=weight)
-    return randomized_threshold(scores, features, delta, StubRng(u), ridge_weight=weight)
+def refused_features(kind, rows):
+    """[1, x_e] (2), [1, x_e, z_e] (3), or group rows but one spanning two columns ("overlap")."""
+    if kind == "overlap":
+        features = group_features([2, rows - 3], test_group=0)
+        features[1, 1] = 1.0
+        return features
+    return feature_columns(np.random.default_rng(kind), rows, kind)
 
 
-class TestPinnedGeneralRoute:
-    def test_two_columns_without_regularization_equal_the_rational_oracle(self):
-        # the threshold is rounded once from the exact vertex, so it equals the
-        # rational answer rounded to the nearest float; +-inf follows the sign
-        # rule of the largest and least feasible test multipliers
-        rng = np.random.default_rng(1417)
-        finite = infinite = 0
-        for case in range(120):
-            m = int(rng.integers(2, 10))
-            features = feature_columns(rng, m + 1, 2)
-            scores = rng.normal(size=m) * 10.0 ** float(rng.uniform(-1.0, 1.0))
-            delta = float(rng.uniform(0.05, 0.95))
-            for u in (None, float(rng.uniform())):
-                got = pinned_threshold(scores, features, delta, 0.0, u)
-                want = oracle_pinned_threshold(scores, features, delta, u)
-                if math.isinf(want):
-                    infinite += 1
-                    assert got == want
-                else:
-                    finite += 1
-                    assert got == float(want)
-                    assert abs(Fraction(got) - want) <= 1e-15 * abs(want)
-        assert finite >= 100 and infinite >= 20
-
-    def test_regularized_thresholds_equal_the_kkt_oracle(self):
-        rng = np.random.default_rng(1418)
-        for case in range(80):
-            k = 2 + case % 2
-            m = int(rng.integers(2, 6))
-            features = feature_columns(rng, m + 1, k)
-            scores = rng.normal(size=m)
-            delta = float(rng.uniform(0.05, 0.95))
-            weight = float(rng.choice([5e-3, 0.3, 2.0]))
-            u = None if case % 3 == 0 else float(rng.uniform())
-            level = 1.0 - delta if u is None else u - delta
-            theta = oracle_pinned_kkt(features[:-1], scores, delta, 2.0 * (m + 1) * weight,
-                                      level * features[-1])
-            want = float(features[-1] @ theta)
-            got = pinned_threshold(scores, features, delta, weight, u)
-            assert abs(got - want) <= 1e-12 * abs(want)
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_regularized_columns_straddle_the_level(self, k):
-        # the [1, x_e] case at ridge 0.3, and one more column: every threshold
-        # is finite, raises no solver error and straddles the level on the
-        # exact active-set dual_eta
-        rng = np.random.default_rng(1419 + k)
-        for case in range(60):
-            m = int(rng.integers(2, 10))
-            features = feature_columns(rng, m + 1, k)
-            scores = rng.normal(size=m)
-            delta = float(rng.uniform(0.05, 0.95))
-            u = None if case % 2 == 0 else float(rng.choice([0.0, rng.uniform()]))
-            tau = pinned_threshold(scores, features, delta, 0.3, u)
-            assert math.isfinite(tau)
-            assert straddles(scores, features, delta, 0.3, tau, u, 1e-9)
-
-    def test_degenerate_rows_match_the_kkt_oracle(self):
-        # tied scores, repeated feature rows and feature-free rows; a
-        # feature-free row with score 0 gets eta 0, as in the block dual
-        rng = np.random.default_rng(1420)
-        zero_rows = 0
-        for case in range(60):
-            k = 2 + case % 2
-            n = int(rng.integers(3, 7))
-            pool = np.round(rng.normal(size=(3, k)), 1)
-            phi = pool[rng.integers(0, 3, size=n)]
-            phi[rng.random(n) < 0.2] = 0.0
-            scores = rng.choice([0.0, 0.5, -1.0, 1.5], size=n)
-            delta = float(rng.choice([0.1, 0.25, 0.5]))
-            curv = float(rng.choice([0.1, 1.0, 8.0]))
-            tilt = 0.5 * np.round(rng.normal(size=k), 1) * (case % 3 != 0)
-            theta, eta = _pinned_solve(phi, scores, delta, curv, tilt)
-            want = oracle_pinned_kkt(phi, scores, delta, curv, tilt)
-            assert np.abs(theta - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
-            assert np.abs(curv * theta - tilt - phi.T @ eta).max() <= 1e-12 * (1.0 + n)
-            assert ((eta >= -delta) & (eta <= 1.0 - delta)).all()
-            free = ~phi.any(axis=1)
-            zero_rows += (free & (scores == 0.0)).sum()
-            assert (eta[free & (scores == 0.0)] == 0.0).all()
-            assert (eta[free & (scores > 0.0)] == 1.0 - delta).all()
-            assert (eta[free & (scores < 0.0)] == -delta).all()
-        assert zero_rows >= 5
-
-    def test_iteration_cap_names_the_solver_and_the_held_rows(self):
-        rng = np.random.default_rng(1421)
-        features = feature_columns(rng, 8, 2)
-        with pytest.raises(FitError, match="pinned active set did not converge") as err:
-            _pinned_solve(features, rng.normal(size=8), 0.3, 1.0, 0.0, max_iter=2)
-        assert err.value.details["solver"] == "pinned active set"
-        assert err.value.details["iterations"] == 2
-        assert all(0 <= i < 8 for i in err.value.details["held"])
-
-    def test_regularized_env_fit_equals_the_kkt_oracle(self):
-        # the same solve with no test row and no tilt
-        rng = np.random.default_rng(1422)
-        for k in (2, 3):
-            features = feature_columns(rng, 6, k)
-            scores = rng.normal(size=6)
-            theta, _ = _pinned_solve(features, scores, 0.3, 2.0 * 6 * 0.2, 0.0)
-            want = oracle_pinned_kkt(features, scores, 0.3, 2.0 * 6 * 0.2, np.zeros(k))
-            assert np.abs(theta - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
-
-
-@pytest.mark.parametrize("weight", [math.nan, math.inf, -0.1])
-@pytest.mark.parametrize("entry", ["weighted", "randomized", "dual_eta"])
-def test_ridge_weight_must_be_finite_and_nonnegative(entry, weight):
+@pytest.mark.parametrize("entry, argument, value", [
+    *[pytest.param("dual_eta", "ridge_weight", w, id=f"dual_eta-{w}")
+      for w in (math.nan, math.inf, -0.1, 0.3)],
+    *[(entry, "features", kind) for entry in ("weighted", "randomized", "dual_eta")
+      for kind in (2, 3, "overlap")],
+])
+def test_ridge_weight_must_be_finite_and_nonnegative(entry, argument, value):
+    # only the unpenalized dual on group features is left: dual_eta refuses any
+    # ridge_weight but 0, and every entry point refuses features with a row
+    # nonzero in more than one column, naming the argument
     scores = np.array([0.3, 1.2, 0.7, 2.0, 0.9])
-    features = ones_features(scores.size)
+    weight, features = 0.0, ones_features(scores.size)
+    if argument == "ridge_weight":
+        weight = value
+    else:
+        features = refused_features(value, scores.size + 1)
     calls = {
-        "weighted": lambda: weighted_threshold(scores, features, 0.2, weight),
-        "randomized": lambda: randomized_threshold(scores, features, 0.2,
-                                                   StubRng(0.5), weight),
+        "weighted": lambda: weighted_threshold(scores, features, 0.2),
+        "randomized": lambda: randomized_threshold(scores, features, 0.2, StubRng(0.5)),
         "dual_eta": lambda: dual_eta(scores, features, 0.2, weight, 1.0),
     }
-    with pytest.raises(ValueError, match="ridge_weight must be finite and nonnegative"):
+    with pytest.raises(ValueError, match=f"^{argument} must"):
         calls[entry]()
+
+
+def mixed_test_group():
+    """Group rows whose test column takes 2.0 on one test-group row and 1.0 elsewhere."""
+    features = group_features([2, 2], test_group=0)
+    features[0, 0] = 2.0
+    return np.array([0.3, 1.2, 0.7, 2.0]), features
+
+
+@pytest.mark.parametrize("entry", ["weighted", "randomized"])
+def test_mixed_values_on_the_test_group_are_refused(entry):
+    # such rows have no rank read
+    scores, features = mixed_test_group()
+    calls = {
+        "weighted": lambda: weighted_threshold(scores, features, 0.2),
+        "randomized": lambda: randomized_threshold(scores, features, 0.2, StubRng(0.5)),
+    }
+    with pytest.raises(ValueError, match="^features must take one value"):
+        calls[entry]()
+
+
+def test_dual_eta_scans_mixed_values_on_the_test_group():
+    # the block scan needs no rank read, so dual_eta serves such rows
+    scores, features = mixed_test_group()
+    for s in (-1.0, 0.3, 0.9, 1.2, 3.0):
+        full = np.append(scores, s)
+        got = dual_eta(scores, features, 0.2, 0.0, s)
+        assert got.eta[-1] == pytest.approx(lp_face_eta(full, features, 0.2), abs=1e-6)
+        assert got.objective >= lp_dual_value(full, features, 0.2) - 1e-9
