@@ -15,12 +15,14 @@ to exit.
 ``--primitives`` times the ridge primitives and the dual solve instead. The
 ridge rows run on the 20 training environments of the plan's first trial
 (1000 rows, p=5): the leave-one-out pass ``fit_ridge_leave_one_out`` that
-the jackknife algorithms make once per trial, and one pooled ``fit_ridge`` on
-all 1000 rows, the size of the fit in the benchmark's ``split_wide``
-workload. The dual-solve row runs ``weighted_threshold`` on the engine's
-constant feature column at ridge 0 (the rank read), on 10 normal scores
-drawn from ``--seed``, the calibration count of the benchmark's
-``cli_compare`` workload. Each runs
+the jackknife algorithms make once per trial, the stacked (20, 50)
+predictions of its 20 refits on one 50-row test block, which the jackknife
+mappings read from one batched product per block, and one pooled
+``fit_ridge`` on all 1000 rows, the size of the fit in the benchmark's
+``split_wide`` workload. The dual-solve row runs ``weighted_threshold`` on
+the engine's constant feature column at ridge 0 (the rank read), on 10
+normal scores drawn from ``--seed``, the calibration count of the
+benchmark's ``cli_compare`` workload. Each runs
 ``--trials`` calls ``--repeats`` times; the fastest repeat's mean time per
 call is reported. The last row is the ``cli_compare`` op without the CLI:
 one ``match_delta`` of weighted against split conformal over the grid
@@ -45,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mecp.algorithms import fit_hier_jackknife_plus, ridge_point_builder
 from mecp.data import HierGenConfig
 from mecp.evaluation import TrialPlan, algorithm_names, match_delta, run_trial, trial_dataset
 from mecp.predictors import fit_ridge, fit_ridge_leave_one_out
@@ -69,13 +72,19 @@ def ms_per_trial(plan: TrialPlan, repeats: int) -> float:
 
 
 def print_primitives(plan: TrialPlan, repeats: int) -> None:
-    envs = trial_dataset(plan, 0).environments[: plan.train_envs]
+    dataset = trial_dataset(plan, 0)
+    envs = dataset.environments[: plan.train_envs]
+    block = dataset.environments[plan.train_envs].x
     x = np.vstack([env.x for env in envs])
     y = np.concatenate([env.y for env in envs])
     sizes = [env.n for env in envs]
+    train = dataset.subset(range(plan.train_envs))
+    centres = fit_hier_jackknife_plus(train, ridge_point_builder(), plan.alpha).centres
     rows = [
         (f"fit_ridge_leave_one_out, {len(envs)} refits",
          ms_per_call(lambda t: fit_ridge_leave_one_out(x, y, sizes), plan.trials, repeats)),
+        (f"leave-one-out predict, {len(envs)} refits",
+         ms_per_call(lambda t: centres(block), plan.trials, repeats)),
         ("fit_ridge, pooled", ms_per_call(lambda t: fit_ridge(x, y), plan.trials, repeats)),
     ]
     scores = np.random.default_rng(plan.seed).normal(size=10)
@@ -88,6 +97,7 @@ def print_primitives(plan: TrialPlan, repeats: int) -> None:
                               (0.1, 0.2, 0.3), weighted), 1, repeats) / plan.trials))
     print(f"ms per call, min of {repeats} x {plan.trials} calls, outlier generator, "
           f"{len(envs)} envs x {GENERATOR['n_per_env']} rows, p={x.shape[1]}, default ridge grid; "
+          f"leave-one-out predict on one {len(block)}-row block; "
           f"weighted_threshold on 10 scores, constant column; match_delta per trial")
     print(f"{'primitive':<38} {'ms/call':>9}")
     for name, ms in rows:

@@ -17,6 +17,7 @@ import contextlib
 import contextvars
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +38,8 @@ from .nested_sets import (
     thresholds,
     union_sets,
 )
-from .predictors import DEFAULT_LAMBDA_GRID, FitError, fit_ridge, fit_ridge_leave_one_out, fit_softmax
+from .predictors import (DEFAULT_LAMBDA_GRID, FitError, RidgeModel, fit_ridge,
+                         fit_ridge_leave_one_out, fit_softmax)
 from .quantiles import (
     DiscreteDistribution,
     check_prob,
@@ -110,6 +112,29 @@ def _shared(tag: tuple, envs: Sequence[EnvironmentSample], fit: Callable):
     return fits[key][1]
 
 
+def _ridge_centres(models) -> Callable:
+    """x -> (m, t), row j ``models[j].predict(x)`` bit for bit: each matmul slice is the gemv
+    ``x @ coef`` runs. x is not made contiguous first: a Fortran x's copy rounds differently."""
+    coefs = np.stack([model.coef for model in models])[:, :, None]
+    intercepts = np.array([model.intercept for model in models])[:, None]
+    return lambda x: np.matmul(x, coefs)[..., 0] + intercepts
+
+
+def _stacked(fits):
+    """The m fits as one giving (m, t) arrays: one batched product for ridge fits, a
+    family of the same kind for interval families, None for label families."""
+    models = [getattr(f, "__self__", None) for f in fits]
+    if all(isinstance(model, RidgeModel) for model in models):
+        return _ridge_centres(models)
+    if isinstance(fits[0], SymmetricFamily):
+        return SymmetricFamily(predict=_stacked([f.predict for f in fits]))
+    if isinstance(fits[0], BandFamily):
+        return BandFamily(_stacked([f.lower for f in fits]), _stacked([f.upper for f in fits]))
+    if isinstance(fits[0], LossSublevelFamily):
+        return None
+    return lambda x: np.stack([np.asarray(f(x), dtype=float) for f in fits])
+
+
 def ridge_point_builder(lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID) -> Callable:
     """Builder returning a pooled-ridge point predictor for a list of environments.
 
@@ -163,9 +188,6 @@ def softmax_sublevel_builder(
     return build
 
 
-_INTERVAL_FAMILIES = (SymmetricFamily, BandFamily)
-
-
 class _ColumnarSets:
     """The per-row view of a mapping's columnar sets."""
 
@@ -180,8 +202,7 @@ class _FamilyAtThreshold(_ColumnarSets):
     """Sets of a fitted ``family`` at its calibrated threshold ``tau_hat``."""
 
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
-        # label families have no interval view
-        if not isinstance(self.family, _INTERVAL_FAMILIES):
+        if isinstance(self.family, LossSublevelFamily):
             return None
         return bounds_at(self.family, x, self.tau_hat)
 
@@ -246,19 +267,19 @@ class JackknifeMinmax(_ColumnarSets):
         per_family = [sets_at(fam, x, self.tau_hat) for fam in self.families]
         return [union_sets(components) for components in zip(*per_family)]
 
+    @cached_property
+    def _stacked_family(self) -> NestedFamily | None:
+        return _stacked(self.families)
+
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | None:
-        if not all(isinstance(f, _INTERVAL_FAMILIES) for f in self.families):
+        if self._stacked_family is None:
             return None
-        # min/max over the nonempty components: bit for bit the hull of the
-        # union, and (+inf, -inf) when every component is empty
-        parts = [bounds_at(f, x, self.tau_hat) for f in self.families]
-        lows = np.stack([lo for lo, _ in parts])
-        highs = np.stack([hi for _, hi in parts])
+        # the (m, t) component bounds in one step, then min/max over the nonempty
+        # ones: bit for bit the union's hull, (+inf, -inf) if every one is empty
+        lows, highs = bounds_at(self._stacked_family, x, self.tau_hat)
         empty = lows > highs
-        return (
-            np.where(empty, math.inf, lows).min(axis=0),
-            np.where(empty, -math.inf, highs).max(axis=0),
-        )
+        return (np.where(empty, math.inf, lows).min(axis=0),
+                np.where(empty, -math.inf, highs).max(axis=0))
 
     def predict_mask(self, x) -> np.ndarray:
         return np.logical_or.reduce([mask_at(f, x, self.tau_hat) for f in self.families])
@@ -372,7 +393,7 @@ class HierJackknifePlus(_ColumnarSets):
     cannot cross; above that an inverted pair collapses to the empty set.
     """
 
-    predictors: tuple[Callable, ...]
+    centres: Callable  # x -> (m, t): the leave-one-out predictions
     residuals: tuple[np.ndarray, ...]
     alpha: float
 
@@ -389,8 +410,7 @@ class HierJackknifePlus(_ColumnarSets):
         selection without building those rows; otherwise :meth:`_sorted_side`
         builds and sorts them.  Both agree bit for bit.
         """
-        x = np.asarray(x, dtype=float)
-        preds = np.stack([np.asarray(f(x), dtype=float) for f in self.predictors])
+        preds = self.centres(np.asarray(x, dtype=float))
         n = len(self.residuals[0])
         if preds.size and all(len(r) == n for r in self.residuals):
             res = np.stack(self.residuals)
@@ -410,26 +430,31 @@ class HierJackknifePlus(_ColumnarSets):
         rows = np.hstack([rows, np.full((rows.shape[0], 1), reserved)])
         return mixture_quantile_rows(rows, _reserved_mixture_weights(sizes), level)
 
+    @cached_property
+    def _ranks(self) -> tuple[int, int]:
+        # the reserved atom sorts first among the lows and last among the highs
+        weights = _reserved_mixture_weights([len(r) for r in self.residuals])
+        return (int(cumsum_rank(np.roll(weights, 1), self.alpha)),
+                int(cumsum_rank(weights, 1.0 - self.alpha)))
+
     def _selected_bounds(self, preds, res) -> tuple[np.ndarray, np.ndarray]:
         """Both endpoints by in-place selection in one ``(t, m*n)`` atom buffer.
 
-        The reserved atom sorts first among the lows and last among the
-        highs, so the float-cumsum rank ``idx`` of the shared sorted weights
-        reads it at ``idx == 0`` (lows) or ``idx == m*n`` (highs), and rank
-        ``idx - 1`` (lows) or ``idx`` (highs) of the finite block otherwise.
-        The partition scrambles column order, which decides whether a tie
-        of ``-0.0`` and ``0.0`` returns one or the other, so rows whose
+        The rank ``idx`` of :attr:`_ranks` reads the reserved atom at
+        ``idx == 0`` (lows) or ``idx == m*n`` (highs), and rank ``idx - 1``
+        (lows) or ``idx`` (highs) of the finite block otherwise. The
+        partition scrambles column order, which decides whether a tie of
+        ``-0.0`` and ``0.0`` returns one or the other, so rows whose
         selected value is zero are re-read by :meth:`_sorted_side`.
         """
         t = preds.shape[1]
         m, n = res.shape
-        weights = _reserved_mixture_weights([n] * m)
         centres = preds.T[:, :, None]
         buf = np.empty((t, m * n))
 
         def side(op, reserved, level):
-            first = reserved < 0  # the reserved atom sorts first among the lows
-            idx = int(cumsum_rank(np.roll(weights, 1) if first else weights, level))
+            first = reserved < 0
+            idx = self._ranks[not first]
             if idx == (0 if first else m * n):
                 return np.full(t, reserved)
             k = idx - first
@@ -447,7 +472,7 @@ class HierJackknifePlus(_ColumnarSets):
         return {
             "algorithm": "hier_jackknife_plus",
             "alpha": self.alpha,
-            "m": len(self.predictors),
+            "m": len(self.residuals),
             "env_sizes": [int(len(r)) for r in self.residuals],
         }
 
@@ -463,7 +488,7 @@ def fit_hier_jackknife_plus(
         raise ValueError("hierarchical jackknife+ requires a regression outcome")
     fits = _leave_one_env_out(dataset, predictor_builder)
     return HierJackknifePlus(
-        predictors=tuple(f for f, _ in fits),
+        centres=_stacked([f for f, _ in fits]),
         residuals=tuple(_point_residuals(f, env) for f, env in fits),
         alpha=float(alpha),
     )
@@ -667,14 +692,13 @@ class JackknifePlusQuantile(_ColumnarSets):
     delta = 0.1, heterogeneous environment effects included.
     """
 
-    predictors: tuple[Callable, ...]
+    centres: Callable  # x -> (m, t): the leave-one-out predictions
     env_scores: tuple[float, ...]
     alpha: float
     delta: float
 
     def predict_bounds(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        preds = np.stack([np.asarray(f(x), dtype=float) for f in self.predictors])
+        preds = self.centres(np.asarray(x, dtype=float))
         s = np.asarray(self.env_scores, dtype=float)[:, None]
         return column_quant_bounds(preds - s, preds + s, self.delta)
 
@@ -703,7 +727,7 @@ def fit_jackknife_plus_quantile(
         raise ValueError("this construction requires a regression outcome")
     fits = _leave_one_env_out(dataset, predictor_builder)
     return JackknifePlusQuantile(
-        predictors=tuple(f for f, _ in fits),
+        centres=_stacked([f for f, _ in fits]),
         env_scores=tuple(quant_plus(_point_residuals(f, env), alpha) for f, env in fits),
         alpha=alpha,
         delta=delta,

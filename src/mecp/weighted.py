@@ -107,10 +107,11 @@ def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float) -> np.n
         deficit = rhs - sum(lo for lo, _ in spans)
         for lo, hi in spans:
             add = min(max(deficit, 0.0), hi - lo)
-            picks.append(lo + add)
+            picks.append(hi if add == hi - lo else lo + add)
             deficit -= add
-        for j, pick in zip(tie_idx, picks):
-            eta[j] = min(max(pick / h[j], lower), upper)
+        for j, pick in zip(tie_idx, picks):  # a pick at a span end is that box end exactly
+            eta[j] = (lower if pick == h[j] * lower else upper if pick == h[j] * upper
+                      else min(max(pick / h[j], lower), upper))
     return eta
 
 

@@ -148,6 +148,11 @@ def oracle_ridge_loo_errors(x, y, lam: float) -> np.ndarray:
     return errs
 
 
+def oracle_stacked_predict(models):
+    """x -> (m, t): each model's own ``predict`` on x, one model at a time, stacked."""
+    return lambda x: np.stack([np.asarray(model.predict(x), dtype=float) for model in models])
+
+
 def oracle_softmax_grad(weights, x_design, labels, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of the mean multiclass log loss."""
     weights = np.asarray(weights, dtype=float)

@@ -43,13 +43,14 @@ from mecp.nested_sets import (
     contains,
     thresholds,
 )
-from mecp.predictors import FitError, fit_ridge, multiclass_loss
+from mecp.predictors import FitError, fit_ridge, fit_ridge_leave_one_out, multiclass_loss
 from mecp.quantiles import quant_minus, quant_plus
 
 from oracles import (
     oracle_float_cumsum_quantile_rows,
     oracle_jackknife_plus_interval,
     oracle_label_sets,
+    oracle_stacked_predict,
 )
 
 
@@ -358,7 +359,7 @@ class TestHierJackknifePlus:
         mapping = fit_hier_jackknife_plus(ds, mean_builder, 0.3)
         x = np.zeros((3, 1))
         got = mapping.predict_sets(x)
-        preds = np.array([f(x[:1])[0] for f in mapping.predictors])
+        preds = np.array([f(x[:1])[0] for f, _ in algorithms._leave_one_env_out(ds, mean_builder)])
         residuals = np.array([r[0] for r in mapping.residuals])
         lo, hi = oracle_jackknife_plus_interval(preds, residuals, 0.3)
         for s in got:
@@ -366,10 +367,10 @@ class TestHierJackknifePlus:
 
     def test_inverted_quantiles_collapse_to_empty_set(self):
         mapping = HierJackknifePlus(
-            predictors=(
+            centres=algorithms._stacked((
                 lambda xs: np.zeros(len(xs)),
                 lambda xs: np.full(len(xs), 10.0),
-            ),
+            )),
             residuals=(np.array([0.1]), np.array([0.1])),
             alpha=0.8,
         )
@@ -422,7 +423,8 @@ class TestHierJackknifePlus:
 def hier_mapping(preds, residuals, alpha):
     """A hierarchical jackknife+ mapping whose predictor j returns ``preds[j]``."""
     return HierJackknifePlus(
-        predictors=tuple(lambda xs, row=row: np.asarray(row, dtype=float)[: len(xs)] for row in preds),
+        centres=algorithms._stacked(
+            [lambda xs, row=row: np.asarray(row, dtype=float)[: len(xs)] for row in preds]),
         residuals=tuple(np.asarray(r, dtype=float) for r in residuals),
         alpha=alpha,
     )
@@ -840,10 +842,10 @@ class TestJackknifePlusQuantile:
 
     def test_inverted_endpoints_collapse_to_empty_set(self):
         mapping = JackknifePlusQuantile(
-            predictors=(
+            centres=algorithms._stacked((
                 lambda xs: np.zeros(len(xs)),
                 lambda xs: np.full(len(xs), 10.0),
-            ),
+            )),
             env_scores=(0.1, 0.1),
             alpha=0.5,
             delta=0.7,
@@ -881,7 +883,7 @@ class TestJackknifePlusQuantile:
             x = rng.normal(size=(25, 1))
             for delta in (0.05, 0.1, 0.3, 0.5, 0.7, 0.95):
                 mapping = JackknifePlusQuantile(
-                    predictors=predictors,
+                    centres=algorithms._stacked(predictors),
                     env_scores=tuple(scores),
                     alpha=0.1,
                     delta=delta,
@@ -893,6 +895,56 @@ class TestJackknifePlusQuantile:
                     hi = quant_plus(preds[:, t] + scores, delta)
                     want.append(EMPTY_SET if lo > hi else Interval(lo, hi))
                 assert mapping.predict_sets(x) == want
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def layouts(rng, t, p):
+    """A (t, p) test block as C-ordered, Fortran-ordered, row-strided and column-sliced arrays."""
+    x = rng.normal(size=(t, p))
+    rows = np.empty((2 * t, p))
+    rows[::2] = x
+    cols = np.empty((t, p + 2))
+    cols[:, 1:-1] = x
+    return {"C": x, "F": np.asfortranarray(x), "rows": rows[::2], "cols": cols[:, 1:-1]}
+
+
+class TestBatchedCentres:
+    """The leave-one-out mappings read every model's predictions from one batched
+    product; the per-model route (each RidgeModel.predict, stacked) is the reference."""
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    @pytest.mark.parametrize("sizes", [(15,) * 6, (4, 30, 9, 17, 2, 11)])
+    def test_stacked_centres_and_bounds_match_per_model_predicts(self, monkeypatch, p, sizes):
+        rng = np.random.default_rng(100 * p + len(set(sizes)))
+        w = rng.normal(size=p)
+        envs = []
+        for i, n in enumerate(sizes):
+            x = rng.normal(size=(n, p))
+            envs.append(EnvironmentSample(env_id=f"e{i}", x=x, y=x @ w + rng.normal(size=n)))
+        ds = MultiEnvDataset(environments=tuple(envs))
+        x, y = algorithms._pooled(envs)
+        models = fit_ridge_leave_one_out(x, y, list(sizes))
+        centres, oracle = algorithms._stacked([m.predict for m in models]), oracle_stacked_predict(models)
+        blocks = {(t, layout): xt for t in (1, 50, 257) for layout, xt in layouts(rng, t, p).items()}
+
+        def bounds():
+            mappings = (fit_hier_jackknife_plus(ds, ridge_point_builder(), 0.2),
+                        fit_jackknife_plus_quantile(ds, ridge_point_builder(), 0.2, 0.4),
+                        fit_jackknife_minmax(ds, ridge_symmetric_builder(), 0.2, 0.4))
+            return {key: [m.predict_bounds(xt) for m in mappings] for key, xt in blocks.items()}
+
+        got = bounds()
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms, "_ridge_centres", oracle_stacked_predict)
+            want = bounds()
+        for key, xt in blocks.items():
+            assert same_bits(centres(xt), oracle(xt)), key
+            for name, g, w in zip(("hier", "quantile", "minmax"), got[key], want[key]):
+                assert np.isfinite(g).all()
+                assert all(map(same_bits, g, w)), (name, key)
 
 
 class TestTauMonotonicity:

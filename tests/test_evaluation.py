@@ -54,7 +54,7 @@ from mecp.nested_sets import (
 
 from mecp.predictors import multiclass_loss
 from mecp.quantiles import rank_plus
-from oracles import oracle_label_sets, oracle_score_sets
+from oracles import oracle_label_sets, oracle_score_sets, oracle_stacked_predict
 
 
 class WidthMapping:
@@ -894,6 +894,25 @@ class TestRunPlans:
         run_plans([plan] + [replace(plan, algorithm=name)
                             for name in ("hier_jackknife_plus", "jackknife_plus_quantile")])
         assert calls == {"fit_ridge": 0, "fit_ridge_leave_one_out": 4}
+
+    @pytest.mark.parametrize("p", [1, 5])
+    @pytest.mark.parametrize("n_per_env", [20, [10, 60]])
+    def test_batched_centres_give_the_per_model_records(self, monkeypatch, p, n_per_env):
+        generator = HierGenConfig(m=1, n_per_env=n_per_env, p=p, seed=0)
+        plans = [make_plan(generator=generator, algorithm=name, trials=3, train_envs=8,
+                           test_envs=3, alpha=0.2, delta=0.4, seed=7)
+                 for name in ("jackknife_minmax", "hier_jackknife_plus", "jackknife_plus_quantile")]
+        batched = run_plans(plans)
+        passes = []
+
+        def per_model(models):
+            passes.append(len(models))
+            return oracle_stacked_predict(models)
+
+        monkeypatch.setattr(algorithms, "_ridge_centres", per_model)
+        assert run_plans(plans) == batched
+        assert passes == [8] * 9  # one stack of the 8 refits per plan and trial
+        assert all(math.isfinite(r.mean_measure) for report in batched for r in report.records)
 
     def test_unpaired_plans_raise(self):
         base = make_plan(trials=2)

@@ -160,6 +160,6 @@ def test_algorithm_timings_primitives(tmp_path):
     title, header, *rows = out.splitlines()
     assert title.startswith("ms per call, min of 1 x 2 calls")
     assert [row.rsplit(None, 1)[0] for row in rows] == [
-        "fit_ridge_leave_one_out, 20 refits", "fit_ridge, pooled",
+        "fit_ridge_leave_one_out, 20 refits", "leave-one-out predict, 20 refits", "fit_ridge, pooled",
         "weighted_threshold, ridge 0", "match_delta, 3-value grid"]
     assert all(float(row.split()[-1]) > 0 for row in rows)

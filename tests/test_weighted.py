@@ -216,10 +216,17 @@ class TestDualEta:
             np.linspace(scores.min() - 2 * span, scores.max() + 2 * span, 100), scores]))
         etas = [dual_eta(scores, features, 0.25, 0.0, float(s)).eta[-1] for s in grid]
         assert (np.diff(etas) >= 0.0).all()
-        # a scaled column's tie fill divides by its entry, so a box end may
-        # come out one rounding away
-        assert etas[0] == pytest.approx(-0.25, abs=1e-15)
-        assert etas[-1] == pytest.approx(0.75, abs=1e-15)
+        # a tie fill at a span end gives the box end exactly, even where
+        # dividing by a scaled column's entry would round off it
+        assert etas[0] == -0.25
+        assert etas[-1] == 0.75
+
+    def test_calibration_tie_filling_its_span_gives_the_box_end(self):
+        # every score tied: the test group's two calibration multipliers are
+        # filled to the end of their span on a column scaled by -0.7
+        features = group_features([2, 2], test_group=1) * [2.5, -0.7]
+        eta = dual_eta(np.zeros(4), features, 0.1, 0.0, 0.0).eta
+        assert eta[2] == eta[3] == -0.1
 
     @pytest.mark.parametrize("m", [1, 3, 5, 9])
     def test_integer_rank_splits_the_scores_at_the_median(self, m):
