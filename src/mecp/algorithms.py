@@ -3,10 +3,11 @@
 Every ``fit_*`` function returns a frozen mapping that gives its sets as
 columns: ``predict_bounds(x)`` as ``(lo, hi)`` arrays, a row being empty
 when lo > hi, or None for label sets, which ``predict_mask(x)`` gives as a
-``(t, n_classes)`` bool mask. ``predict_sets(x)`` builds the per-row sets
-from those when asked, and ``metadata()`` gives a JSON-ready summary of
-the fitted state. ``at_delta(delta)`` is the same fit at another delta,
-which enters only the threshold. Leave-one-out refits always drop a whole environment,
+``(t, n_classes)`` bool mask; membership, size and the minmax hull are
+read off those columns. ``predict_sets(x)`` is only the per-row view of
+them, and ``metadata()`` gives a JSON-ready summary of the fitted state.
+``at_delta(delta)`` is the same fit at another delta, which enters only
+the threshold. Leave-one-out refits always drop a whole environment,
 never single rows, so the guarantees target fresh environments rather
 than fresh observations from known ones.
 """
@@ -32,11 +33,10 @@ from .nested_sets import (
     bounds_at,
     float_to_json,
     mask_at,
-    sets_at,
+    sets_at,  # noqa: F401  (bench/tracer.py wraps it under this module)
     sets_from_bounds,
     sets_from_mask,
     thresholds,
-    union_sets,
 )
 from .predictors import (DEFAULT_LAMBDA_GRID, FitError, RidgeModel, fit_ridge,
                          fit_ridge_leave_one_out, fit_softmax)
@@ -253,8 +253,7 @@ class JackknifeMinmax(_ColumnarSets):
 
     The deployed set spans the leave-one-out components: a single interval
     (the min/max hull) for interval families, the label union for label
-    families, which have no other hull. ``predict_unions`` keeps the exact
-    union of components as a reference view.
+    families, which have no other hull.
     """
 
     families: tuple[NestedFamily, ...]
@@ -262,10 +261,6 @@ class JackknifeMinmax(_ColumnarSets):
     tau_hat: float
     alpha: float
     delta: float
-
-    def predict_unions(self, x) -> list[PredictionSet]:
-        per_family = [sets_at(fam, x, self.tau_hat) for fam in self.families]
-        return [union_sets(components) for components in zip(*per_family)]
 
     @cached_property
     def _stacked_family(self) -> NestedFamily | None:

@@ -67,11 +67,6 @@ class EnvironmentSample:
     def p(self) -> int:
         return self.x.shape[1]
 
-    def take(self, idx) -> "EnvironmentSample":
-        """Row subset, keeping the environment id."""
-        idx = np.asarray(idx, dtype=int)
-        return EnvironmentSample(self.env_id, self.x[idx], self.y[idx])
-
 
 @dataclass(frozen=True)
 class MultiEnvDataset:

@@ -6,15 +6,17 @@ upper fit, or sublevel sets of a classification loss. The coverage threshold
 of an outcome is the smallest tau whose set contains it, so membership at tau
 and a threshold comparison are two views of the same relation. Every family
 gives its sets as columns, ``(lo, hi)`` arrays through ``bounds_at`` or a
-bool label mask through ``mask_at``; ``sets_from_bounds`` and
-``sets_from_mask`` turn those into per-row sets.
+bool label mask through ``mask_at``, and ``bounds_measure`` sizes interval
+rows. Membership, size and union are read off those columns; the per-row
+set types (``Interval``, ``IntervalUnion``, ``LabelSet``) remain only as a
+view, built by ``sets_from_bounds``, ``sets_from_mask`` and ``sets_at``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -36,10 +38,7 @@ __all__ = [
     "mask_at",
     "sets_from_bounds",
     "sets_from_mask",
-    "contains",
-    "measure",
     "bounds_measure",
-    "union_sets",
     "float_to_json",
 ]
 
@@ -202,23 +201,6 @@ def sets_from_mask(mask: np.ndarray) -> list[LabelSet]:
     return [LabelSet(tuple(np.flatnonzero(row).tolist())) for row in mask]
 
 
-def contains(pred_set: PredictionSet, y) -> bool:
-    """Set membership; intervals are closed on both ends."""
-    if isinstance(pred_set, Interval):
-        return bool(pred_set.lo <= y <= pred_set.hi)
-    if isinstance(pred_set, IntervalUnion):
-        return any(p.lo <= y <= p.hi for p in pred_set.parts)
-    if isinstance(pred_set, LabelSet):
-        return int(y) in pred_set.labels
-    raise TypeError(f"not a prediction set: {type(pred_set).__name__}")
-
-
-def _length(lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    return hi - lo
-
-
 def _clip_range(clip: tuple[float, float]) -> tuple[float, float]:
     clo, chi = float(clip[0]), float(clip[1])
     if math.isnan(clo) or math.isnan(chi) or clo > chi:
@@ -226,70 +208,16 @@ def _clip_range(clip: tuple[float, float]) -> tuple[float, float]:
     return clo, chi
 
 
-def measure(pred_set: PredictionSet, clip: tuple[float, float] | None = None) -> float:
-    """Lebesgue length of interval kinds, label count otherwise.
-
-    `clip` intersects interval kinds with a reporting range before measuring;
-    it does not apply to label sets.
-    """
-    if isinstance(pred_set, LabelSet):
-        return float(len(pred_set.labels))
-    if isinstance(pred_set, Interval):
-        parts: Sequence[Interval] = (pred_set,)
-    elif isinstance(pred_set, IntervalUnion):
-        parts = pred_set.parts
-    else:
-        raise TypeError(f"not a prediction set: {type(pred_set).__name__}")
-    if clip is not None:
-        clo, chi = _clip_range(clip)
-    total = 0.0
-    for part in parts:
-        lo, hi = part.lo, part.hi
-        if clip is not None:
-            lo, hi = max(lo, clo), min(hi, chi)
-        total += _length(lo, hi)
-    return total
-
-
 def bounds_measure(
     lo: np.ndarray, hi: np.ndarray, clip: tuple[float, float] | None = None
 ) -> np.ndarray:
-    """Per-row ``measure`` of columnar bounds: hi - lo after the optional clip,
-    0 where hi <= lo (empty rows included)."""
+    """Per-row Lebesgue length of columnar bounds: hi - lo after the optional
+    clip, 0 where hi <= lo (empty rows included)."""
     if clip is not None:
         clo, chi = _clip_range(clip)
         lo, hi = np.maximum(lo, clo), np.minimum(hi, chi)
     with np.errstate(invalid="ignore"):
         return np.where(hi <= lo, 0.0, hi - lo)
-
-
-def union_sets(sets: Sequence[PredictionSet]) -> PredictionSet:
-    """Normalized union of same-kind sets; overlapping or touching intervals merge."""
-    items = list(sets)
-    if not items:
-        return EMPTY_SET
-    if all(isinstance(s, LabelSet) for s in items):
-        merged: set[int] = set()
-        for s in items:
-            merged.update(s.labels)
-        return LabelSet(tuple(sorted(merged)))
-    if not all(isinstance(s, (Interval, IntervalUnion)) for s in items):
-        raise ValueError("cannot union prediction sets of mixed kinds")
-    parts: list[Interval] = []
-    for s in items:
-        parts.extend((s,) if isinstance(s, Interval) else s.parts)
-    parts.sort(key=lambda p: (p.lo, p.hi))
-    spans: list[list[float]] = []
-    for part in parts:
-        if spans and part.lo <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], part.hi)
-        else:
-            spans.append([part.lo, part.hi])
-    if not spans:
-        return EMPTY_SET
-    if len(spans) == 1:
-        return Interval(spans[0][0], spans[0][1])
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in spans))
 
 
 def float_to_json(v: float):

@@ -246,14 +246,8 @@ def mixture_quantile_rows(loc_rows: np.ndarray, weights: np.ndarray, level: floa
     w = np.asarray(weights, dtype=float)
     if w.shape != loc_rows.shape[1:]:
         raise ValueError("weights must hold one entry per column of loc_rows")
-    order = np.argsort(loc_rows, axis=1)
+    order = np.argsort(loc_rows, axis=1, kind="stable")
     locs = np.take_along_axis(loc_rows, order, axis=1)
-    # Without ties the sorted order is unique; rows with tied locations are
-    # re-sorted stably so their cumulative sums add up in the same order.
-    tied = np.flatnonzero((locs[:, 1:] == locs[:, :-1]).any(axis=1))
-    if tied.size:
-        order[tied] = np.argsort(loc_rows[tied], axis=1, kind="stable")
-        locs[tied] = np.take_along_axis(loc_rows[tied], order[tied], axis=1)
     idx = cumsum_rank(w[order], level)
     return locs[np.arange(loc_rows.shape[0]), idx]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,8 +70,8 @@ def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float) -> np.n
     coefficient, so its minimizer is the first breakpoint where the
     subgradient reaches zero. Multipliers follow from residual signs;
     coordinates tied at the kink are filled so the last (test) entry comes
-    out largest. No iterative solver, hence no solver noise: vertex values
-    are exact up to float arithmetic.
+    out largest. No iterative solver, hence no solver noise, and the tie
+    fill runs in exact rationals, so each multiplier rounds once.
     """
     n = full_scores.size
     lower, upper = -delta, 1.0 - delta
@@ -92,8 +93,12 @@ def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float) -> np.n
     tie_idx = [int(i) for i in np.flatnonzero(tie)]
     if tie_idx:
         eta[tie_idx] = 0.0
-        rhs = -float(h @ eta)
-        spans = [tuple(sorted((h[j] * lower, h[j] * upper))) for j in tie_idx]
+        # the fill runs in exact rationals, so a pick that fills its span is
+        # that box end and each tied multiplier rounds once, from pick / h[j]
+        hq = [Fraction(v) for v in h.tolist()]
+        box = Fraction(lower), Fraction(upper)
+        rhs = -sum(q * Fraction(e) for q, e in zip(hq, eta.tolist()))
+        spans = [tuple(sorted((hq[j] * box[0], hq[j] * box[1]))) for j in tie_idx]
         picks = []
         if tie_idx[-1] == n - 1:
             # the test coordinate is last; give it the extreme of its feasible
@@ -106,12 +111,11 @@ def _box_dual_scan(full_scores: np.ndarray, h: np.ndarray, delta: float) -> np.n
         # deterministic water filling: meet rhs with each contribution in its span
         deficit = rhs - sum(lo for lo, _ in spans)
         for lo, hi in spans:
-            add = min(max(deficit, 0.0), hi - lo)
-            picks.append(hi if add == hi - lo else lo + add)
+            add = min(max(deficit, 0), hi - lo)
+            picks.append(lo + add)
             deficit -= add
-        for j, pick in zip(tie_idx, picks):  # a pick at a span end is that box end exactly
-            eta[j] = (lower if pick == h[j] * lower else upper if pick == h[j] * upper
-                      else min(max(pick / h[j], lower), upper))
+        for j, pick in zip(tie_idx, picks):
+            eta[j] = float(pick / hq[j])
     return eta
 
 

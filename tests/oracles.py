@@ -3,6 +3,9 @@
 Everything here is written against the mathematical definitions with exact
 rational index/CDF arithmetic where feasible, deliberately avoiding the
 package's own code paths so tests compare two routes to the same answer.
+The per-row set references (membership, union) read the package's per-row
+set types through their attributes; ``oracle_minmax_unions`` builds its
+components with ``sets_at``, the per-row view of ``bounds_at``/``mask_at``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from mecp.nested_sets import EMPTY_SET, Interval, IntervalUnion, LabelSet, sets_at
 
 
 def oracle_quant_plus(values, alpha: float) -> float:
@@ -199,6 +204,56 @@ def oracle_env_score(thresholds, alpha: float) -> float:
     raise AssertionError("unreachable: the largest threshold always covers everything")
 
 
+def _interval_parts(pred_set) -> list[tuple[float, float]]:
+    """(lo, hi) of each closed interval of a per-row set, read through its
+    ``parts`` or its ``lo``/``hi`` attributes."""
+    if hasattr(pred_set, "parts"):
+        return [(p.lo, p.hi) for p in pred_set.parts]
+    return [(pred_set.lo, pred_set.hi)]
+
+
+def oracle_contains(pred_set, y) -> bool:
+    """Membership of one outcome in a per-row set: closed intervals, and a
+    label set holds the class ``int(y)``."""
+    if hasattr(pred_set, "labels"):
+        return int(y) in pred_set.labels
+    return any(a <= y <= b for a, b in _interval_parts(pred_set))
+
+
+def oracle_union(sets):
+    """Union of same-kind per-row sets: the label union for label sets, else
+    the closed intervals sorted and merged where they overlap or touch.
+
+    Returns ``EMPTY_SET`` when no interval is left, an ``Interval`` for one
+    merged span and an ``IntervalUnion`` for more. Label sets and intervals
+    do not mix: ValueError.
+    """
+    sets = list(sets)
+    kinds = {hasattr(s, "labels") for s in sets}
+    if len(kinds) > 1:
+        raise ValueError("cannot union label sets with intervals")
+    if kinds == {True}:
+        return LabelSet(tuple(sorted({c for s in sets for c in s.labels})))
+    spans: list[list[float]] = []
+    for a, b in sorted(p for s in sets for p in _interval_parts(s)):
+        if spans and a <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], b)
+        else:
+            spans.append([a, b])
+    if not spans:
+        return EMPTY_SET
+    if len(spans) == 1:
+        return Interval(*spans[0])
+    return IntervalUnion(tuple(Interval(a, b) for a, b in spans))
+
+
+def oracle_minmax_unions(mapping, x) -> list:
+    """Per row of x: the exact union of a jackknife-minmax mapping's
+    leave-one-out components, each family's set at the shared ``tau_hat``."""
+    per_family = [sets_at(fam, x, mapping.tau_hat) for fam in mapping.families]
+    return [oracle_union(components) for components in zip(*per_family)]
+
+
 def oracle_score_sets(sets, y, clip=None) -> tuple[int, float]:
     """(in-set count, mean measure) of per-row interval sets, one row at a time.
 
@@ -209,11 +264,8 @@ def oracle_score_sets(sets, y, clip=None) -> tuple[int, float]:
     covered = 0
     measures = []
     for pred_set, outcome in zip(sets, y):
-        if hasattr(pred_set, "parts"):
-            parts = [(p.lo, p.hi) for p in pred_set.parts]
-        else:
-            parts = [(pred_set.lo, pred_set.hi)]
-        covered += any(a <= outcome <= b for a, b in parts)
+        parts = _interval_parts(pred_set)
+        covered += oracle_contains(pred_set, outcome)
         total = 0.0
         for a, b in parts:
             if clip is not None:

@@ -40,16 +40,17 @@ from mecp.nested_sets import (
     LabelSet,
     LossSublevelFamily,
     SymmetricFamily,
-    contains,
     thresholds,
 )
 from mecp.predictors import FitError, fit_ridge, fit_ridge_leave_one_out, multiclass_loss
 from mecp.quantiles import quant_minus, quant_plus
 
 from oracles import (
+    oracle_contains,
     oracle_float_cumsum_quantile_rows,
     oracle_jackknife_plus_interval,
     oracle_label_sets,
+    oracle_minmax_unions,
     oracle_stacked_predict,
 )
 
@@ -137,7 +138,7 @@ class TestJackknifeMinmax:
         assert mapping.tau_hat == 2.0
         for got in mapping.predict_sets(np.array([[0.0], [7.0]])):
             assert got == Interval(-2.0, 4.0)
-        for got in mapping.predict_unions(np.array([[0.0]])):
+        for got in oracle_minmax_unions(mapping, np.array([[0.0]])):
             assert got == Interval(-2.0, 4.0)
 
     def test_small_delta_overflows_to_full_line(self):
@@ -161,7 +162,7 @@ class TestJackknifeMinmax:
             alpha=0.5,
             delta=0.5,
         )
-        (got,) = far.predict_unions(np.array([[0.0]]))
+        (got,) = oracle_minmax_unions(far, np.array([[0.0]]))
         assert got == IntervalUnion((Interval(-1.0, 1.0), Interval(99.0, 101.0)))
         (hull,) = far.predict_sets(np.array([[0.0]]))
         assert hull == Interval(-1.0, 101.0)
@@ -173,7 +174,7 @@ class TestJackknifeMinmax:
             mapping = fit_jackknife_minmax(ds, ridge_symmetric_builder(), 0.2, 0.4)
             x = rng.normal(size=(6, 2))
             hulls = mapping.predict_sets(x)
-            unions = mapping.predict_unions(x)
+            unions = oracle_minmax_unions(mapping, x)
             for h, u in zip(hulls, unions):
                 lo, hi = envelope(u)
                 assert h.lo == lo and h.hi == hi
@@ -195,7 +196,7 @@ class TestJackknifeMinmax:
                 alpha=0.5,
                 delta=0.5,
             )
-            unions = mapping.predict_unions(x)
+            unions = oracle_minmax_unions(mapping, x)
             expected = [EMPTY_SET if u == EMPTY_SET else Interval(*envelope(u)) for u in unions]
             assert mapping.predict_sets(x) == expected
             lo, hi = mapping.predict_bounds(x)
@@ -213,7 +214,7 @@ class TestJackknifeMinmax:
         # negative thresholds cross some components (-0.4) or all of them (-0.52)
         for tau in (fitted.tau_hat, -0.4, -0.52):
             mapping = replace(fitted, tau_hat=tau)
-            unions = mapping.predict_unions(x)
+            unions = oracle_minmax_unions(mapping, x)
             expected = [EMPTY_SET if u == EMPTY_SET else Interval(*envelope(u)) for u in unions]
             assert mapping.predict_sets(x) == expected
         assert EMPTY_SET in expected
@@ -247,8 +248,7 @@ class TestJackknifeMinmax:
         mapping = fit_jackknife_minmax(ds, softmax_sublevel_builder(2, tolerance=1e-4), 0.3, 0.5)
         x = rng.normal(size=(4, 2))
         hull_sets = mapping.predict_sets(x)
-        union_sets_ = mapping.predict_unions(x)
-        assert hull_sets == union_sets_
+        assert hull_sets == oracle_minmax_unions(mapping, x)
         for s in hull_sets:
             assert isinstance(s, LabelSet)
             assert set(s.labels) <= {0, 1}
@@ -268,7 +268,7 @@ class TestJackknifeMinmax:
                 for row, labels in enumerate(oracle_label_sets(x @ w.T, 3, tau, multiclass_loss)):
                     want[row, list(labels)] = True
             assert np.array_equal(mapping.predict_mask(x), want)
-            assert mapping.predict_sets(x) == mapping.predict_unions(x)
+            assert mapping.predict_sets(x) == oracle_minmax_unions(mapping, x)
 
     def test_band_families(self):
         rng = np.random.default_rng(9)
@@ -300,7 +300,7 @@ class TestSplitConformal:
         assert mapping.tau_hat == 0.0
         for s in mapping.predict_sets(np.zeros((3, 1))):
             assert s == Interval(3.0, 3.0)
-            assert contains(s, 3.0)
+            assert oracle_contains(s, 3.0)
 
     def test_matches_direct_regression_route_bitwise(self):
         rng = np.random.default_rng(21)

@@ -48,13 +48,11 @@ from mecp.nested_sets import (
     Interval,
     LossSublevelFamily,
     SymmetricFamily,
-    contains,
-    measure,
 )
 
 from mecp.predictors import multiclass_loss
 from mecp.quantiles import rank_plus
-from oracles import oracle_label_sets, oracle_score_sets, oracle_stacked_predict
+from oracles import oracle_contains, oracle_label_sets, oracle_score_sets, oracle_stacked_predict
 
 
 class WidthMapping:
@@ -603,7 +601,7 @@ def label_mapping(tau, n_classes=3):
 
 
 class TestMaskScoring:
-    """Label sets scored from ``predict_mask`` equal a per-set ``contains``/``measure`` oracle."""
+    """Label sets scored from ``predict_mask`` equal a per-set membership and label-count oracle."""
 
     @pytest.mark.parametrize("sizes", [(5, 17, 1, 9), (8, 8, 8)])
     def test_random_logits_match_per_set_oracle(self, sizes):
@@ -621,8 +619,9 @@ class TestMaskScoring:
                 report = evaluate_mapping(mapping, envs, 0.3, rule=rule, trial=2)
                 for env, rec in zip(envs, report.records):
                     sets = mapping.predict_sets(env.x)
-                    assert rec.covered_count == sum(contains(s, y) for s, y in zip(sets, env.y))
-                    assert rec.mean_measure == np.mean([measure(s) for s in sets])
+                    assert rec.covered_count == sum(
+                        oracle_contains(s, y) for s, y in zip(sets, env.y))
+                    assert rec.mean_measure == np.mean([len(s.labels) for s in sets])
 
     def test_predict_mask_matches_scalar_oracle(self):
         x = np.random.default_rng(32).normal(size=(40, 3))
@@ -641,16 +640,16 @@ class TestMaskScoring:
 
 def per_environment_resized_records(dataset, plan, rng, trial):
     """Resized records scored one test environment at a time: one resize_for
-    and one evaluate_mapping each, on rows cut out by ``take``."""
+    and one evaluate_mapping each, on rows cut out of each environment."""
     train = dataset.subset(range(plan.train_envs))
     calibration = evaluation._TRIAL_RUNNERS[plan.algorithm](train, plan, rng)
     records = []
     for env in dataset.environments[plan.train_envs :]:
         labeled, rest = holdout_labels(env, plan.label_count, rng)
-        held = env.take(labeled)
-        mapping = resize_for(calibration, held.x, held.y)
+        mapping = resize_for(calibration, env.x[labeled], env.y[labeled])
+        tested = EnvironmentSample(env.env_id, env.x[rest], env.y[rest])
         report = evaluate_mapping(
-            mapping, [env.take(rest)], plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
+            mapping, [tested], plan.alpha, clip=plan.clip, rule=plan.rule, trial=trial
         )
         records.extend(report.records)
     return tuple(records)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecp.evaluation import _mask_tallies
 from mecp.nested_sets import (
     EMPTY_SET,
     BandFamily,
@@ -15,15 +16,20 @@ from mecp.nested_sets import (
     SymmetricFamily,
     bounds_at,
     bounds_measure,
-    contains,
     mask_at,
-    measure,
     sets_at,
+    sets_from_mask,
     thresholds,
-    union_sets,
 )
 from mecp.predictors import multiclass_loss
-from oracles import oracle_interval_measure, oracle_label_sets, oracle_union_measure_exact
+from oracles import (
+    oracle_contains,
+    oracle_interval_measure,
+    oracle_label_sets,
+    oracle_score_sets,
+    oracle_union,
+    oracle_union_measure_exact,
+)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -107,7 +113,8 @@ class TestSetAt:
     def test_negative_tau_is_empty(self):
         (got,) = sets_at(const_symmetric(1.5), np.zeros((1, 1)), -0.5)
         assert got == EMPTY_SET
-        assert measure(got) == 0.0
+        lo, hi = bounds_at(const_symmetric(1.5), np.zeros((1, 1)), -0.5)
+        assert bounds_measure(lo, hi).tolist() == [0.0]
 
     def test_band_shrinks_then_empties(self):
         fam = const_band(0.0, 4.0)
@@ -188,7 +195,7 @@ class TestSetAt:
             tau = float(rng.uniform(-1.0, 3.0))
             if case % 17 == 0:
                 tau = math.inf if case % 2 else -math.inf
-            member = contains(sets_at(fam, x[None], tau)[0], y)
+            member = oracle_contains(sets_at(fam, x[None], tau)[0], y)
             assert member == (thresholds(fam, x[None], [y])[0] <= tau)
 
     @given(center=finite, y=finite, tau1=finite, tau2=finite)
@@ -196,8 +203,8 @@ class TestSetAt:
         lo, hi = sorted((tau1, tau2))
         fam = const_symmetric(center)
         x = np.zeros((1, 1))
-        if contains(sets_at(fam, x, lo)[0], y):
-            assert contains(sets_at(fam, x, hi)[0], y)
+        if oracle_contains(sets_at(fam, x, lo)[0], y):
+            assert oracle_contains(sets_at(fam, x, hi)[0], y)
 
 
 class TestBoundsAt:
@@ -254,63 +261,90 @@ class TestBoundsAt:
         with pytest.raises(ValueError):
             mask_at(const_logits([0.0, 1.0]), np.zeros((1, 1)), math.nan)
 
-    def test_bounds_measure_matches_measure(self):
+    def test_bounds_measure_matches_per_row_oracle(self):
         lo = np.array([-1.0, 2.0, -math.inf, 0.0, math.inf, -0.0])
         hi = np.array([1.0, 1.0, math.inf, 0.0, math.inf, 0.0])
         sets = [EMPTY_SET if a > b else Interval(a, b) for a, b in zip(lo, hi)]
         for clip in (None, (-0.5, 0.25)):
-            assert bounds_measure(lo, hi, clip).tolist() == [measure(s, clip) for s in sets]
+            want = [oracle_score_sets([s], [0.0], clip)[1] for s in sets]
+            assert bounds_measure(lo, hi, clip).tolist() == want
 
 
 class TestMeasure:
+    """``bounds_measure`` on hand rows, against the endpoint-partition oracle."""
+
     def test_clip_to_reporting_range(self):
-        assert measure(Interval(-2.0, 4.0), clip=(0.0, 2000.0)) == 4.0
+        got = bounds_measure(np.array([-2.0]), np.array([4.0]), clip=(0.0, 2000.0))
+        assert got.tolist() == [oracle_union_measure_exact([(-2.0, 4.0)], clip=(0.0, 2000.0))]
+        assert got.tolist() == [4.0]
 
     def test_label_count(self):
-        assert measure(LabelSet((1, 4, 7))) == 3.0
+        # a label set measures by count, as the mask scorer counts the kept classes
+        mask = np.zeros((1, 8), dtype=bool)
+        mask[0, [1, 4, 7]] = True
+        assert sets_from_mask(mask) == [LabelSet((1, 4, 7))]
+        assert _mask_tallies([mask], np.array([4.0]))[1].tolist() == [3.0]
 
     def test_union_clipped(self):
-        u = IntervalUnion((Interval(0.0, 1.0), Interval(2.0, 4.0)))
-        assert measure(u, clip=(0.5, 3.0)) == 1.5
+        # disjoint rows [0, 1] and [2, 4]: their lengths add up to the union's
+        got = bounds_measure(np.array([0.0, 2.0]), np.array([1.0, 4.0]), clip=(0.5, 3.0))
+        assert got.sum() == oracle_union_measure_exact([(0.0, 1.0), (2.0, 4.0)], clip=(0.5, 3.0))
+        assert got.tolist() == [0.5, 1.0]
 
     def test_infinite_and_empty(self):
-        assert measure(Interval(-math.inf, math.inf)) == math.inf
-        assert measure(Interval(-math.inf, math.inf), clip=(-1.0, 3.0)) == 4.0
-        assert measure(EMPTY_SET) == 0.0
+        whole, empty = np.array([-math.inf, math.inf]), np.array([math.inf, -math.inf])
+        sets = [Interval(-math.inf, math.inf), EMPTY_SET]
+        assert bounds_measure(whole, empty).tolist() == [
+            oracle_score_sets([s], [0.0])[1] for s in sets] == [math.inf, 0.0]
+        clipped = bounds_measure(whole, empty, clip=(-1.0, 3.0))
+        assert clipped[0] == oracle_union_measure_exact([(-math.inf, math.inf)], clip=(-1.0, 3.0))
+        assert clipped.tolist() == [4.0, 0.0]
 
     def test_bad_clip(self):
-        with pytest.raises(ValueError):
-            measure(Interval(0.0, 1.0), clip=(2.0, 1.0))
+        for clip in ((2.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                bounds_measure(np.array([0.0]), np.array([1.0]), clip=clip)
+
+
+def union_measure(pred_set) -> float:
+    """Length of a per-row interval set: ``bounds_measure`` of its disjoint parts, summed."""
+    parts = pred_set.parts if isinstance(pred_set, IntervalUnion) else (pred_set,)
+    lo = np.array([p.lo for p in parts], dtype=float)
+    hi = np.array([p.hi for p in parts], dtype=float)
+    return float(bounds_measure(lo, hi).sum())
 
 
 class TestUnionSets:
+    """``oracles.oracle_union``, the exact union of leave-one-out components
+    that the jackknife-minmax hull tests compare the library's hull against."""
+
     def test_overlap_merges(self):
-        assert union_sets([Interval(1, 3), Interval(2, 5)]) == Interval(1.0, 5.0)
+        assert oracle_union([Interval(1, 3), Interval(2, 5)]) == Interval(1.0, 5.0)
 
     def test_disjoint_keeps_components(self):
-        got = union_sets([Interval(0, 1), Interval(2, 3)])
+        got = oracle_union([Interval(0, 1), Interval(2, 3)])
         assert isinstance(got, IntervalUnion) and len(got.parts) == 2
-        assert measure(got) == 2.0
+        assert union_measure(got) == 2.0
 
     def test_touching_closed_intervals_merge(self):
-        assert union_sets([Interval(0, 1), Interval(1, 2)]) == Interval(0.0, 2.0)
+        assert oracle_union([Interval(0, 1), Interval(1, 2)]) == Interval(0.0, 2.0)
 
     def test_unions_flatten(self):
         u = IntervalUnion((Interval(0, 1), Interval(4, 5)))
-        got = union_sets([u, Interval(1, 2)])
+        got = oracle_union([u, Interval(1, 2)])
         assert got == IntervalUnion((Interval(0.0, 2.0), Interval(4.0, 5.0)))
 
     def test_label_sets_union(self):
-        got = union_sets([LabelSet((0, 2)), LabelSet((1, 2))])
+        got = oracle_union([LabelSet((0, 2)), LabelSet((1, 2))])
         assert got == LabelSet((0, 1, 2))
 
     def test_empty_input(self):
-        assert union_sets([]) == EMPTY_SET
-        assert union_sets([EMPTY_SET, EMPTY_SET]) == EMPTY_SET
+        assert oracle_union([]) == EMPTY_SET
+        assert oracle_union([EMPTY_SET, EMPTY_SET]) == EMPTY_SET
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ValueError):
-            union_sets([Interval(0, 1), LabelSet((0,))])
+            oracle_union([Interval(0, 1), LabelSet((0,))])
 
     def test_measure_matches_partition_oracle(self):
         rng = np.random.default_rng(3)
@@ -318,7 +352,7 @@ class TestUnionSets:
             k = int(rng.integers(1, 9))
             raw = np.sort(rng.uniform(-10.0, 10.0, size=(k, 2)), axis=1)
             parts = [Interval(a, b) for a, b in raw]
-            got = measure(union_sets(parts))
+            got = union_measure(oracle_union(parts))
             assert got == pytest.approx(oracle_union_measure_exact(raw), abs=1e-6)
             # coarse uniform-grid rasterization as a second, dumber route
             grid = oracle_interval_measure(raw, clip=(-10.0, 10.0))
@@ -331,8 +365,66 @@ class TestUnionSets:
     )
     def test_union_membership_and_subadditivity(self, spans, y):
         parts = [Interval(min(a, b), max(a, b)) for a, b in spans]
-        u = union_sets(parts)
-        assert contains(u, y) == any(contains(p, y) for p in parts)
-        assert measure(u) <= sum(measure(p) for p in parts) + 1e-9
+        u = oracle_union(parts)
+        assert oracle_contains(u, y) == any(oracle_contains(p, y) for p in parts)
+        assert union_measure(u) <= sum(union_measure(p) for p in parts) + 1e-9
 
 
+def column_family(kind):
+    """A family read off the columns of a 3-column x: a symmetric centre x0, a
+    band from x0 to x1 (inverted where x1 < x0), or the three logits."""
+    if kind == "symmetric":
+        return SymmetricFamily(predict=lambda xs: xs[:, 0])
+    if kind == "band":
+        return BandFamily(lower=lambda xs: xs[:, 0], upper=lambda xs: xs[:, 1])
+    return LossSublevelFamily(logits=lambda xs: xs, n_classes=3)
+
+
+def columnar_membership(family, x, y, tau):
+    """Row-wise membership of y read off the columnar sets at tau, as the
+    scorer reads it: closed bounds, or the mask at each row's label."""
+    if isinstance(family, LossSublevelFamily):
+        return mask_at(family, x, tau)[np.arange(len(y)), y]
+    lo, hi = bounds_at(family, x, tau)
+    return (lo <= y) & (y <= hi)
+
+
+# on a grid of quarters every difference and sum of two values is exact, so
+# the threshold and the columnar bounds face no rounding
+quarters = st.integers(-4000, 4000).map(lambda k: k / 4.0)
+grid_taus = st.one_of(quarters, st.sampled_from([-math.inf, math.inf]))
+taus = st.floats(allow_nan=False)
+
+
+def rows_of(values):
+    return st.lists(st.tuples(values, values, values), min_size=1, max_size=6).map(np.array)
+
+
+class TestColumnarProperties:
+    """Nesting and membership of ``bounds_at``/``mask_at`` for all three kinds."""
+
+    @pytest.mark.parametrize("kind", ["symmetric", "band", "label"])
+    @settings(max_examples=150, deadline=None)
+    @given(x=rows_of(finite), tau1=taus, tau2=taus)
+    def test_nesting_in_tau(self, kind, x, tau1, tau2):
+        family = column_family(kind)
+        small, large = sorted((tau1, tau2))
+        if kind == "label":
+            inner, outer = mask_at(family, x, small), mask_at(family, x, large)
+            assert not (inner & ~outer).any()
+            return
+        lo1, hi1 = bounds_at(family, x, small)
+        lo2, hi2 = bounds_at(family, x, large)
+        kept = lo1 <= hi1
+        assert (lo2[kept] <= lo1[kept]).all() and (hi1[kept] <= hi2[kept]).all()
+
+    @pytest.mark.parametrize("kind", ["symmetric", "band", "label"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), tau=grid_taus)
+    def test_membership_is_threshold_comparison(self, kind, data, tau):
+        family = column_family(kind)
+        x = data.draw(rows_of(quarters if kind != "label" else finite))
+        outcomes = st.integers(0, 2) if kind == "label" else quarters
+        y = np.array(data.draw(st.lists(outcomes, min_size=len(x), max_size=len(x))))
+        member = columnar_membership(family, x, y, tau)
+        assert member.tolist() == (thresholds(family, x, y) <= tau).tolist()

@@ -228,6 +228,15 @@ class TestDualEta:
         eta = dual_eta(np.zeros(4), features, 0.1, 0.0, 0.0).eta
         assert eta[2] == eta[3] == -0.1
 
+    def test_partial_tie_fill_lands_on_the_box_end(self):
+        # every score tied: after the test multiplier takes its upper end, the
+        # test group's three calibration multipliers share the rest exactly;
+        # a float fill on the -0.7 column stops the last a few ulps inside
+        features = group_features([3, 3], test_group=1) * [2.5, -0.7]
+        eta = dual_eta(np.zeros(6), features, 0.25, 0.0, 0.0).eta
+        assert eta[3] == eta[4] == eta[5] == -0.25
+        assert eta[6] == 0.75
+
     @pytest.mark.parametrize("m", [1, 3, 5, 9])
     def test_integer_rank_splits_the_scores_at_the_median(self, m):
         # ridge 0, delta 0.5 and odd m make (m + 1)(1 - delta) an integer: the
